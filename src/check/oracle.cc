@@ -67,13 +67,6 @@ runDifferential(const WorkloadFactory& workload,
     const std::uint64_t workload_seed =
         seed * 0x9e3779b97f4a7c15ULL + 0x51;
 
-    RunOutcome outcome;
-    const auto fail = [&outcome](std::string reason) {
-        outcome.ok = false;
-        outcome.reason = std::move(reason);
-        return outcome;
-    };
-
     // --- Phase 1: concurrent run under the fuzzed HTM model. ---
     std::unique_ptr<CheckWorkload> concurrent =
         workload.make(workload_seed, threads, ops);
@@ -95,6 +88,16 @@ runDifferential(const WorkloadFactory& workload,
     htm::Runtime runtime(config, threads);
     CheckObserver observer(options.ringCapacity);
     runtime.setObserver(&observer);
+
+    RunOutcome outcome;
+    // The trace tail is rendered here and only here: a passing run
+    // formats no diagnostics.
+    const auto fail = [&outcome, &observer](std::string reason) {
+        outcome.ok = false;
+        outcome.reason = std::move(reason);
+        outcome.traceTail = formatTrace(observer.ring.events());
+        return outcome;
+    };
 
     std::vector<std::vector<std::uint64_t>> results(
         threads, std::vector<std::uint64_t>(ops, 0));
@@ -130,8 +133,6 @@ runDifferential(const WorkloadFactory& workload,
 
     outcome.fired = fuzz->fired();
     outcome.commits = observer.commitOrder.size();
-    if (observer.ring.dropped() == 0)
-        outcome.traceTail = formatTrace(observer.ring.events());
 
     // --- Phase 2: in-flight invariants over the event trace. ---
     if (observer.ring.dropped() != 0) {
@@ -150,7 +151,7 @@ runDifferential(const WorkloadFactory& workload,
     }
     {
         const std::string error =
-            checkTraceInvariants(observer.ring.events(), threads);
+            checkTraceInvariants(observer.ring.history(), threads);
         if (!error.empty())
             return fail("trace invariant violated: " + error);
     }

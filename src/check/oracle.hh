@@ -72,7 +72,8 @@ struct RunOutcome
     std::string reason;
     /** Preemption points that fired — the replayable schedule. */
     Schedule fired;
-    /** Rendered tail of the event trace (populated on failure). */
+    /** Rendered tail of the event trace: populated on failure only,
+     *  empty when ok. */
     std::string traceTail;
     /** Commits observed in the concurrent phase. */
     std::uint64_t commits = 0;

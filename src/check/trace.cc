@@ -34,61 +34,71 @@ checkTraceInvariants(const std::vector<TxEvent>& events,
 {
     std::vector<bool> active(num_threads, false);
     std::vector<sim::Cycles> lastCycles(num_threads, 0);
+    // Event that opened each thread's live attempt, and the lock
+    // holder's acquisition: what the end-of-run checks point at.
+    std::vector<std::size_t> openedAt(num_threads, 0);
     int lockHolder = -1;
+    std::size_t acquiredAt = 0;
+
+    // Names the offending event. Built only once a check has failed:
+    // a passing run formats nothing.
+    const auto at = [&events](std::size_t i, const std::string& what) {
+        return what + " (event #" + std::to_string(i) + ": " +
+               describe(events[i]) + ")";
+    };
+    const auto holder = [&lockHolder] {
+        return "t" + std::to_string(lockHolder);
+    };
 
     for (std::size_t i = 0; i < events.size(); ++i) {
         const TxEvent& event = events[i];
         const unsigned tid = event.tid;
         if (tid >= num_threads)
-            return "event #" + std::to_string(i) + " has tid " +
-                   std::to_string(tid) + " >= " +
-                   std::to_string(num_threads);
-        const std::string where =
-            " (event #" + std::to_string(i) + ": " + describe(event) +
-            ")";
+            return at(i, "tid " + std::to_string(tid) + " >= " +
+                             std::to_string(num_threads));
 
         if (event.cycles < lastCycles[tid])
-            return "per-thread virtual time went backwards" + where;
+            return at(i, "per-thread virtual time went backwards");
         lastCycles[tid] = event.cycles;
 
         switch (event.kind) {
           case TxEventKind::begin:
             if (active[tid])
-                return "nested begin without commit/abort" + where;
+                return at(i, "nested begin without commit/abort");
             active[tid] = true;
+            openedAt[tid] = i;
             break;
           case TxEventKind::commit:
             if (!active[tid])
-                return "commit without an active attempt" + where;
+                return at(i, "commit without an active attempt");
             if (lockHolder >= 0)
-                return "transactional commit while t" +
-                       std::to_string(lockHolder) +
-                       " holds the fallback lock" + where;
+                return at(i, "transactional commit while " + holder() +
+                                 " holds the fallback lock");
             active[tid] = false;
             break;
           case TxEventKind::abort:
             if (!active[tid])
-                return "abort without an active attempt" + where;
+                return at(i, "abort without an active attempt");
             active[tid] = false;
             break;
           case TxEventKind::lockAcquired:
             if (lockHolder >= 0)
-                return "lock acquired while t" +
-                       std::to_string(lockHolder) + " holds it" + where;
+                return at(i, "lock acquired while " + holder() +
+                                 " holds it");
             if (active[tid])
-                return "lock acquired with a live transactional "
-                       "attempt" + where;
+                return at(i, "lock acquired with a live transactional "
+                             "attempt");
             lockHolder = int(tid);
+            acquiredAt = i;
             break;
           case TxEventKind::lockReleased:
             if (lockHolder != int(tid))
-                return "lock released by a non-holder" + where;
+                return at(i, "lock released by a non-holder");
             lockHolder = -1;
             break;
           case TxEventKind::fallbackCommit:
             if (lockHolder != int(tid))
-                return "fallback commit without holding the lock" +
-                       where;
+                return at(i, "fallback commit without holding the lock");
             break;
           case TxEventKind::nonSpecCommit:
             // Serialization point of a non-speculative section under a
@@ -97,20 +107,21 @@ checkTraceInvariants(const std::vector<TxEvent>& events,
             // the same thread would mean irrevocability leaked into a
             // speculative section.
             if (active[tid])
-                return "non-speculative commit with a live "
-                       "transactional attempt" + where;
+                return at(i, "non-speculative commit with a live "
+                             "transactional attempt");
             break;
         }
     }
 
     for (unsigned tid = 0; tid < num_threads; ++tid) {
         if (active[tid])
-            return "t" + std::to_string(tid) +
-                   " left an attempt open at end of run";
+            return at(openedAt[tid],
+                      "t" + std::to_string(tid) +
+                          " left an attempt open at end of run");
     }
     if (lockHolder >= 0)
-        return "t" + std::to_string(lockHolder) +
-               " left the fallback lock held at end of run";
+        return at(acquiredAt,
+                  holder() + " left the fallback lock held at end of run");
     return "";
 }
 

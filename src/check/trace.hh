@@ -29,6 +29,7 @@
 #ifndef HTMSIM_CHECK_TRACE_HH
 #define HTMSIM_CHECK_TRACE_HH
 
+#include <cassert>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -71,6 +72,16 @@ class EventRing final : public htm::TxObserver
         return ordered;
     }
 
+    /** The complete history, oldest first, without a copy: valid
+     *  only while nothing has been dropped (the ring never wrapped,
+     *  so its storage is still in arrival order). */
+    const std::vector<htm::TxEvent>&
+    history() const
+    {
+        assert(dropped_ == 0 && "history() of a wrapped ring");
+        return events_;
+    }
+
     /** Events that fell off the front of the ring. */
     std::uint64_t dropped() const { return dropped_; }
 
@@ -96,8 +107,10 @@ class EventRing final : public htm::TxObserver
  * Check the interleaving invariants over a complete event history
  * (@p num_threads threads, tids dense from 0). Returns an empty
  * string when all invariants hold, else a description of the first
- * violation. The history must be complete — pass EventRing::events()
- * only when EventRing::dropped() == 0.
+ * violation naming the offending event ("event #N: ..."; for an
+ * attempt or lock left open at the end, the event that opened it).
+ * The history must be complete — pass EventRing::history(), which
+ * requires EventRing::dropped() == 0.
  */
 std::string checkTraceInvariants(const std::vector<htm::TxEvent>& events,
                                  unsigned num_threads);

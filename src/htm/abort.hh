@@ -101,9 +101,12 @@ const char* abortCauseName(AbortCause cause);
 const char* abortCategoryName(AbortCategory category);
 
 /**
- * Internal unwind signal thrown when a transaction must roll back.
- * Caught only by the retry driver in Runtime::atomic(); application
- * code must let it propagate.
+ * Internal unwind signal thrown when a transaction must roll back from
+ * inside its body (an access, abortTx(), a capacity overflow):
+ * unwinding is what runs the body's destructors. Aborts decided at
+ * begin or commit are returned as an AbortCause instead. Caught only
+ * by the attempt drivers in Runtime; application code must let it
+ * propagate.
  */
 struct TxAbortException
 {

@@ -244,7 +244,7 @@ Runtime::nonTxConflict(unsigned tid, std::uintptr_t addr, bool is_write,
 // Begin / commit / rollback
 // --------------------------------------------------------------------
 
-void
+AbortCause
 Runtime::txBegin(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
 {
     tx.ctx_ = &ctx;
@@ -270,7 +270,7 @@ Runtime::txBegin(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
         // a later acquisition aborts us; abort at once if it is held.
         const auto lock = tx.load(&lockWord_);
         if (lock != 0)
-            tx.selfAbort(AbortCause::lockConflict);
+            return AbortCause::lockConflict;
     }
 
     if (stmEnabled_ && !tx.constrained_) {
@@ -284,9 +284,10 @@ Runtime::txBegin(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
             tx.stmClockSnap_ = stm_.clockCell();
         }
     }
+    return AbortCause::none;
 }
 
-void
+AbortCause
 Runtime::txCommit(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
 {
     Cycles end_cost = txEndCost_;
@@ -302,7 +303,10 @@ Runtime::txCommit(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
     }
     ctx.advance(end_cost);
     ctx.sync();
-    tx.checkDoom();
+    // The aborts decided from here on are returned, not thrown: the
+    // body has finished, so there is no frame left to unwind.
+    if (tx.status_ == TxStatus::doomed)
+        return tx.doomCause_;
 
     if (hazard_.enabled()) {
         // Last chance for this attempt's armed hazards: an interrupt
@@ -311,13 +315,13 @@ Runtime::txCommit(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
         const AbortCause hazard =
             hazard_.onCommitPoint(tx.tid_, ctx.now());
         if (hazard != AbortCause::none)
-            tx.selfAbort(hazard);
+            return hazard;
     }
 
     if (lazy_subscribe && lockWord_ != 0) {
         // Blue Gene/Q long-running mode: lazy subscription checks the
         // lock at the end of the transaction [12].
-        tx.selfAbort(AbortCause::lockConflict);
+        return AbortCause::lockConflict;
     }
 
     if (stmEnabled_ && !stmEagerSub_ && !tx.constrained_ &&
@@ -326,14 +330,14 @@ Runtime::txCommit(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
         // begin. Any true overlap already doomed us per address during
         // its write-back; the clock compare is the conservative
         // NOrec-style belt-and-braces the mode models.
-        tx.selfAbort(AbortCause::stmConflict);
+        return AbortCause::stmConflict;
     }
 
     // Commit point: no scheduling points below, so write-back and
     // directory cleanup are atomic in virtual time. The write-back
     // follows the append-only log (its order matters for overlapping
-    // stores); directory cleanup is per-line idempotent, so it scans
-    // the line table directly instead of re-probing it per log entry.
+    // stores); orec bumps and directory cleanup are per-line
+    // idempotent, so their first-touch order is as good as any.
     for (const std::uintptr_t addr : tx.writeLog_) {
         const Tx::WriteEntry* entry = tx.writeBuffer_.find(addr);
         std::memcpy(reinterpret_cast<void*>(addr), &entry->value,
@@ -347,19 +351,12 @@ Runtime::txCommit(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
         // fellow hardware transactions through the subscription
         // channel (the Hybrid-NOrec serialize-everything trap).
         const std::uint64_t wv = stm_.advanceClock();
-        tx.conflictLines_.forEach(
-            [&](std::uintptr_t line_number, std::uint8_t flags) {
-                if (flags & Tx::lineWritten)
-                    stm_.bumpOrec(stm_.indexOfLine(line_number), wv);
-            });
+        for (const std::uintptr_t line_number : tx.touchLog_) {
+            if (*tx.conflictLines_.find(line_number) & Tx::lineWritten)
+                stm_.bumpOrec(stm_.indexOfLine(line_number), wv);
+        }
     }
-    tx.conflictLines_.forEach(
-        [&](std::uintptr_t line_number, std::uint8_t flags) {
-            if (flags & Tx::lineRead)
-                clearDirectoryReader(line_number, tx.tid_);
-            if (flags & Tx::lineWritten)
-                clearDirectoryWriter(line_number, tx.tid_);
-        });
+    clearDirectoryMarks(tx);
     for (const auto& record : tx.deferredFrees_) {
         stmOnFree(record.ptr, record.bytes);
         NodePool::instance().free(record.ptr, record.bytes);
@@ -383,18 +380,32 @@ Runtime::txCommit(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
     // which the transaction's stores became globally visible.
     emitEvent(TxEventKind::commit, tx.tid_, tx.site_, ctx.now(),
               tx.attemptStart_);
+    return AbortCause::none;
+}
+
+void
+Runtime::clearDirectoryMarks(const Tx& tx)
+{
+    // Hardware attempts only: their touch log holds conflict lines. A
+    // thread marks a line only after logging it on first touch
+    // (prefetched neighbours included), so the log covers every mark.
+    // Clearing both kinds is idempotent: a mark the line never had
+    // stays absent, and a writer mark already taken over by a peer
+    // stays the peer's.
+    for (const std::uintptr_t line_number : tx.touchLog_) {
+        ConflictLineState* line = directory_.find(line_number);
+        if (line == nullptr)
+            continue;
+        line->readers.clear(tx.tid_);
+        if (line->writer == int(tx.tid_))
+            line->writer = -1;
+    }
 }
 
 void
 Runtime::rollback(Tx& tx, sim::ThreadContext& ctx)
 {
-    tx.conflictLines_.forEach(
-        [&](std::uintptr_t line_number, std::uint8_t flags) {
-            if (flags & Tx::lineRead)
-                clearDirectoryReader(line_number, tx.tid_);
-            if (flags & Tx::lineWritten)
-                clearDirectoryWriter(line_number, tx.tid_);
-        });
+    clearDirectoryMarks(tx);
     for (const auto& record : tx.speculativeAllocs_)
         NodePool::instance().free(record.ptr, record.bytes);
 
@@ -439,22 +450,31 @@ Runtime::attempt(Tx& tx, sim::ThreadContext& ctx,
                  FunctionRef<void(Tx&)> body, bool lazy_subscribe,
                  bool record_stats)
 {
+    // Begin and commit return the aborts they decide; the body's
+    // accesses throw theirs. Both reach the one rollback path below.
+    AbortCause raised;
     try {
-        txBegin(tx, ctx, lazy_subscribe);
-        body(tx);
-        txCommit(tx, ctx, lazy_subscribe);
-        return AbortCause::none;
+        raised = txBegin(tx, ctx, lazy_subscribe);
+        if (raised == AbortCause::none) {
+            body(tx);
+            raised = txCommit(tx, ctx, lazy_subscribe);
+            if (raised == AbortCause::none)
+                return AbortCause::none;
+        }
     } catch (const TxAbortException& abort) {
-        // Doom by a peer overrides the locally thrown cause.
-        const AbortCause cause = tx.status_ == TxStatus::doomed
-                                     ? tx.doomCause_
-                                     : abort.cause;
-        rollback(tx, ctx);
-        if (record_stats)
-            recordAbort(tx, cause);
-        return cause == AbortCause::none ? AbortCause::dataConflict
-                                         : cause;
+        // Copy the cause and leave the handler before anything can
+        // switch fibers: all fibers share the host thread's
+        // caught-exception stack, so a peer ending its own handler
+        // during the switch would destroy this one's exception.
+        raised = abort.cause;
     }
+    // Doom by a peer overrides the raised cause.
+    const AbortCause cause =
+        tx.status_ == TxStatus::doomed ? tx.doomCause_ : raised;
+    rollback(tx, ctx);
+    if (record_stats)
+        recordAbort(tx, cause);
+    return cause == AbortCause::none ? AbortCause::dataConflict : cause;
 }
 
 // --------------------------------------------------------------------
@@ -637,6 +657,7 @@ Runtime::runRollbackOnly(sim::ThreadContext& ctx,
 
     Tx& tx = *txs_[ctx.id()];
     tx.ctx_ = &ctx;
+    AbortCause cause;
     try {
         tx.resetAttemptState();
         tx.attemptStart_ = ctx.now();
@@ -659,15 +680,17 @@ Runtime::runRollbackOnly(sim::ThreadContext& ctx,
         tx.status_ = TxStatus::inactive;
         return true;
     } catch (const TxAbortException& abort) {
-        for (const auto& record : tx.speculativeAllocs_)
-            NodePool::instance().free(record.ptr, record.bytes);
-        tx.status_ = TxStatus::inactive;
-        ctx.advance(txAbortCost_);
-        ctx.sync();
-        stats_[tx.tid_].wastedTxCycles += ctx.now() - tx.attemptStart_;
-        recordAbort(tx, abort.cause);
-        return false;
+        // Copy only: the rollback below switches fibers (attempt()).
+        cause = abort.cause;
     }
+    for (const auto& record : tx.speculativeAllocs_)
+        NodePool::instance().free(record.ptr, record.bytes);
+    tx.status_ = TxStatus::inactive;
+    ctx.advance(txAbortCost_);
+    ctx.sync();
+    stats_[tx.tid_].wastedTxCycles += ctx.now() - tx.attemptStart_;
+    recordAbort(tx, cause);
+    return false;
 }
 
 // --------------------------------------------------------------------

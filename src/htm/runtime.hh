@@ -632,9 +632,19 @@ class Runtime
                        FunctionRef<void(Tx&)> body, bool lazy_subscribe,
                        bool record_stats);
 
-    void txBegin(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe);
-    void txCommit(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe);
+    /** Begin an attempt. Returns the abort cause when the attempt
+     *  dies at begin (lock held under eager subscription), else
+     *  AbortCause::none; aborts of the subscription load itself
+     *  still throw. */
+    AbortCause txBegin(Tx& tx, sim::ThreadContext& ctx,
+                       bool lazy_subscribe);
+    /** Commit an attempt, or return the cause that kills it at tend
+     *  (doom, commit-point hazard, lazy lock or clock check). */
+    AbortCause txCommit(Tx& tx, sim::ThreadContext& ctx,
+                        bool lazy_subscribe);
     void rollback(Tx& tx, sim::ThreadContext& ctx);
+    /** Clear @p tx's reader and writer marks from the directory. */
+    void clearDirectoryMarks(const Tx& tx);
     void recordAbort(Tx& tx, AbortCause cause);
 
     // --- Software slow path (hybrid backend; stm.cc) ------------------
@@ -645,7 +655,9 @@ class Runtime
                           FunctionRef<void(Tx&)> body);
 
     void stmBegin(Tx& tx, sim::ThreadContext& ctx);
-    void stmCommit(Tx& tx, sim::ThreadContext& ctx);
+    /** Validate and publish, or return the cause that aborts the
+     *  commit (lock held, epoch wrap, stale read orec). */
+    AbortCause stmCommit(Tx& tx, sim::ThreadContext& ctx);
     void stmRollback(Tx& tx, sim::ThreadContext& ctx, AbortCause cause);
 
     /** Spin until the global lock is free (lemming-effect avoidance,
@@ -693,24 +705,6 @@ class Runtime
     ConflictLineState* findDirectoryLine(std::uintptr_t line_number)
     {
         return directory_.find(line_number);
-    }
-
-    /** Drop a thread's reader mark from a line. */
-    void
-    clearDirectoryReader(std::uintptr_t line_number, unsigned tid)
-    {
-        ConflictLineState* line = directory_.find(line_number);
-        if (line != nullptr)
-            line->readers.clear(tid);
-    }
-
-    /** Drop a thread's writer mark (if it still owns the line). */
-    void
-    clearDirectoryWriter(std::uintptr_t line_number, unsigned tid)
-    {
-        ConflictLineState* line = directory_.find(line_number);
-        if (line != nullptr && line->writer == int(tid))
-            line->writer = -1;
     }
 
     /** Deliver one lifecycle event to the registered observer. */

@@ -100,7 +100,7 @@ Tx::stmLoadWord(const void* addr, std::size_t size)
         // the orec deal).
         selfAbort(AbortCause::stmConflict);
     }
-    stmOrecs_.insertOrFind(index) |= lineRead;
+    touchOrec(index, lineRead);
     return readMemory(addr, size);
 }
 
@@ -120,8 +120,17 @@ Tx::stmStoreWord(void* addr, std::size_t size, std::uint64_t value)
         selfAbort(AbortCause::stmConflict);
     // Lazy versioning: the write sits in the buffer until commit; the
     // orec is logged now so commit knows which orecs to bump.
-    stmOrecs_.insertOrFind(stm.indexOfAddr(uaddr)) |= lineWritten;
+    touchOrec(stm.indexOfAddr(uaddr), lineWritten);
     bufferStore(uaddr, size, value);
+}
+
+void
+Tx::touchOrec(std::size_t index, std::uint8_t flag)
+{
+    bool inserted = false;
+    stmOrecs_.insertOrFind(index, &inserted) |= flag;
+    if (inserted)
+        touchLog_.push_back(index);
 }
 
 // --------------------------------------------------------------------
@@ -148,7 +157,7 @@ Runtime::stmBegin(Tx& tx, sim::ThreadContext& ctx)
               tx.attemptStart_);
 }
 
-void
+AbortCause
 Runtime::stmCommit(Tx& tx, sim::ThreadContext& ctx)
 {
     const HybridRuntimeConfig& hybrid = config_.hybrid;
@@ -165,26 +174,23 @@ Runtime::stmCommit(Tx& tx, sim::ThreadContext& ctx)
     // Commit point: no scheduling points below, so lock check,
     // validation, write-back and publication are atomic in virtual
     // time — the commit event *is* the serialization point the
-    // differential oracle replays by.
+    // differential oracle replays by. The aborts decided here are
+    // returned, not thrown: no body frame is left to unwind.
     if (lockWord_ != 0) {
         // An irrevocable section owns memory outright; committing
         // around it would interleave with its direct stores. Aborting
         // here also keeps the trace invariant that no transactional
         // commit happens while the fallback lock is held.
-        tx.selfAbort(AbortCause::lockConflict);
+        return AbortCause::lockConflict;
     }
     if (stm_.epoch() != tx.stmEpoch_)
-        tx.selfAbort(AbortCause::stmConflict);
+        return AbortCause::stmConflict;
 
-    bool valid = true;
-    tx.stmOrecs_.forEach(
-        [&](std::uintptr_t index, std::uint8_t flags) {
-            if ((flags & Tx::lineRead) != 0 &&
-                stm_.orecVersion(std::size_t(index)) > tx.stmRv_)
-                valid = false;
-        });
-    if (!valid)
-        tx.selfAbort(AbortCause::stmConflict);
+    for (const std::uintptr_t index : tx.touchLog_) {
+        if ((*tx.stmOrecs_.find(index) & Tx::lineRead) != 0 &&
+            stm_.orecVersion(std::size_t(index)) > tx.stmRv_)
+            return AbortCause::stmConflict;
+    }
 
     const Cycles now = ctx.now();
     const std::uint64_t wv = stm_.advanceClock();
@@ -233,6 +239,7 @@ Runtime::stmCommit(Tx& tx, sim::ThreadContext& ctx)
     tx.status_ = TxStatus::inactive;
     emitEvent(TxEventKind::commit, tx.tid_, tx.site_, now,
               tx.attemptStart_);
+    return AbortCause::none;
 }
 
 void
@@ -263,18 +270,21 @@ AbortCause
 Runtime::stmAttempt(Tx& tx, sim::ThreadContext& ctx,
                     FunctionRef<void(Tx&)> body)
 {
+    AbortCause raised;
     try {
         stmBegin(tx, ctx);
         body(tx);
-        stmCommit(tx, ctx);
-        return AbortCause::none;
+        raised = stmCommit(tx, ctx);
+        if (raised == AbortCause::none)
+            return AbortCause::none;
     } catch (const TxAbortException& abort) {
-        const AbortCause cause = abort.cause == AbortCause::none
-                                     ? AbortCause::stmConflict
-                                     : abort.cause;
-        stmRollback(tx, ctx, cause);
-        return cause;
+        // Copy only: stmRollback switches fibers (see attempt()).
+        raised = abort.cause;
     }
+    const AbortCause cause =
+        raised == AbortCause::none ? AbortCause::stmConflict : raised;
+    stmRollback(tx, ctx, cause);
+    return cause;
 }
 
 } // namespace htmsim::htm

@@ -245,7 +245,7 @@ Tx::touchConflictLine(std::uintptr_t addr, bool is_write)
     std::uint8_t& flags =
         conflictLines_.insertOrFind(line_number, &inserted);
     if (inserted)
-        conflictLog_.push_back(line_number);
+        touchLog_.push_back(line_number);
 
     if (is_write) {
         if (flags & lineWritten)
@@ -313,7 +313,7 @@ Tx::maybePrefetch(std::uintptr_t addr)
     std::uint8_t& flags =
         conflictLines_.insertOrFind(neighbour, &inserted);
     if (inserted)
-        conflictLog_.push_back(neighbour);
+        touchLog_.push_back(neighbour);
     flags |= lineRead;
 }
 
@@ -481,7 +481,7 @@ Tx::resetAttemptState()
     writeBuffer_.clear();
     writeLog_.clear();
     conflictLines_.clear();
-    conflictLog_.clear();
+    touchLog_.clear();
     capacityLines_.clear();
     storeSetLines_.clear();
     stmOrecs_.clear();

@@ -194,8 +194,13 @@ class Tx
     /// Throw if a peer doomed this transaction.
     void checkDoom();
 
-    /// Raise an abort originating from this transaction itself.
+    /// Raise an abort originating from this transaction itself, from
+    /// inside an access or the body: only unwinding runs the body's
+    /// destructors. Begin and commit return their aborts instead.
     [[noreturn]] void selfAbort(AbortCause cause);
+
+    /// Record a software-path orec access (stm.cc).
+    void touchOrec(std::size_t index, std::uint8_t flag);
 
     /// Register a line in the conflict directory (read or write).
     void touchConflictLine(std::uintptr_t addr, bool is_write);
@@ -233,9 +238,14 @@ class Tx
     std::vector<std::uintptr_t> writeLog_;
     /// Conflict-granularity lines touched: bit0 = read, bit1 = write.
     FlatTable<std::uint8_t> conflictLines_;
-    /// Touched conflict lines in first-touch order: commit/rollback
-    /// cleanup of the global directory walks this log.
-    std::vector<std::uintptr_t> conflictLog_;
+    /// First-touch log of the attempt's tracked keys: conflict lines
+    /// (prefetched neighbours included) on the hardware path, orec
+    /// indices on the software path, which never marks the directory.
+    /// Directory cleanup, the hybrid orec bump and software validation
+    /// walk it, so they cost this attempt's footprint, not the
+    /// tables' high water. One log for both paths keeps sizeof(Tx),
+    /// and with it the heap layout simulated results hash, unchanged.
+    std::vector<std::uintptr_t> touchLog_;
     /// Capacity-granularity lines touched: bit0 = read, bit1 = write.
     FlatTable<std::uint8_t> capacityLines_;
     /// Store lines per L1 set (Intel way-conflict model).

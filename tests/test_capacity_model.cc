@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "htm/capacity_model.hh"
 #include "htm/flat_table.hh"
 #include "htm/machine.hh"
@@ -64,6 +66,15 @@ struct CombinedCase
     MachineConfig (*machine)();
     std::uint32_t budgetLines;
 };
+
+/** Print a case as its machine name. Without this, gtest prints the
+ *  struct's raw bytes, whose pointers move with every load of the
+ *  binary, so the listed test names differ from run to run. */
+void
+PrintTo(const CombinedCase& test, std::ostream* os)
+{
+    *os << test.name;
+}
 
 class CombinedBoundary
     : public ::testing::TestWithParam<CombinedCase>
@@ -126,6 +137,13 @@ struct SplitCase
     std::uint32_t loadLines;
     std::uint32_t storeLines;
 };
+
+/** Print a case as its machine name (see CombinedCase's PrintTo). */
+void
+PrintTo(const SplitCase& test, std::ostream* os)
+{
+    *os << test.name;
+}
 
 class SplitBoundary : public ::testing::TestWithParam<SplitCase>
 {

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "check/fuzz_scheduler.hh"
@@ -188,46 +189,77 @@ TEST(TraceInvariants, AcceptsWellFormedHistories)
 
 TEST(TraceInvariants, RejectsBadHistories)
 {
+    // Every violation names its offending event by index and
+    // description; for an attempt or lock left open at the end, the
+    // event that opened it.
+    const auto expectViolation =
+        [](const std::vector<htm::TxEvent>& events, unsigned threads,
+           const std::string& what, const std::string& offender) {
+            const std::string error =
+                checkTraceInvariants(events, threads);
+            EXPECT_NE(error.find(what), std::string::npos) << error;
+            EXPECT_NE(error.find("(" + offender + ")"),
+                      std::string::npos)
+                << error;
+        };
+
     // Nested begin.
-    EXPECT_NE(checkTraceInvariants({event(K::begin, 0, 1),
-                                    event(K::begin, 0, 2)},
-                                   1),
-              "");
+    expectViolation({event(K::begin, 0, 1), event(K::begin, 0, 2)}, 1,
+                    "nested begin", "event #1: t0 begin @2");
     // Commit without a begin.
-    EXPECT_NE(checkTraceInvariants({event(K::commit, 0, 1)}, 1), "");
+    expectViolation({event(K::commit, 0, 1)}, 1,
+                    "commit without an active attempt",
+                    "event #0: t0 commit @1");
     // Abort without a begin.
-    EXPECT_NE(checkTraceInvariants({event(K::abort, 0, 1)}, 1), "");
+    expectViolation({event(K::abort, 0, 1, htm::AbortCause::dataConflict)},
+                    1, "abort without an active attempt",
+                    "event #0: t0 abort data-conflict @1");
     // Transactional commit while the fallback lock is held — the
     // single-lock subscription protocol violation the oracle hunts.
-    const std::string held = checkTraceInvariants(
-        {event(K::begin, 1, 1), event(K::lockAcquired, 0, 2),
-         event(K::commit, 1, 3)},
-        2);
-    EXPECT_NE(held.find("fallback lock"), std::string::npos) << held;
+    expectViolation({event(K::begin, 1, 1), event(K::lockAcquired, 0, 2),
+                     event(K::commit, 1, 3)},
+                    2, "while t0 holds the fallback lock",
+                    "event #2: t1 commit @3");
     // Double acquisition.
-    EXPECT_NE(checkTraceInvariants({event(K::lockAcquired, 0, 1),
-                                    event(K::lockAcquired, 1, 2)},
-                                   2),
-              "");
+    expectViolation({event(K::lockAcquired, 0, 1),
+                     event(K::lockAcquired, 1, 2)},
+                    2, "lock acquired while t0 holds it",
+                    "event #1: t1 lock-acquired @2");
+    // Acquisition with a live attempt on the same thread.
+    expectViolation({event(K::begin, 0, 1),
+                     event(K::lockAcquired, 0, 2)},
+                    1, "live transactional attempt",
+                    "event #1: t0 lock-acquired @2");
     // Release by a non-holder.
-    EXPECT_NE(checkTraceInvariants({event(K::lockAcquired, 0, 1),
-                                    event(K::lockReleased, 1, 2)},
-                                   2),
-              "");
+    expectViolation({event(K::lockAcquired, 0, 1),
+                     event(K::lockReleased, 1, 2)},
+                    2, "released by a non-holder",
+                    "event #1: t1 lock-released @2");
     // Fallback commit without the lock.
-    EXPECT_NE(checkTraceInvariants({event(K::fallbackCommit, 0, 1)},
-                                   1),
-              "");
-    // Attempt left open at end of run.
-    EXPECT_NE(checkTraceInvariants({event(K::begin, 0, 1)}, 1), "");
-    // Lock left held at end of run.
-    EXPECT_NE(checkTraceInvariants({event(K::lockAcquired, 0, 1)}, 1),
-              "");
+    expectViolation({event(K::fallbackCommit, 0, 1)}, 1,
+                    "fallback commit without holding the lock",
+                    "event #0: t0 fallback-commit @1");
+    // Non-speculative commit inside a live attempt.
+    expectViolation({event(K::begin, 0, 1),
+                     event(K::nonSpecCommit, 0, 2)},
+                    1, "non-speculative commit",
+                    "event #1: t0 nonspec-commit @2");
+    // Attempt left open at end of run: names the begin that opened it.
+    expectViolation({event(K::begin, 0, 1), event(K::commit, 0, 2),
+                     event(K::begin, 0, 3)},
+                    1, "t0 left an attempt open at end of run",
+                    "event #2: t0 begin @3");
+    // Lock left held at end of run: names the acquisition.
+    expectViolation({event(K::lockAcquired, 0, 1)}, 1,
+                    "t0 left the fallback lock held at end of run",
+                    "event #0: t0 lock-acquired @1");
     // Per-thread time running backwards.
-    EXPECT_NE(checkTraceInvariants({event(K::begin, 0, 10),
-                                    event(K::commit, 0, 5)},
-                                   1),
-              "");
+    expectViolation({event(K::begin, 0, 10), event(K::commit, 0, 5)}, 1,
+                    "virtual time went backwards",
+                    "event #1: t0 commit @5");
+    // Thread id out of range.
+    expectViolation({event(K::begin, 3, 1)}, 2, "tid 3 >= 2",
+                    "event #0: t3 begin @1");
 }
 
 // ------------------------------------------------------------------
@@ -401,6 +433,28 @@ TEST(Oracle, ReplayOfFiredScheduleIsExact)
               sortedByThread(fuzzed.fired))
         << "full-schedule replay must fire the same points";
     EXPECT_EQ(replayed.commits, fuzzed.commits);
+}
+
+TEST(Oracle, TraceTailIsRenderedOnlyOnFailure)
+{
+    const WorkloadFactory* workload = findWorkload("hashtable");
+    ASSERT_NE(workload, nullptr);
+    const htm::MachineConfig machine = htm::MachineConfig::blueGeneQ();
+
+    const RunOutcome passing = runDifferential(*workload, machine, 1);
+    ASSERT_TRUE(passing.ok) << passing.reason;
+    EXPECT_TRUE(passing.traceTail.empty()) << passing.traceTail;
+
+    // A lost reader conflict corrupts this run (check_runner
+    // --inject-fault miss-reader-conflict --workloads hashtable
+    // --machines bgq --first-seed 1 --seeds 1).
+    CheckOptions faulty;
+    faulty.fault = htm::CheckFault::missReaderConflict;
+    const RunOutcome failing =
+        runDifferential(*workload, machine, 1, faulty);
+    ASSERT_FALSE(failing.ok);
+    EXPECT_NE(failing.traceTail.find(" commit @"), std::string::npos)
+        << failing.traceTail;
 }
 
 TEST(Oracle, UnknownWorkloadLookupFails)
