@@ -29,7 +29,7 @@ main()
     std::printf("Ablation 1: conflict-resolution policy "
                 "(Intel Core, 4 threads, intruder)\n");
     std::printf("%-16s %10s %10s\n", "policy", "speed-up", "abort %");
-    for (const auto [policy, name] :
+    for (const auto& [policy, name] :
          {std::pair{ConflictPolicy::attackerWins, "attacker-wins"},
           std::pair{ConflictPolicy::attackerLoses, "attacker-loses"},
           std::pair{ConflictPolicy::olderWins, "older-wins"}}) {
@@ -81,7 +81,7 @@ main()
                 "speed-up", "abort %");
     for (const std::string& bench :
          {std::string("kmeans-high"), std::string("genome")}) {
-        for (const auto [mode, name] :
+        for (const auto& [mode, name] :
              {std::pair{htm::BgqMode::shortRunning, "short/eager"},
               std::pair{htm::BgqMode::longRunning, "long/lazy"}}) {
             RuntimeConfig config{bgq};

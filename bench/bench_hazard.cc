@@ -36,7 +36,7 @@ main()
                 "(%s, 4 threads, seed 1)\n",
                 bench);
     for (const MachineConfig& machine : MachineConfig::all()) {
-        for (const auto [kind, policy_name] :
+        for (const auto& [kind, policy_name] :
              {std::pair{htm::RetryPolicyKind::machineDefault,
                         "default"},
               std::pair{htm::RetryPolicyKind::hardened, "hardened"}}) {

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "htm/backend.hh"
 #include "htm/machine.hh"
 #include "prof/profiler.hh"
 #include "server/server.hh"
@@ -41,18 +42,6 @@ namespace
 {
 
 using namespace htmsim;
-
-const char*
-backendName(htm::BackendKind backend)
-{
-    switch (backend) {
-    case htm::BackendKind::htm: return "htm";
-    case htm::BackendKind::globalLock: return "lock";
-    case htm::BackendKind::idealHtm: return "ideal";
-    case htm::BackendKind::hybrid: return "hybrid";
-    }
-    return "?";
-}
 
 struct Profile
 {
@@ -184,7 +173,7 @@ main(int argc, char** argv)
 
                     RunRow row;
                     row.machine = machine.name;
-                    row.backend = backendName(backend);
+                    row.backend = htm::backendKindName(backend);
                     row.profile = profile.name;
                     row.clients = clients;
                     row.result = server::runServer(config);

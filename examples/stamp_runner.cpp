@@ -40,6 +40,7 @@
 #include <fstream>
 
 #include "../bench/suite.hh"
+#include "htm/backend.hh"
 #include "prof/profiler.hh"
 #include "prof/report.hh"
 
@@ -129,33 +130,23 @@ main(int argc, char** argv)
     const std::string& backend_name = positional[3];
     const std::string& policy_name = positional[4];
 
-    htm::BackendKind backend;
-    if (backend_name == "htm") {
-        backend = htm::BackendKind::htm;
-    } else if (backend_name == "lock") {
-        backend = htm::BackendKind::globalLock;
-    } else if (backend_name == "ideal") {
-        backend = htm::BackendKind::idealHtm;
-    } else if (backend_name == "hybrid") {
-        backend = htm::BackendKind::hybrid;
-    } else {
+    const auto parsed_backend = htm::parseBackendKind(backend_name);
+    if (!parsed_backend) {
         std::fprintf(stderr, "unknown backend '%s'\n",
                      backend_name.c_str());
         usage();
         return 1;
     }
+    const htm::BackendKind backend = *parsed_backend;
 
-    htm::RetryPolicyKind policy_kind;
-    if (policy_name == "default") {
-        policy_kind = htm::RetryPolicyKind::machineDefault;
-    } else if (policy_name == "hardened") {
-        policy_kind = htm::RetryPolicyKind::hardened;
-    } else {
+    const auto parsed_policy = htm::parseRetryPolicyKind(policy_name);
+    if (!parsed_policy) {
         std::fprintf(stderr, "unknown policy '%s'\n",
                      policy_name.c_str());
         usage();
         return 1;
     }
+    const htm::RetryPolicyKind policy_kind = *parsed_policy;
 
     int machine_index = -1;
     const char* labels[] = {"bg", "z12", "ic", "p8"};

@@ -26,6 +26,7 @@
 #include "check/liveness.hh"
 #include "check/oracle.hh"
 #include "check/shrink.hh"
+#include "htm/backend.hh"
 #include "htm/machine.hh"
 
 namespace
@@ -295,31 +296,27 @@ main(int argc, char** argv)
                 int(std::strtol(next(), nullptr, 0));
         } else if (flag == "--policy") {
             const std::string policy = next();
-            if (policy == "default") {
-                args.options.policyKind =
-                    htm::RetryPolicyKind::machineDefault;
-            } else if (policy == "hardened") {
-                args.options.policyKind =
-                    htm::RetryPolicyKind::hardened;
-            } else {
+            const auto kind = htm::parseRetryPolicyKind(policy);
+            if (!kind) {
                 std::fprintf(stderr,
                              "unknown policy '%s' (default | "
                              "hardened)\n",
                              policy.c_str());
                 return 2;
             }
+            args.options.policyKind = *kind;
         } else if (flag == "--backend") {
             const std::string backend = next();
-            if (backend == "htm") {
-                args.options.backend = htm::BackendKind::htm;
-            } else if (backend == "hybrid") {
-                args.options.backend = htm::BackendKind::hybrid;
-            } else {
+            // The concurrent phase runs htm or hybrid (oracle.hh).
+            const auto kind = htm::parseBackendKind(backend);
+            if (kind != htm::BackendKind::htm &&
+                kind != htm::BackendKind::hybrid) {
                 std::fprintf(stderr,
                              "unknown backend '%s' (htm | hybrid)\n",
                              backend.c_str());
                 return 2;
             }
+            args.options.backend = *kind;
         } else if (flag == "--subscription") {
             const std::string mode = next();
             if (mode == "eager") {

@@ -1,9 +1,16 @@
 #include "backend.hh"
 
-#include "runtime.hh"
-
 namespace htmsim::htm
 {
+
+namespace
+{
+
+constexpr BackendKind allBackends[] = {
+    BackendKind::htm, BackendKind::globalLock, BackendKind::idealHtm,
+    BackendKind::hybrid};
+
+} // namespace
 
 const char*
 backendKindName(BackendKind kind)
@@ -21,206 +28,24 @@ backendKindName(BackendKind kind)
     return "unknown";
 }
 
-// --------------------------------------------------------------------
-// The narrow window into Runtime (TmBackend is its friend)
-// --------------------------------------------------------------------
-
-AbortCause
-TmBackend::attemptOnce(Runtime& runtime, sim::ThreadContext& ctx,
-                       FunctionRef<void(Tx&)> body, bool lazy_subscribe)
+std::optional<BackendKind>
+parseBackendKind(std::string_view name)
 {
-    return runtime.attempt(runtime.txOf(ctx.id()), ctx, body,
-                           lazy_subscribe, true);
-}
-
-AbortCause
-TmBackend::attemptStmOnce(Runtime& runtime, sim::ThreadContext& ctx,
-                          FunctionRef<void(Tx&)> body)
-{
-    return runtime.stmAttempt(runtime.txOf(ctx.id()), ctx, body);
-}
-
-void
-TmBackend::waitToBegin(Runtime& runtime, sim::ThreadContext& ctx)
-{
-    runtime.waitToBegin(ctx);
-}
-
-void
-TmBackend::backoff(Runtime& runtime, sim::ThreadContext& ctx,
-                   unsigned consecutive_aborts,
-                   bool deterministic_jitter)
-{
-    runtime.backoff(ctx, consecutive_aborts, deterministic_jitter);
-}
-
-void
-TmBackend::runUnderGlobalLock(Runtime& runtime, sim::ThreadContext& ctx,
-                              FunctionRef<void(Tx&)> body)
-{
-    runtime.runIrrevocable(ctx, runtime.txOf(ctx.id()), body);
-}
-
-bool
-TmBackend::lockHeld(const Runtime& runtime)
-{
-    return runtime.globalLockHeld();
-}
-
-// --------------------------------------------------------------------
-// HtmBackend
-// --------------------------------------------------------------------
-
-HtmBackend::HtmBackend(const RuntimeConfig& config, unsigned num_threads)
-{
-    policies_.reserve(num_threads);
-    for (unsigned tid = 0; tid < num_threads; ++tid)
-        policies_.push_back(makeRetryPolicy(config));
-
-    // Bound for every backend kind, used only by HybridBackend: the
-    // wrappers are plain values over policies_, so building them
-    // unconditionally keeps the allocation sequence independent of the
-    // selected backend (the A/B bit-identity contract, stm.hh).
-    const HybridRetryPolicy::Tuning tuning{config.hybrid.stmEnabled,
-                                           config.hybrid.stmOnly,
-                                           config.hybrid.stmAttempts};
-    hybrids_.resize(num_threads);
-    for (unsigned tid = 0; tid < num_threads; ++tid)
-        hybrids_[tid].bind(policies_[tid].get(), tuning);
-}
-
-void
-HtmBackend::runAtomic(Runtime& runtime, sim::ThreadContext& ctx,
-                      FunctionRef<void(Tx&)> body)
-{
-    // The generic retry driver behind every machine's atomic():
-    // Figure 1 with the policy layer supplying the decisions. Which
-    // counters exist, how lock conflicts are classified and whether
-    // the lock is subscribed lazily all live in the RetryPolicy.
-    RetryPolicy& policy = *policies_[ctx.id()];
-    const bool lazy = policy.lazySubscription();
-    const bool det_jitter = policy.deterministicBackoff();
-    policy.beginSection();
-
-    unsigned consecutive = 0;
-    for (;;) {
-        // Lemming-storm guard (Figure 1 line 9): re-check the lock
-        // before every HTM re-entry, not just the first — waitToBegin
-        // spins until the fallback lock is free, so a convoy drains
-        // instead of feeding itself doomed transactional attempts.
-        waitToBegin(runtime, ctx);
-        const AbortCause cause = attemptOnce(runtime, ctx, body, lazy);
-        if (cause == AbortCause::none) {
-            policy.onCommit();
-            return;
-        }
-        ++consecutive;
-        const bool retry = policy.onAbort(cause, lockHeld(runtime));
-        // stuckRetry (simcheck self-tests only): model the classic
-        // driver bug of ignoring the policy's stop decision — no
-        // fallback is ever taken, so a persistently aborting section
-        // livelocks. The liveness oracle must catch this.
-        if (retry ||
-            runtime.config().checkFault == CheckFault::stuckRetry) {
-            backoff(runtime, ctx, consecutive, det_jitter);
-            continue;
-        }
-        runUnderGlobalLock(runtime, ctx, body);
-        policy.onFallback();
-        return;
+    for (const BackendKind kind : allBackends) {
+        if (name == backendKindName(kind))
+            return kind;
     }
+    return std::nullopt;
 }
 
-// --------------------------------------------------------------------
-// HybridBackend
-// --------------------------------------------------------------------
-
-void
-HybridBackend::runAtomic(Runtime& runtime, sim::ThreadContext& ctx,
-                         FunctionRef<void(Tx&)> body)
+std::optional<RetryPolicyKind>
+parseRetryPolicyKind(std::string_view name)
 {
-    // Same driver shape as HtmBackend, with one extra tier: when the
-    // hybrid policy routes away from hardware, the section runs as a
-    // software transaction *concurrent* with everyone else's hardware
-    // attempts, and only exhausted software sections serialize on the
-    // global lock.
-    HybridRetryPolicy& policy = hybrids_[ctx.id()];
-    const bool lazy = policy.lazySubscription();
-    const bool det_jitter = policy.deterministicBackoff();
-    policy.beginSection();
-
-    unsigned consecutive = 0;
-    bool software = policy.softwareFirst();
-    for (;;) {
-        // Lemming-storm guard applies to both tiers: a software
-        // attempt started behind a held fallback lock would only abort
-        // at its commit point (stm.cc), so don't feed it either.
-        waitToBegin(runtime, ctx);
-
-        if (!software) {
-            const AbortCause cause =
-                attemptOnce(runtime, ctx, body, lazy);
-            if (cause == AbortCause::none) {
-                policy.onCommit();
-                return;
-            }
-            ++consecutive;
-            const auto decision =
-                policy.onHtmAbort(cause, lockHeld(runtime));
-            if (decision == HybridRetryPolicy::Decision::retryHtm) {
-                backoff(runtime, ctx, consecutive, det_jitter);
-                continue;
-            }
-            if (decision == HybridRetryPolicy::Decision::fallbackStm) {
-                software = true;
-                continue;
-            }
-            break; // fallbackLock
-        }
-
-        const AbortCause cause = attemptStmOnce(runtime, ctx, body);
-        if (cause == AbortCause::none) {
-            policy.onCommit();
-            return;
-        }
-        ++consecutive;
-        if (policy.onStmAbort(cause) ==
-            HybridRetryPolicy::Decision::fallbackStm) {
-            backoff(runtime, ctx, consecutive, det_jitter);
-            continue;
-        }
-        break; // fallbackLock
-    }
-
-    runUnderGlobalLock(runtime, ctx, body);
-    policy.onFallback();
-}
-
-// --------------------------------------------------------------------
-// GlobalLockBackend
-// --------------------------------------------------------------------
-
-void
-GlobalLockBackend::runAtomic(Runtime& runtime, sim::ThreadContext& ctx,
-                             FunctionRef<void(Tx&)> body)
-{
-    runUnderGlobalLock(runtime, ctx, body);
-}
-
-std::unique_ptr<TmBackend>
-makeBackend(const RuntimeConfig& config, unsigned num_threads)
-{
-    switch (config.backend) {
-      case BackendKind::globalLock:
-        return std::make_unique<GlobalLockBackend>();
-      case BackendKind::idealHtm:
-        return std::make_unique<IdealHtmBackend>(config, num_threads);
-      case BackendKind::hybrid:
-        return std::make_unique<HybridBackend>(config, num_threads);
-      case BackendKind::htm:
-        break;
-    }
-    return std::make_unique<HtmBackend>(config, num_threads);
+    if (name == "default")
+        return RetryPolicyKind::machineDefault;
+    if (name == "hardened")
+        return RetryPolicyKind::hardened;
+    return std::nullopt;
 }
 
 } // namespace htmsim::htm

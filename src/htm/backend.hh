@@ -1,57 +1,46 @@
 /**
  * @file
- * Execution-backend layer: what an atomic section *is*.
+ * Backend selection: what an atomic section *is*.
  *
- * A TmBackend decides how Runtime::atomic() executes its body:
+ * Every backend runs through the one tiered section driver in Runtime
+ * (Runtime::runSection): hardware attempts under the thread's retry
+ * policy, then — on the hybrid backend — a software-TM tier (stm.hh),
+ * then the global fallback lock. A BackendKind only picks the tier a
+ * section starts on and which tiers are live:
  *
- *  - HtmBackend: best-effort hardware transactions driven by a
- *    per-thread RetryPolicy, with the global-lock fallback — the
- *    machine behaviour the paper measures;
- *  - GlobalLockBackend: every section runs irrevocably under the
- *    global fallback lock — the honest software baseline a
- *    speculation-free runtime would give, and the floor HTM must
- *    beat to justify itself (cf. "Inherent Limitations of Hybrid
+ *  - htm: hardware, then the lock — the machine behaviour the paper
+ *    measures;
+ *  - globalLock: starts on the lock tier, so every section runs
+ *    irrevocably under the global fallback lock — the honest software
+ *    baseline a speculation-free runtime would give, and the floor HTM
+ *    must beat to justify itself (cf. "Inherent Limitations of Hybrid
  *    Transactional Memory", PAPERS.md);
- *  - IdealHtmBackend: transactions with unlimited capacity and free
- *    begin/end/abort — an upper-bound oracle isolating how much the
- *    real machines' capacity limits and bookkeeping overheads cost
- *    (only true data and lock conflicts remain);
- *  - HybridBackend: hardware attempts with a concurrent software-TM
- *    slow path (stm.hh) replacing most global-lock fallbacks — the
- *    design point the hybrid-TM bounds literature analyzes ("Inherent
- *    Limitations of Hybrid Transactional Memory"; "On the Cost of
- *    Concurrency in Hybrid Transactional Memory", PAPERS.md).
+ *  - idealHtm: the htm tiers on a machine whose capacity limits,
+ *    begin/end/abort costs and abort randomness the Runtime resolved
+ *    away — an upper-bound oracle where only true data and lock
+ *    conflicts remain;
+ *  - hybrid: hardware, then a software transaction concurrent with the
+ *    hardware fast path, then the lock — the design point the hybrid-TM
+ *    bounds literature analyzes ("Inherent Limitations of Hybrid
+ *    Transactional Memory"; "On the Cost of Concurrency in Hybrid
+ *    Transactional Memory", PAPERS.md). With hybrid.stmEnabled=false
+ *    it is bit-identical to htm (tests/test_hybrid.cc).
  *
- * Backends are selected by RuntimeConfig::backend; the ideal
- * backend's relaxations are applied where the Runtime resolves its
- * effective machine parameters, so the transactional hot path is
- * shared by HtmBackend and IdealHtmBackend.
- *
- * The backend layer deliberately sees only a narrow window into the
- * Runtime: one transactional attempt, the lemming-effect wait, the
- * backoff charge, and the irrevocable fallback (protected statics on
- * the TmBackend base). Everything else — conflict directory, capacity
- * accounting, statistics — stays behind it.
+ * This header also holds the tools' one name table for backends and
+ * retry-policy kinds.
  */
 
 #ifndef HTMSIM_HTM_BACKEND_HH
 #define HTMSIM_HTM_BACKEND_HH
 
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <optional>
+#include <string_view>
 
-#include "abort.hh"
-#include "function_ref.hh"
 #include "retry_policy.hh"
-#include "sim/scheduler.hh"
 
 namespace htmsim::htm
 {
-
-class Runtime;
-class Tx;
-struct RuntimeConfig;
 
 /** Execution backend selector (RuntimeConfig::backend). */
 enum class BackendKind : std::uint8_t
@@ -70,114 +59,11 @@ enum class BackendKind : std::uint8_t
 /** Human-readable backend name ("htm", "lock", "ideal", "hybrid"). */
 const char* backendKindName(BackendKind kind);
 
-/** How one Runtime executes atomic sections. */
-class TmBackend
-{
-  public:
-    virtual ~TmBackend() = default;
+/** The backend named @p name (a backendKindName), if any. */
+std::optional<BackendKind> parseBackendKind(std::string_view name);
 
-    /** Execute @p body atomically on behalf of Runtime::atomic(). */
-    virtual void runAtomic(Runtime& runtime, sim::ThreadContext& ctx,
-                           FunctionRef<void(Tx&)> body) = 0;
-
-  protected:
-    // The narrow window into Runtime internals granted to backends
-    // (TmBackend is a friend of Runtime; subclasses go through these).
-
-    /** One transactional attempt: begin, body, commit. */
-    static AbortCause attemptOnce(Runtime& runtime,
-                                  sim::ThreadContext& ctx,
-                                  FunctionRef<void(Tx&)> body,
-                                  bool lazy_subscribe);
-
-    /** One software-TM attempt (the hybrid backend's slow path). */
-    static AbortCause attemptStmOnce(Runtime& runtime,
-                                     sim::ThreadContext& ctx,
-                                     FunctionRef<void(Tx&)> body);
-
-    /** Wait out a held fallback lock before beginning (Fig. 1 l. 9). */
-    static void waitToBegin(Runtime& runtime, sim::ThreadContext& ctx);
-
-    /** Charge capped exponential backoff after an abort (jitter from
-     *  the thread's rng, or a deterministic hash — see
-     *  Runtime::backoff). */
-    static void backoff(Runtime& runtime, sim::ThreadContext& ctx,
-                        unsigned consecutive_aborts,
-                        bool deterministic_jitter = false);
-
-    /** Run @p body irrevocably under the global fallback lock. */
-    static void runUnderGlobalLock(Runtime& runtime,
-                                   sim::ThreadContext& ctx,
-                                   FunctionRef<void(Tx&)> body);
-
-    /** Whether the global fallback lock is currently held. */
-    static bool lockHeld(const Runtime& runtime);
-};
-
-/**
- * The paper's machine behaviour: hardware attempts driven by one
- * RetryPolicy per thread, falling back to the global lock when the
- * policy gives up.
- */
-class HtmBackend : public TmBackend
-{
-  public:
-    HtmBackend(const RuntimeConfig& config, unsigned num_threads);
-
-    void runAtomic(Runtime& runtime, sim::ThreadContext& ctx,
-                   FunctionRef<void(Tx&)> body) override;
-
-  protected:
-    std::vector<std::unique_ptr<RetryPolicy>> policies_;
-    /** Hybrid decision wrappers, one per thread, bound over
-     *  policies_. Built unconditionally — HybridBackend adds no data
-     *  members of its own, so selecting it changes no allocation
-     *  sequence (the A/B bit-identity contract, stm.hh). */
-    std::vector<HybridRetryPolicy> hybrids_;
-};
-
-/** Lock-only execution: no speculation, every section irrevocable. */
-class GlobalLockBackend final : public TmBackend
-{
-  public:
-    void runAtomic(Runtime& runtime, sim::ThreadContext& ctx,
-                   FunctionRef<void(Tx&)> body) override;
-};
-
-/**
- * The oracle backend: the same retry-driven execution as HtmBackend,
- * on a machine whose capacity limits, begin/end/abort costs, abort
- * randomness, prefetcher and speculation-ID pool have been idealized
- * away (see Runtime's effective-parameter resolution).
- */
-class IdealHtmBackend final : public HtmBackend
-{
-  public:
-    using HtmBackend::HtmBackend;
-};
-
-/**
- * Hybrid TM: hardware attempts as in HtmBackend, but when the retry
- * policy gives up — or immediately, for persistent causes — the
- * section runs as a *software* transaction (stm.hh) concurrent with
- * the hardware fast path, instead of serializing on the global lock.
- * The lock remains the ultimate fallback after stmAttempts software
- * failures (and for irrevocable needs), preserving the progress
- * guarantee. With hybrid.stmEnabled=false this backend is
- * byte-identical to HtmBackend (tests/test_hybrid.cc proves it).
- */
-class HybridBackend final : public HtmBackend
-{
-  public:
-    using HtmBackend::HtmBackend;
-
-    void runAtomic(Runtime& runtime, sim::ThreadContext& ctx,
-                   FunctionRef<void(Tx&)> body) override;
-};
-
-/** The backend selected by @p config (one per Runtime). */
-std::unique_ptr<TmBackend> makeBackend(const RuntimeConfig& config,
-                                       unsigned num_threads);
+/** The retry-policy kind named @p name ("default" or "hardened"). */
+std::optional<RetryPolicyKind> parseRetryPolicyKind(std::string_view name);
 
 } // namespace htmsim::htm
 

@@ -22,7 +22,7 @@ void
 HazardInjector::reset(const HazardConfig& config, unsigned num_threads)
 {
     config_ = config;
-    threads_.assign(num_threads, ThreadHazards{});
+    threads_.assign(num_threads, ThreadHazards());
     // Seed eagerly (enabled or not) so the allocation and
     // initialization work is identical either way; the per-thread
     // streams make hazard draws a function of (seed, tid, attempt

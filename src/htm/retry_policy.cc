@@ -12,8 +12,7 @@ makeRetryPolicy(const RuntimeConfig& config)
         return std::make_unique<HardenedRetryPolicy>(config.retry);
     if (config.machine.vendor == Vendor::blueGeneQ) {
         return std::make_unique<BgqAdaptivePolicy>(
-            config.bgq.maxRetries, config.bgq.adaptation,
-            config.bgq.mode);
+            config.bgq.maxRetries, config.bgq.adaptation);
     }
     return std::make_unique<Fig1ThreeCounterPolicy>(config.retry);
 }

@@ -23,22 +23,27 @@
  * BoundedRetryPolicy generalizes NoRetryPolicy to N attempts (the
  * Section 6.1 "OptRetryTM" path with a tuned attempt budget).
  *
- * HardenedRetryPolicy (this PR) is the starvation-proof variant built
- * for hazard-injected runs (hazard.hh, DESIGN.md Section 8): Figure 1
- * budgets plus a hard per-section attempt watchdog, deterministic
- * backoff jitter, and lemming-storm adaptation. Its progress bound:
- * every section reaches its fallback within `watchdogAttempts` HTM
- * attempts no matter what the abort stream looks like.
+ * HardenedRetryPolicy is the starvation-proof variant built for
+ * hazard-injected runs (hazard.hh, DESIGN.md Section 8): watchdog and
+ * lemming-storm bounds over a Fig1ThreeCounterPolicy, plus
+ * deterministic backoff jitter. Its progress bound: every section
+ * reaches its fallback within `watchdogAttempts` HTM attempts no
+ * matter what the abort stream looks like.
+ *
+ * TierPolicy turns a thread's RetryPolicy into the decisions of the
+ * one tiered section driver (Runtime::runSection): retry in hardware,
+ * move to the hybrid backend's software tier, or serialize on the
+ * global lock.
  */
 
 #ifndef HTMSIM_HTM_RETRY_POLICY_HH
 #define HTMSIM_HTM_RETRY_POLICY_HH
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 
 #include "abort.hh"
-#include "machine.hh"
 
 namespace htmsim::htm
 {
@@ -111,10 +116,6 @@ class RetryPolicy
     /** The section gave up and ran on its fallback path. */
     virtual void onFallback() {}
 
-    /** Attempts subscribe to the fallback lock lazily (at commit)
-     *  rather than eagerly (at begin). */
-    virtual bool lazySubscription() const { return false; }
-
     /** Post-abort backoff jitter is a deterministic hash of
      *  (tid, consecutive aborts) instead of a draw from the thread's
      *  main rng stream (see Runtime::backoff). */
@@ -126,23 +127,21 @@ class RetryPolicy
  * selected by inspecting the lock and the persistence hint of each
  * abort. Section 3 argues lock conflicts deserve their own counter;
  * bench_ablation_retry quantifies that against a single shared one.
+ * HardenedRetryPolicy bounds it further.
  */
-class Fig1ThreeCounterPolicy final : public RetryPolicy
+class Fig1ThreeCounterPolicy : public RetryPolicy
 {
   public:
     explicit Fig1ThreeCounterPolicy(RetryCounts counts)
-        : counts_(counts)
+        : counts_(counts), left_(counts)
     {
-        beginSection();
     }
 
-    void
-    beginSection() override
-    {
-        lockRetries_ = counts_.lockRetries;
-        persistentRetries_ = counts_.persistentRetries;
-        transientRetries_ = counts_.transientRetries;
-    }
+    void beginSection() override { rearm(counts_); }
+
+    /** Arm this section's three budgets with @p counts instead of the
+     *  configured ones (HardenedRetryPolicy's storm clamp). */
+    void rearm(RetryCounts counts) { left_ = counts; }
 
     bool
     onAbort(AbortCause cause, bool lock_held) override
@@ -151,17 +150,19 @@ class Fig1ThreeCounterPolicy final : public RetryPolicy
         // conflict) charges the lock counter regardless of the
         // hardware's reported cause.
         if (lock_held || cause == AbortCause::lockConflict)
-            return --lockRetries_ > 0;
+            return --left_.lockRetries > 0;
         if (isPersistentCause(cause))
-            return --persistentRetries_ > 0;
-        return --transientRetries_ > 0;
+            return --left_.persistentRetries > 0;
+        return --left_.transientRetries > 0;
     }
 
-  private:
+  protected:
+    /** The configured budgets. */
     RetryCounts counts_;
-    int lockRetries_ = 0;
-    int persistentRetries_ = 0;
-    int transientRetries_ = 0;
+
+  private:
+    /** Budgets left in the current section. */
+    RetryCounts left_;
 };
 
 /**
@@ -178,9 +179,8 @@ class BgqAdaptivePolicy final : public RetryPolicy
     /** Score above which adaptation suppresses all retries. */
     static constexpr double adaptationThreshold = 2.5;
 
-    BgqAdaptivePolicy(int max_retries, bool adaptation, BgqMode mode)
-        : maxRetries_(max_retries), adaptation_(adaptation),
-          mode_(mode)
+    BgqAdaptivePolicy(int max_retries, bool adaptation)
+        : maxRetries_(max_retries), adaptation_(adaptation)
     {
         beginSection();
     }
@@ -211,17 +211,9 @@ class BgqAdaptivePolicy final : public RetryPolicy
         score_ = score_ * scoreDecay + 1.0;
     }
 
-    /** Long-running mode checks the lock only at commit [12]. */
-    bool
-    lazySubscription() const override
-    {
-        return mode_ == BgqMode::longRunning;
-    }
-
   private:
     int maxRetries_;
     bool adaptation_;
-    BgqMode mode_;
     int retries_ = 0;
     double score_ = 0.0;
 };
@@ -271,8 +263,8 @@ class BoundedRetryPolicy final : public RetryPolicy
 };
 
 /**
- * The starvation-proof policy (DESIGN.md Section 8). Three Figure 1
- * budgets, hardened on three fronts for hazard-heavy environments:
+ * The starvation-proof policy (DESIGN.md Section 8): the Figure 1
+ * mechanism, bounded on three fronts for hazard-heavy environments:
  *
  *  - Watchdog: a hard cap of `watchdogAttempts` HTM attempts per
  *    section, regardless of which budgets the abort stream drains.
@@ -288,7 +280,7 @@ class BoundedRetryPolicy final : public RetryPolicy
  *    retry cadence of a replayed hazard schedule is reproducible and
  *    independent of the thread's main rng stream position.
  */
-class HardenedRetryPolicy final : public RetryPolicy
+class HardenedRetryPolicy final : public Fig1ThreeCounterPolicy
 {
   public:
     /** Hard per-section HTM attempt bound (the watchdog). Above the
@@ -302,19 +294,18 @@ class HardenedRetryPolicy final : public RetryPolicy
     /** Score above which the transient budget shrinks to one. */
     static constexpr double stormThreshold = 2.5;
 
-    explicit HardenedRetryPolicy(RetryCounts counts) : counts_(counts)
+    explicit HardenedRetryPolicy(RetryCounts counts)
+        : Fig1ThreeCounterPolicy(counts)
     {
-        beginSection();
     }
 
     void
     beginSection() override
     {
-        lockRetries_ = counts_.lockRetries;
-        persistentRetries_ = counts_.persistentRetries;
-        transientRetries_ = counts_.transientRetries;
+        RetryCounts budgets = counts_;
         if (score_ > stormThreshold)
-            transientRetries_ = std::min(transientRetries_, 1);
+            budgets.transientRetries = std::min(budgets.transientRetries, 1);
+        rearm(budgets);
         watchdog_ = watchdogAttempts;
     }
 
@@ -323,11 +314,7 @@ class HardenedRetryPolicy final : public RetryPolicy
     {
         if (--watchdog_ <= 0)
             return false;
-        if (lock_held || cause == AbortCause::lockConflict)
-            return --lockRetries_ > 0;
-        if (isPersistentCause(cause))
-            return --persistentRetries_ > 0;
-        return --transientRetries_ > 0;
+        return Fig1ThreeCounterPolicy::onAbort(cause, lock_held);
     }
 
     void
@@ -345,51 +332,49 @@ class HardenedRetryPolicy final : public RetryPolicy
     bool deterministicBackoff() const override { return true; }
 
   private:
-    RetryCounts counts_;
-    int lockRetries_ = 0;
-    int persistentRetries_ = 0;
-    int transientRetries_ = 0;
-    int watchdog_ = 0;
+    int watchdog_ = watchdogAttempts;
     double score_ = 0.0;
 };
 
+/** Where an atomic section's next attempt runs (Runtime::runSection
+ *  tries them in this order; no section ever moves back). */
+enum class Tier : std::uint8_t
+{
+    /** A best-effort hardware transaction. */
+    hardware,
+    /** A software transaction (stm.hh; hybrid backend only). */
+    software,
+    /** Irrevocably under the global fallback lock (always commits). */
+    lock,
+};
+
 /**
- * Decision layer of the hybrid backend (backend.hh HybridBackend):
- * wraps a thread's base RetryPolicy and turns its binary retry/stop
- * output into a three-way decision — retry in hardware, fall back to
- * the *software* slow path, or (only when the software path is
- * exhausted or disabled) serialize on the global lock.
+ * The tier decisions of one thread's atomic sections: wraps the
+ * thread's base RetryPolicy and turns its binary retry/stop output
+ * into the next tier — retry in hardware, move to the software tier,
+ * or (only when the software tier is exhausted or disabled) serialize
+ * on the global lock.
  *
  * Decision rules:
- *  - software path disabled: mirror the base policy exactly
- *    (retryHtm while it says retry, then fallbackLock) — the hybrid
- *    backend degenerates to HtmBackend;
+ *  - software tier disabled (every backend but hybrid): mirror the
+ *    base policy exactly (hardware while it says retry, then lock);
  *  - persistent abort causes (capacity, way conflict): straight to
- *    fallbackStm *without* consuming base-policy budget — retrying a
+ *    software *without* consuming base-policy budget — retrying a
  *    too-big transaction in hardware is the waste the hybrid exists
- *    to avoid, and the software path has no capacity limit;
- *  - transient causes: retryHtm while the base policy says retry,
- *    fallbackStm when it gives up — the lock is no longer the next
- *    stop after hardware;
- *  - software aborts: up to stmAttempts tries, then fallbackLock
- *    (the progress guarantee: validation-doomed sections eventually
- *    serialize).
+ *    to avoid, and the software tier has no capacity limit;
+ *  - transient causes: hardware while the base policy says retry,
+ *    software when it gives up — the lock is no longer the next stop
+ *    after hardware;
+ *  - software aborts: up to stmAttempts tries, then lock (the progress
+ *    guarantee: validation-doomed sections eventually serialize).
  *
  * Like every policy, this is a pure decision object — unit-tested
  * with scripted abort streams in tests/test_retry_policy.cc.
  */
-class HybridRetryPolicy
+class TierPolicy
 {
   public:
-    /** Where the section goes after an abort. */
-    enum class Decision : std::uint8_t
-    {
-        retryHtm,
-        fallbackStm,
-        fallbackLock,
-    };
-
-    /** Resolved hybrid knobs (from RuntimeConfig::hybrid). */
+    /** Resolved software-tier knobs (from RuntimeConfig::hybrid). */
     struct Tuning
     {
         bool stmEnabled = true;
@@ -397,21 +382,18 @@ class HybridRetryPolicy
         int stmAttempts = 3;
     };
 
-    HybridRetryPolicy() = default;
-
-    /** Bind the thread's base policy (owned by the backend). */
-    void
-    bind(RetryPolicy* base, Tuning tuning)
+    TierPolicy(std::unique_ptr<RetryPolicy> base, Tuning tuning)
+        : base_(std::move(base)), tuning_(tuning)
     {
-        base_ = base;
-        tuning_ = tuning;
     }
 
-    /** True if hardware attempts are skipped entirely (stmOnly). */
-    bool
-    softwareFirst() const
+    /** The tier a section starts on: software under stmOnly, else
+     *  hardware. */
+    Tier
+    firstTier() const
     {
-        return tuning_.stmEnabled && tuning_.stmOnly;
+        return tuning_.stmEnabled && tuning_.stmOnly ? Tier::software
+                                                     : Tier::hardware;
     }
 
     void
@@ -421,36 +403,35 @@ class HybridRetryPolicy
         stmFailures_ = 0;
     }
 
-    Decision
+    /** The tier after a hardware abort. */
+    Tier
     onHtmAbort(AbortCause cause, bool lock_held)
     {
         if (!tuning_.stmEnabled) {
-            return base_->onAbort(cause, lock_held)
-                       ? Decision::retryHtm
-                       : Decision::fallbackLock;
+            return base_->onAbort(cause, lock_held) ? Tier::hardware
+                                                    : Tier::lock;
         }
         if (isPersistentCause(cause) && !lock_held) {
             // Persistent hardware causes do not drain base budgets:
             // the hardware already told us retrying is futile, and
-            // the software path does not share the limitation.
-            return Decision::fallbackStm;
+            // the software tier does not share the limitation.
+            return Tier::software;
         }
-        return base_->onAbort(cause, lock_held) ? Decision::retryHtm
-                                                : Decision::fallbackStm;
+        return base_->onAbort(cause, lock_held) ? Tier::hardware
+                                                : Tier::software;
     }
 
-    Decision
+    /** The tier after a software abort. */
+    Tier
     onStmAbort(AbortCause)
     {
-        return ++stmFailures_ < tuning_.stmAttempts
-                   ? Decision::fallbackStm
-                   : Decision::fallbackLock;
+        return ++stmFailures_ < tuning_.stmAttempts ? Tier::software
+                                                    : Tier::lock;
     }
 
     void onCommit() { base_->onCommit(); }
     void onFallback() { base_->onFallback(); }
 
-    bool lazySubscription() const { return base_->lazySubscription(); }
     bool
     deterministicBackoff() const
     {
@@ -458,7 +439,7 @@ class HybridRetryPolicy
     }
 
   private:
-    RetryPolicy* base_ = nullptr;
+    std::unique_ptr<RetryPolicy> base_;
     Tuning tuning_;
     int stmFailures_ = 0;
 };

@@ -96,7 +96,13 @@ Runtime::Runtime(RuntimeConfig config, unsigned num_threads)
 
     capacityModel_ =
         makeCapacityModel(machine, config_.ignoreCapacity || ideal);
-    backend_ = makeBackend(config_, num_threads);
+    // Every backend runs through the same tier policies; only the
+    // hybrid backend has a live software tier.
+    const TierPolicy::Tuning tuning{stmEnabled_, config_.hybrid.stmOnly,
+                                    config_.hybrid.stmAttempts};
+    tiers_.reserve(num_threads);
+    for (unsigned tid = 0; tid < num_threads; ++tid)
+        tiers_.emplace_back(makeRetryPolicy(config_), tuning);
     observer_ = config_.observer;
     hazard_.reset(config_.hazard, num_threads);
     // The orec table is only materialized when the software path is
@@ -590,6 +596,56 @@ Runtime::runIrrevocable(sim::ThreadContext& ctx, Tx& tx,
     // guard above still restores the Tx status for the unwind.
     releaseGlobalLock(ctx);
     stats_[tx.tid_].fallbackCycles += ctx.now() - hold_start;
+}
+
+void
+Runtime::runSection(sim::ThreadContext& ctx, FunctionRef<void(Tx&)> body)
+{
+    // Figure 1 with the tier policy supplying the decisions. Which
+    // counters exist and how lock conflicts are classified live in
+    // the thread's RetryPolicy; whether the lock is subscribed lazily
+    // is the machine mode's (lazySubscription_).
+    Tx& tx = *txs_[ctx.id()];
+    TierPolicy& policy = tiers_[ctx.id()];
+    policy.beginSection();
+    unsigned consecutive = 0;
+    // The backend only picks where a section starts.
+    Tier tier = config_.backend == BackendKind::globalLock
+                    ? Tier::lock
+                    : policy.firstTier();
+    while (tier != Tier::lock) {
+        // Lemming-storm guard (Figure 1 line 9): re-check the lock
+        // before every attempt, not just the first — a convoy drains
+        // instead of feeding itself doomed attempts, and a software
+        // attempt started behind a held lock would only abort at its
+        // commit point (stm.cc).
+        waitToBegin(ctx);
+        const AbortCause cause =
+            tier == Tier::hardware
+                ? attempt(tx, ctx, body, lazySubscription_, true)
+                : stmAttempt(tx, ctx, body);
+        if (cause == AbortCause::none) {
+            policy.onCommit();
+            return;
+        }
+        ++consecutive;
+        Tier next = tier == Tier::hardware
+                        ? policy.onHtmAbort(cause, lockWord_ != 0)
+                        : policy.onStmAbort(cause);
+        // stuckRetry (simcheck self-tests only): model the classic
+        // driver bug of ignoring the policy's stop decision — the
+        // lock is never taken, so a persistently aborting section
+        // livelocks. The liveness oracle must catch this.
+        if (tier == Tier::hardware && next == Tier::lock &&
+            config_.checkFault == CheckFault::stuckRetry)
+            next = Tier::hardware;
+        // Retries on the same tier back off; moving on does not.
+        if (next == tier)
+            backoff(ctx, consecutive, policy.deterministicBackoff());
+        tier = next;
+    }
+    runIrrevocable(ctx, tx, body);
+    policy.onFallback();
 }
 
 AbortCause

@@ -2,21 +2,24 @@
  * @file
  * The HTM emulation runtime, layered (DESIGN.md Section 3):
  *
- *   RetryPolicy (retry_policy.hh)  — when to retry after an abort;
+ *   RetryPolicy (retry_policy.hh)  — when to retry after an abort, and
+ *                                    TierPolicy, which tier runs next;
  *   CapacityModel (capacity_model.hh) — per-machine footprint budgets;
- *   TmBackend (backend.hh)         — what an atomic section *is*
- *                                    (HTM / global lock / ideal HTM);
  *   Runtime (this file)            — the machine substrate: conflict
  *                                    directory, begin/commit/rollback,
- *                                    global-lock fallback, statistics.
+ *                                    global-lock fallback, statistics,
+ *                                    and the one section driver.
  *
  * One Runtime instance models one machine for one multi-threaded run.
  * Application threads (simulated threads) call atomic() to execute a
- * critical section; the configured backend drives the attempts — the
- * paper's Figure 1 retry mechanism (three counters: lock / persistent
- * / transient) on zEC12, Intel Core and POWER8, and the
+ * critical section. The section driver (runSection) tries hardware
+ * attempts, then the hybrid backend's software tier, then the global
+ * lock, with each thread's TierPolicy deciding when to move on — over
+ * the paper's Figure 1 retry mechanism (three counters: lock /
+ * persistent / transient) on zEC12, Intel Core and POWER8, and the
  * system-provided single-counter mechanism with adaptation on
- * Blue Gene/Q.
+ * Blue Gene/Q. The backend (backend.hh) only picks the starting tier
+ * and which tiers are live.
  */
 
 #ifndef HTMSIM_HTM_RUNTIME_HH
@@ -154,10 +157,10 @@ enum class CheckFault : std::uint8_t
      *  concurrent readers of its line, so a reader can commit a stale
      *  snapshot (lost updates — a serializability violation). */
     missReaderConflict,
-    /** Retry-driver bug: the HTM backend ignores the policy's stop
-     *  decision and never falls back to the lock, so a thread whose
-     *  attempts keep aborting retries forever (a liveness violation
-     *  the liveness oracle must catch). */
+    /** Retry-driver bug: the section driver ignores the policy's
+     *  decision to leave the hardware tier for the lock, so a thread
+     *  whose attempts keep aborting retries forever (a liveness
+     *  violation the liveness oracle must catch). */
     stuckRetry,
     /** Hybrid-backend subscription bug: a software commit's write-back
      *  skips both the per-address dooming of conflicting hardware
@@ -281,7 +284,7 @@ class Runtime
     Runtime& operator=(const Runtime&) = delete;
 
     /**
-     * Execute @p body atomically via the configured backend: by
+     * Execute @p body atomically through the section driver: by
      * default transactionally with retries, then irrevocably under the
      * global lock (best-effort HTM + fallback). The body may run many
      * times; it must be idempotent apart from its Tx-mediated effects.
@@ -301,10 +304,10 @@ class Runtime
         bindSite(ctx.id(), site);
         FunctionRef<void(Tx&)> ref(body);
         // Section latency: begin-of-first-attempt (including any
-        // lemming wait inside the backend) to commit, in virtual
+        // lemming wait inside the driver) to commit, in virtual
         // cycles. Observation only — nothing here advances the clock.
         const Cycles start = ctx.now();
-        backend_->runAtomic(*this, ctx, ref);
+        runSection(ctx, ref);
         TxStats& stats = stats_[ctx.id()];
         const std::uint64_t latency = ctx.now() - start;
         ++stats.sections;
@@ -500,12 +503,8 @@ class Runtime
     runNonSpeculative(sim::ThreadContext& ctx, TxSiteId site, F&& body)
     {
         bindSite(ctx.id(), site);
-        Tx& tx = txOf(ctx.id());
         const Cycles start = ctx.now();
-        IrrevocableScope scope(tx, ctx);
-        body(tx);
-        ++stats_[ctx.id()].irrevocableCommits;
-        stats_[ctx.id()].fallbackCycles += ctx.now() - start;
+        runNonSpeculative(ctx, std::forward<F>(body));
         emitEvent(TxEventKind::nonSpecCommit, ctx.id(), site, ctx.now(),
                   start);
     }
@@ -530,7 +529,7 @@ class Runtime
     const RuntimeConfig& config() const { return config_; }
     const MachineConfig& machine() const { return config_.machine; }
 
-    /** The execution backend atomic() dispatches to. */
+    /** The execution backend atomic() runs under. */
     BackendKind backendKind() const { return config_.backend; }
 
     /** Conflict-detection granularity in effect (mode-dependent on
@@ -611,8 +610,15 @@ class Runtime
 
   private:
     friend class Tx;
-    friend class TmBackend;
 
+    /**
+     * The one section driver behind atomic(): attempts starting on the
+     * lock tier for the lock-only backend and on the TierPolicy's
+     * first tier otherwise, moving hardware -> software -> lock as the
+     * thread's TierPolicy decides, with the lemming-effect wait before
+     * every attempt and backoff between same-tier retries.
+     */
+    void runSection(sim::ThreadContext& ctx, FunctionRef<void(Tx&)> body);
     AbortCause runPolicyAttempts(sim::ThreadContext& ctx,
                                  RetryPolicy& policy,
                                  FunctionRef<void(Tx&)> body);
@@ -763,7 +769,9 @@ class Runtime
     /** The conflict directory (see ConflictLineState). */
     FlatTable<ConflictLineState, 64> directory_;
     std::unique_ptr<CapacityModel> capacityModel_;
-    std::unique_ptr<TmBackend> backend_;
+    /** Per-thread tier decisions for runSection (policies carry
+     *  cross-section state, so one per thread). */
+    std::vector<TierPolicy> tiers_;
     std::vector<std::unique_ptr<Tx>> txs_;
     std::vector<TxStats> stats_;
     TraceCollector trace_;

@@ -147,15 +147,9 @@ Tx::storeWord(void* addr, std::size_t size, std::uint64_t value)
     const MachineConfig& machine = runtime_->machine();
     const auto uaddr = std::uintptr_t(addr);
 
-    if (status_ == TxStatus::irrevocable) {
-        ctx_->advance(machine.nonTxStoreCost);
-        ctx_->sync();
-        runtime_->nonTxConflict(tid_, uaddr, true, ctx_->now());
-        writeMemory(addr, size, value);
-        return;
-    }
-
-    if (suspended_) {
+    if (status_ == TxStatus::irrevocable || suspended_) {
+        // Irrevocable and POWER8 suspended stores alike go straight to
+        // memory as strongly isolated non-transactional stores.
         ctx_->advance(machine.nonTxStoreCost);
         ctx_->sync();
         runtime_->nonTxConflict(tid_, uaddr, true, ctx_->now());
@@ -375,8 +369,6 @@ void
 Tx::work(sim::Cycles cycles)
 {
     ctx_->step(cycles);
-    if (status_ == TxStatus::active)
-        checkDoom();
 }
 
 void*

@@ -78,7 +78,8 @@ class Tx
         storeWord(addr, sizeof(T), word);
     }
 
-    /** Charge @p cycles of in-transaction compute work. */
+    /** Charge @p cycles of in-transaction compute work. A doom raised
+     *  by a peer meanwhile is acted on at the next access or at tend. */
     void work(sim::Cycles cycles);
 
     /**

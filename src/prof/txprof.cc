@@ -24,6 +24,7 @@
 #include <string>
 
 #include "bench/suite.hh"
+#include "htm/backend.hh"
 #include "prof/profiler.hh"
 #include "prof/report.hh"
 
@@ -259,22 +260,15 @@ main(int argc, char** argv)
         }
     }
 
-    htm::BackendKind backend;
-    if (backend_name == "htm") {
-        backend = htm::BackendKind::htm;
-    } else if (backend_name == "lock") {
-        backend = htm::BackendKind::globalLock;
-    } else if (backend_name == "ideal") {
-        backend = htm::BackendKind::idealHtm;
-    } else if (backend_name == "hybrid") {
-        backend = htm::BackendKind::hybrid;
-    } else {
+    const auto parsed_backend = htm::parseBackendKind(backend_name);
+    if (!parsed_backend) {
         std::fprintf(stderr,
                      "unknown backend '%s' (use "
                      "htm|lock|ideal|hybrid)\n",
                      backend_name.c_str());
         return 1;
     }
+    const htm::BackendKind backend = *parsed_backend;
 
     int machine_index = -1;
     const char* labels[] = {"bg", "z12", "ic", "p8"};

@@ -189,7 +189,7 @@ class TmList
     }
 
   private:
-    Node head_{0, 0, nullptr};
+    Node head_{0, 0, nullptr, {}};
     std::uint64_t size_ = 0;
 };
 

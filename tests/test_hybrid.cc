@@ -1,6 +1,7 @@
 /**
  * @file
- * Hybrid backend tests (src/htm/stm.hh, backend.hh HybridBackend).
+ * Hybrid backend tests (src/htm/stm.hh, the software tier of
+ * Runtime::runSection).
  *
  * Three properties carry the layer:
  *

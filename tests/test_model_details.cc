@@ -211,6 +211,69 @@ TEST(BgqLazySubscription, CommitFailsWhileLockHeld)
     EXPECT_EQ(a, 1u);
 }
 
+/** A retry-policy kind and its tool name (stamp_runner's policy). */
+struct PolicyCase
+{
+    const char* name;
+    RetryPolicyKind kind;
+};
+
+/** Print a case as its policy name, so the listed test names stay
+ *  readable (gtest would otherwise print the struct's raw bytes). */
+void
+PrintTo(const PolicyCase& test, std::ostream* os)
+{
+    *os << test.name;
+}
+
+class BgqLazySubscription : public ::testing::TestWithParam<PolicyCase>
+{
+};
+
+TEST_P(BgqLazySubscription, LockCycledInsideTheBodyIsNotAnAbort)
+{
+    // Long-running mode checks the lock only at commit, whatever the
+    // retry policy: a lock taken and released while the transaction
+    // is inside its body must not touch it. An eager subscription
+    // would be doomed by the acquisition's store to the lock word.
+    RuntimeConfig config = quiet(MachineConfig::blueGeneQ());
+    config.bgq.mode = BgqMode::longRunning;
+    config.policyKind = GetParam().kind;
+    sim::Scheduler scheduler;
+    Runtime runtime(config, 2);
+    alignas(128) std::uint64_t a = 0;
+    alignas(128) std::uint64_t b = 0;
+    unsigned attempts = 0;
+    scheduler.spawn([&](sim::ThreadContext& ctx) {
+        runtime.atomic(ctx, [&](Tx& tx) {
+            ++attempts;
+            tx.store(&a, std::uint64_t(1));
+            tx.work(6000); // the locked window closes before commit
+        });
+    });
+    scheduler.spawn([&](sim::ThreadContext& ctx) {
+        ctx.step(200);
+        runtime.runLocked(ctx, [&](Tx& tx) {
+            tx.store(&b, std::uint64_t(1));
+            tx.work(2000);
+        });
+    });
+    scheduler.run();
+    EXPECT_EQ(attempts, 1u);
+    EXPECT_EQ(runtime.threadStats(0).totalAborts(), 0u);
+    EXPECT_EQ(runtime.threadStats(0).htmCommits, 1u);
+    EXPECT_EQ(a, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, BgqLazySubscription,
+    ::testing::Values(PolicyCase{"default",
+                                 RetryPolicyKind::machineDefault},
+                      PolicyCase{"hardened", RetryPolicyKind::hardened}),
+    [](const ::testing::TestParamInfo<PolicyCase>& info) {
+        return info.param.name;
+    });
+
 TEST(Constrained, EscalationGuaranteesProgressUnderHammering)
 {
     // One constrained transaction against three big transactions that

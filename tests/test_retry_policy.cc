@@ -118,7 +118,7 @@ TEST(Fig1ThreeCounterPolicy, BeginSectionRestoresAllBudgets)
 
 TEST(BgqAdaptivePolicy, RetriesExactlyMaxRetriesTimes)
 {
-    BgqAdaptivePolicy policy(10, true, BgqMode::shortRunning);
+    BgqAdaptivePolicy policy(10, true);
     policy.beginSection();
     for (int i = 0; i < 10; ++i) {
         EXPECT_TRUE(policy.onAbort(AbortCause::dataConflict, false))
@@ -129,7 +129,7 @@ TEST(BgqAdaptivePolicy, RetriesExactlyMaxRetriesTimes)
 
 TEST(BgqAdaptivePolicy, AdaptationSuppressesRetriesAfterFallbacks)
 {
-    BgqAdaptivePolicy policy(10, true, BgqMode::shortRunning);
+    BgqAdaptivePolicy policy(10, true);
 
     // Three consecutive fallbacks: score 1.0 -> 1.9 -> 2.71, crossing
     // the 2.5 threshold on the third.
@@ -156,20 +156,12 @@ TEST(BgqAdaptivePolicy, AdaptationSuppressesRetriesAfterFallbacks)
 
 TEST(BgqAdaptivePolicy, AdaptationCanBeDisabled)
 {
-    BgqAdaptivePolicy policy(2, false, BgqMode::shortRunning);
+    BgqAdaptivePolicy policy(2, false);
     for (int section = 0; section < 5; ++section) {
         policy.beginSection();
         EXPECT_TRUE(policy.onAbort(AbortCause::dataConflict, false));
         policy.onFallback();
     }
-}
-
-TEST(BgqAdaptivePolicy, LazySubscriptionFollowsExecutionMode)
-{
-    const BgqAdaptivePolicy short_mode(10, true, BgqMode::shortRunning);
-    const BgqAdaptivePolicy long_mode(10, true, BgqMode::longRunning);
-    EXPECT_FALSE(short_mode.lazySubscription());
-    EXPECT_TRUE(long_mode.lazySubscription());
 }
 
 TEST(BoundedRetryPolicy, BudgetCountsTotalAttempts)
@@ -217,7 +209,7 @@ TEST(Fig1ThreeCounterPolicy, TerminatesUnderAnInfiniteAbortStream)
     // lock+persistent+transient aborts -- the counters are
     // independent, so the worst-case adversary drains all three
     // before any single one runs out. The driver escalates at that
-    // first false (backend.cc), so this bound IS the number of
+    // first false (Runtime::runSection), so this bound IS the number of
     // hardware attempts an infinite abort stream can burn.
     const RetryCounts counts{4, 1, 8};
     const int bound = counts.lockRetries + counts.persistentRetries +
@@ -308,7 +300,7 @@ TEST(HardenedRetryPolicy, RequestsDeterministicBackoff)
     EXPECT_TRUE(hardened.deterministicBackoff());
 
     Fig1ThreeCounterPolicy fig1({4, 1, 8});
-    BgqAdaptivePolicy bgq(10, true, BgqMode::shortRunning);
+    BgqAdaptivePolicy bgq(10, true);
     EXPECT_FALSE(fig1.deterministicBackoff());
     EXPECT_FALSE(bgq.deterministicBackoff());
 }
@@ -335,10 +327,16 @@ TEST(MakeRetryPolicy, HardenedKindOverridesEveryMachineDefault)
 
 TEST(MakeRetryPolicy, SelectsTheMachineMechanism)
 {
+    // Blue Gene/Q's single counter ignores RetryCounts: maxRetries
+    // retries whatever the abort kind.
     RuntimeConfig bgq(MachineConfig::blueGeneQ());
-    bgq.bgq.mode = BgqMode::longRunning;
+    bgq.retry = {4, 1, 8};
+    bgq.bgq.maxRetries = 2;
     const std::unique_ptr<RetryPolicy> bgq_policy = makeRetryPolicy(bgq);
-    EXPECT_TRUE(bgq_policy->lazySubscription());
+    bgq_policy->beginSection();
+    EXPECT_TRUE(bgq_policy->onAbort(AbortCause::capacityOverflow, false));
+    EXPECT_TRUE(bgq_policy->onAbort(AbortCause::capacityOverflow, false));
+    EXPECT_FALSE(bgq_policy->onAbort(AbortCause::capacityOverflow, false));
 
     // Figure 1 on the other machines: the persistent budget of one is
     // observable without any simulator.
@@ -347,24 +345,19 @@ TEST(MakeRetryPolicy, SelectsTheMachineMechanism)
     const std::unique_ptr<RetryPolicy> fig1 = makeRetryPolicy(intel);
     fig1->beginSection();
     EXPECT_FALSE(fig1->onAbort(AbortCause::capacityOverflow, false));
-    EXPECT_FALSE(fig1->lazySubscription());
 }
 
-// ---- hybrid escalation ------------------------------------------------
+// ---- hybrid escalation (TierPolicy) -----------------------------------
 
-using Decision = HybridRetryPolicy::Decision;
-
-/// A bound hybrid policy over Figure 1 with the given budgets.
+/// A tier policy over Figure 1 with the given budgets.
 struct HybridHarness
 {
-    Fig1ThreeCounterPolicy base;
-    HybridRetryPolicy hybrid;
+    TierPolicy hybrid;
 
     explicit HybridHarness(RetryCounts counts,
-                           HybridRetryPolicy::Tuning tuning = {})
-        : base(counts)
+                           TierPolicy::Tuning tuning = {})
+        : hybrid(std::make_unique<Fig1ThreeCounterPolicy>(counts), tuning)
     {
-        hybrid.bind(&base, tuning);
         hybrid.beginSection();
     }
 };
@@ -376,14 +369,14 @@ TEST(HybridRetryPolicy, PersistentCausesEscalateToStmWithoutDrainingBudgets)
     // the hardware said retrying is futile — and do so repeatedly
     // without touching the base persistent budget of one.
     EXPECT_EQ(h.hybrid.onHtmAbort(AbortCause::capacityOverflow, false),
-              Decision::fallbackStm);
+              Tier::software);
     EXPECT_EQ(h.hybrid.onHtmAbort(AbortCause::wayConflict, false),
-              Decision::fallbackStm);
+              Tier::software);
     EXPECT_EQ(h.hybrid.onHtmAbort(AbortCause::capacityOverflow, false),
-              Decision::fallbackStm);
+              Tier::software);
     // The transient budget is untouched by the fast path.
     EXPECT_EQ(h.hybrid.onHtmAbort(AbortCause::dataConflict, false),
-              Decision::retryHtm);
+              Tier::hardware);
 }
 
 TEST(HybridRetryPolicy, TransientExhaustionFallsBackToStmNotLock)
@@ -394,11 +387,11 @@ TEST(HybridRetryPolicy, TransientExhaustionFallsBackToStmNotLock)
     // directly on the lock.
     for (int i = 0; i < 7; ++i) {
         EXPECT_EQ(h.hybrid.onHtmAbort(AbortCause::dataConflict, false),
-                  Decision::retryHtm)
+                  Tier::hardware)
             << "abort " << i;
     }
     EXPECT_EQ(h.hybrid.onHtmAbort(AbortCause::dataConflict, false),
-              Decision::fallbackStm);
+              Tier::software);
 }
 
 TEST(HybridRetryPolicy, LockHeldAbortsChargeTheLockCounter)
@@ -409,9 +402,9 @@ TEST(HybridRetryPolicy, LockHeldAbortsChargeTheLockCounter)
     // stall on the same lock) and is charged to the base lock
     // counter: two budgeted attempts, then software.
     EXPECT_EQ(h.hybrid.onHtmAbort(AbortCause::capacityOverflow, true),
-              Decision::retryHtm);
+              Tier::hardware);
     EXPECT_EQ(h.hybrid.onHtmAbort(AbortCause::capacityOverflow, true),
-              Decision::fallbackStm);
+              Tier::software);
 }
 
 TEST(HybridRetryPolicy, StmAttemptsBoundThenLock)
@@ -420,11 +413,11 @@ TEST(HybridRetryPolicy, StmAttemptsBoundThenLock)
     // Default stmAttempts = 3: two software failures re-enter the
     // software path, the third goes irrevocable.
     EXPECT_EQ(h.hybrid.onStmAbort(AbortCause::stmConflict),
-              Decision::fallbackStm);
+              Tier::software);
     EXPECT_EQ(h.hybrid.onStmAbort(AbortCause::stmConflict),
-              Decision::fallbackStm);
+              Tier::software);
     EXPECT_EQ(h.hybrid.onStmAbort(AbortCause::stmConflict),
-              Decision::fallbackLock);
+              Tier::lock);
 }
 
 TEST(HybridRetryPolicy, BeginSectionRearmsTheStmBudget)
@@ -433,46 +426,46 @@ TEST(HybridRetryPolicy, BeginSectionRearmsTheStmBudget)
     for (int i = 0; i < 2; ++i)
         h.hybrid.onStmAbort(AbortCause::stmConflict);
     EXPECT_EQ(h.hybrid.onStmAbort(AbortCause::stmConflict),
-              Decision::fallbackLock);
+              Tier::lock);
 
     h.hybrid.beginSection();
     EXPECT_EQ(h.hybrid.onStmAbort(AbortCause::stmConflict),
-              Decision::fallbackStm);
+              Tier::software);
 }
 
 TEST(HybridRetryPolicy, DisabledStmMirrorsTheBasePolicyExactly)
 {
-    HybridRetryPolicy::Tuning tuning;
+    TierPolicy::Tuning tuning;
     tuning.stmEnabled = false;
     HybridHarness h({4, 1, 8}, tuning);
     // With the software path off every decision is the base policy's:
     // persistent budget of one refuses at once, transient exhaustion
     // lands on the lock, never on software.
     EXPECT_EQ(h.hybrid.onHtmAbort(AbortCause::capacityOverflow, false),
-              Decision::fallbackLock);
+              Tier::lock);
     h.hybrid.beginSection();
     for (int i = 0; i < 7; ++i) {
         EXPECT_EQ(h.hybrid.onHtmAbort(AbortCause::dataConflict, false),
-                  Decision::retryHtm)
+                  Tier::hardware)
             << "abort " << i;
     }
     EXPECT_EQ(h.hybrid.onHtmAbort(AbortCause::dataConflict, false),
-              Decision::fallbackLock);
-    EXPECT_FALSE(h.hybrid.softwareFirst());
+              Tier::lock);
+    EXPECT_EQ(h.hybrid.firstTier(), Tier::hardware);
 }
 
 TEST(HybridRetryPolicy, SoftwareFirstOnlyWhenStmOnly)
 {
-    HybridRetryPolicy::Tuning stm_only;
+    TierPolicy::Tuning stm_only;
     stm_only.stmOnly = true;
     HybridHarness a({4, 1, 8}, stm_only);
-    EXPECT_TRUE(a.hybrid.softwareFirst());
+    EXPECT_EQ(a.hybrid.firstTier(), Tier::software);
 
     // stmOnly without stmEnabled is a contradiction resolved in favor
     // of the master switch: hardware-or-lock only.
     stm_only.stmEnabled = false;
     HybridHarness b({4, 1, 8}, stm_only);
-    EXPECT_FALSE(b.hybrid.softwareFirst());
+    EXPECT_EQ(b.hybrid.firstTier(), Tier::hardware);
 }
 
 TEST(HybridRetryPolicy, HardenedWatchdogStillBoundsHardwareAttempts)
@@ -482,17 +475,17 @@ TEST(HybridRetryPolicy, HardenedWatchdogStillBoundsHardwareAttempts)
     // watchdogAttempts hardware attempts before the section leaves
     // for the software path (not the lock — the hybrid driver owns
     // the ultimate fallback).
-    HardenedRetryPolicy base({100, 100, 100});
-    HybridRetryPolicy hybrid;
-    hybrid.bind(&base, {});
+    TierPolicy hybrid(
+        std::make_unique<HardenedRetryPolicy>(RetryCounts{100, 100, 100}),
+        {});
     hybrid.beginSection();
     int retries = 0;
     while (hybrid.onHtmAbort(AbortCause::dataConflict, false) ==
-           Decision::retryHtm)
+           Tier::hardware)
         ++retries;
     EXPECT_EQ(retries, HardenedRetryPolicy::watchdogAttempts - 1);
     EXPECT_EQ(hybrid.onHtmAbort(AbortCause::dataConflict, false),
-              Decision::fallbackStm);
+              Tier::software);
     // And the hybrid layer forwards the hardened backoff request.
     EXPECT_TRUE(hybrid.deterministicBackoff());
 }

@@ -219,8 +219,9 @@ TEST(TmRbTreeSeq, RandomizedOpsKeepInvariantsAndAgreeWithStdMap)
             const bool found = tree.find(c, key, &value);
             const auto it = model.find(key);
             EXPECT_EQ(found, it != model.end());
-            if (found)
+            if (found) {
                 EXPECT_EQ(value, it->second);
+            }
         }
         if (step % 64 == 0) {
             ASSERT_GE(tree.checkInvariants(), 0)

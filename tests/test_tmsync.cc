@@ -644,8 +644,9 @@ TEST(TmsyncServer, IndexLockGuardsScansWithoutBreakingInvariants)
         EXPECT_EQ(result.committedOps,
                   std::uint64_t(config.clients *
                                 config.traffic.opsPerClient));
-        if (mode == server::IndexLockMode::tatas)
+        if (mode == server::IndexLockMode::tatas) {
             EXPECT_EQ(result.indexGuardElided, 0u);
+        }
     }
 }
 
