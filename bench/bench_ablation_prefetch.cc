@@ -28,18 +28,13 @@ main()
          {std::string("kmeans-high"), std::string("kmeans-low")}) {
         for (const bool enabled : {true, false}) {
             // Tune retry counts per configuration, like the paper.
-            Speedup best;
-            bool first = true;
-            for (RuntimeConfig config :
-                 SuiteRunner::tuningCandidates(intel)) {
-                config.intel.prefetchEnabled = enabled;
-                const Speedup current =
-                    runner.run(bench, config, intel, 4, true, 1);
-                if (first || current.ratio > best.ratio) {
-                    best = current;
-                    first = false;
-                }
-            }
+            const Speedup best =
+                runner
+                    .tune(bench, intel, 4,
+                          [&](RuntimeConfig& config) {
+                              config.intel.prefetchEnabled = enabled;
+                          })
+                    .result;
             std::printf("%-14s %-9s %10.2f %10.1f\n", bench.c_str(),
                         enabled ? "on" : "off", best.ratio,
                         best.tm.stats.abortRatio() * 100.0);

@@ -39,27 +39,6 @@ struct CellRow
     double hybrid = 0.0;
 };
 
-/** Best speed-up over the tuning grid with @p backend selected. */
-double
-tunedBest(const bench::SuiteRunner& runner, const std::string& bench,
-          const htm::MachineConfig& machine, BackendKind backend,
-          unsigned threads, std::uint64_t seed)
-{
-    double best = 0.0;
-    bool first = true;
-    for (htm::RuntimeConfig config :
-         bench::SuiteRunner::tuningCandidates(machine)) {
-        config.backend = backend;
-        const stamp::Speedup result =
-            runner.run(bench, config, machine, threads, true, seed);
-        if (first || result.ratio > best) {
-            best = result.ratio;
-            first = false;
-        }
-    }
-    return best;
-}
-
 double
 geomean(const std::vector<double>& values)
 {
@@ -85,7 +64,7 @@ main(int argc, char** argv)
     }
     const unsigned threads = 4;
     const std::uint64_t seed = 1;
-    const bench::SuiteRunner runner(false);
+    const bench::SuiteRunner runner;
 
     std::printf("%-14s %-22s %8s %8s %8s %8s\n", "benchmark",
                 "machine", "htm", "lock", "ideal", "hybrid");
@@ -99,22 +78,21 @@ main(int argc, char** argv)
             CellRow row;
             row.bench = bench;
             row.machine = machine.name;
-            row.htm = tunedBest(runner, bench, machine,
-                                BackendKind::htm, threads, seed);
-            // The lock backend never attempts a transaction, so the
-            // retry grid is irrelevant: one run suffices.
-            {
-                htm::RuntimeConfig config{machine};
-                config.backend = BackendKind::globalLock;
-                row.lock = runner
-                               .run(bench, config, machine, threads,
-                                    true, seed)
-                               .ratio;
-            }
-            row.ideal = tunedBest(runner, bench, machine,
-                                  BackendKind::idealHtm, threads, seed);
-            row.hybrid = tunedBest(runner, bench, machine,
-                                   BackendKind::hybrid, threads, seed);
+            // Best speed-up over the tuning grid with one backend
+            // (a single run for the lock, which never retries).
+            auto tuned = [&](BackendKind backend) {
+                return runner
+                    .tune(bench, machine, threads,
+                          [&](htm::RuntimeConfig& config) {
+                              config.backend = backend;
+                          },
+                          true, seed)
+                    .result.ratio;
+            };
+            row.htm = tuned(BackendKind::htm);
+            row.lock = tuned(BackendKind::globalLock);
+            row.ideal = tuned(BackendKind::idealHtm);
+            row.hybrid = tuned(BackendKind::hybrid);
 
             const bool lock_bad = row.lock > 1.05;
             const bool ideal_bad = row.ideal < row.htm;

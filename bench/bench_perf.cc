@@ -27,10 +27,8 @@
 #include <string>
 #include <vector>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "access_micro.hh"
+#include "forked.hh"
 #include "suite.hh"
 
 namespace
@@ -94,58 +92,6 @@ runCandidate(const std::string& bench,
     candidate.causes = speedup.tm.stats.trueCauseAborts;
     candidate.ratio = speedup.ratio;
     return candidate;
-}
-
-/** Fork, run one candidate in the child, receive the raw result. */
-bool
-runCandidateForked(const std::string& bench,
-                   const htm::MachineConfig& machine,
-                   const htm::RuntimeConfig& config, unsigned threads,
-                   std::uint64_t seed, CandidateResult& result)
-{
-    int fds[2];
-    if (::pipe(fds) != 0) {
-        std::perror("pipe");
-        return false;
-    }
-    const pid_t child = ::fork();
-    if (child < 0) {
-        std::perror("fork");
-        return false;
-    }
-    if (child == 0) {
-        ::close(fds[0]);
-        const CandidateResult candidate =
-            runCandidate(bench, machine, config, threads, seed);
-        const char* cursor =
-            reinterpret_cast<const char*>(&candidate);
-        std::size_t remaining = sizeof(candidate);
-        while (remaining > 0) {
-            const ssize_t written = ::write(fds[1], cursor, remaining);
-            if (written <= 0)
-                ::_exit(2);
-            cursor += written;
-            remaining -= std::size_t(written);
-        }
-        ::_exit(0);
-    }
-    ::close(fds[1]);
-    char* cursor = reinterpret_cast<char*>(&result);
-    std::size_t remaining = sizeof(result);
-    bool ok = true;
-    while (remaining > 0) {
-        const ssize_t got = ::read(fds[0], cursor, remaining);
-        if (got <= 0) {
-            ok = false;
-            break;
-        }
-        cursor += got;
-        remaining -= std::size_t(got);
-    }
-    ::close(fds[0]);
-    int status = 0;
-    ::waitpid(child, &status, 0);
-    return ok && WIFEXITED(status) && WEXITSTATUS(status) == 0;
 }
 
 struct CellResult
@@ -267,7 +213,6 @@ main(int argc, char** argv)
     }
     const unsigned threads = 4;
     const std::uint64_t seed = 1;
-    const bool use_fork = std::getenv("HTMSIM_PERF_NOFORK") == nullptr;
 
     std::vector<CellResult> cells;
     const auto suite_start = Clock::now();
@@ -292,20 +237,16 @@ main(int argc, char** argv)
                 }
                 for (const htm::RuntimeConfig& config : candidates) {
                     CandidateResult candidate;
-                    if (use_fork) {
-                        if (!runCandidateForked(bench, machine,
-                                                config, threads, seed,
-                                                candidate)) {
-                            std::fprintf(
-                                stderr,
-                                "cell %s/%s failed in child\n",
-                                bench.c_str(), machine.name.c_str());
-                            return 1;
-                        }
-                    } else {
-                        candidate = runCandidate(bench, machine,
-                                                 config, threads,
-                                                 seed);
+                    if (!bench::runForked(&candidate, 1, [&] {
+                            candidate = runCandidate(bench, machine,
+                                                     config, threads,
+                                                     seed);
+                        })) {
+                        std::fprintf(stderr,
+                                     "cell %s/%s failed in child\n",
+                                     bench.c_str(),
+                                     machine.name.c_str());
+                        return 1;
                     }
                     cell.candidates.push_back(candidate);
                 }

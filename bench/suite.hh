@@ -10,12 +10,14 @@
 #define HTMSIM_BENCH_SUITE_HH
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "htm/function_ref.hh"
 #include "stamp/bayes/bayes.hh"
 #include "stamp/genome/genome.hh"
 #include "stamp/harness.hh"
@@ -46,19 +48,36 @@ suiteNames()
     return names;
 }
 
-/** Scale factor from HTMSIM_SCALE (default 1.0) for workload sizes. */
+/**
+ * Scale factor from HTMSIM_SCALE (default 1.0) for workload sizes.
+ * Anything but a finite number > 0 is rejected: a typo must not
+ * silently shrink every workload to its floor.
+ */
 inline double
 workloadScale()
 {
     const char* env = std::getenv("HTMSIM_SCALE");
-    return env != nullptr ? std::atof(env) : 1.0;
+    if (env == nullptr)
+        return 1.0;
+    char* end = nullptr;
+    const double scale = std::strtod(env, &end);
+    if (end == env || *end != '\0' || !std::isfinite(scale) ||
+        scale <= 0.0) {
+        std::fprintf(stderr,
+                     "HTMSIM_SCALE='%s': expected a finite number > 0\n",
+                     env);
+        std::exit(2);
+    }
+    return scale;
 }
 
+/** @p base times workloadScale(), but never below @p floor (the least
+ *  the app's verify needs; no floor binds at scale 1). */
 inline unsigned
-scaled(unsigned base)
+scaled(unsigned base, unsigned floor = 1)
 {
     const double value = double(base) * workloadScale();
-    return value < 1.0 ? 1u : unsigned(value);
+    return std::max(floor, unsigned(value));
 }
 
 /**
@@ -72,16 +91,30 @@ class SuiteRunner
   public:
     explicit SuiteRunner(bool tune = true) : tune_(tune) {}
 
-    Speedup
-    measure(const std::string& bench, const MachineConfig& machine,
-            unsigned threads, bool modified = true,
-            std::uint64_t seed = 1) const
+    /** A tuned cell: the winning runtime config and its result. */
+    struct Tuned
     {
-        auto candidates = tuningCandidates(machine);
+        RuntimeConfig config;
+        Speedup result;
+    };
+
+    /**
+     * Run the tuning grid for one cell, passing each candidate through
+     * @p adjust first, and return the best speed-up with its config.
+     * Ties keep the earlier candidate. The lock backend ignores retry
+     * counts, so it runs only the first candidate, as does a runner
+     * built with tune = false.
+     */
+    Tuned
+    tune(const std::string& bench, const MachineConfig& machine,
+         unsigned threads, htm::FunctionRef<void(RuntimeConfig&)> adjust,
+         bool modified = true, std::uint64_t seed = 1) const
+    {
         const bool verbose = std::getenv("HTMSIM_VERBOSE") != nullptr;
-        Speedup best;
+        Tuned best;
         bool first = true;
-        for (const RuntimeConfig& config : candidates) {
+        for (RuntimeConfig config : tuningCandidates(machine)) {
+            adjust(config);
             const Speedup current =
                 run(bench, config, machine, threads, modified, seed);
             if (verbose) {
@@ -122,14 +155,25 @@ class SuiteRunner
                 }
                 std::printf("\n");
             }
-            if (first || current.ratio > best.ratio) {
-                best = current;
+            if (first || current.ratio > best.result.ratio) {
+                best = {config, current};
                 first = false;
             }
-            if (!tune_)
+            if (!tune_ || config.backend == htm::BackendKind::globalLock)
                 break;
         }
         return best;
+    }
+
+    /** The best speed-up over the tuning grid, configs as listed. */
+    Speedup
+    measure(const std::string& bench, const MachineConfig& machine,
+            unsigned threads, bool modified = true,
+            std::uint64_t seed = 1) const
+    {
+        return tune(bench, machine, threads, [](RuntimeConfig&) {},
+                    modified, seed)
+            .result;
     }
 
     /** Execution mode for run(). */
@@ -206,8 +250,10 @@ class SuiteRunner
     bayesParams()
     {
         stamp::BayesParams params;
-        params.numVars = scaled(12);
-        params.numRecords = scaled(192);
+        // Verify wants a learned edge: two variables, and enough
+        // records for its likelihood gain to clear the BIC penalty.
+        params.numVars = scaled(12, 2);
+        params.numRecords = scaled(192, 32);
         return params;
     }
 
@@ -217,7 +263,8 @@ class SuiteRunner
         stamp::GenomeParams params =
             modified ? stamp::GenomeParams::tuned(machine.vendor)
                      : stamp::GenomeParams::original();
-        params.geneLength = scaled(3072);
+        // At least one whole segment (read) must fit in the gene.
+        params.geneLength = scaled(3072, params.segmentLength);
         params.extraDuplicates = scaled(1536);
         return params;
     }
@@ -253,8 +300,9 @@ class SuiteRunner
         // 26x26x2 cells x 8 B = 10.8 KB of grid copy: over POWER8's
         // 8 KB budget (every route serializes there, as in the paper)
         // while still far under the other machines' load capacities.
-        params.width = scaled(26);
-        params.height = scaled(26);
+        // A 2x2x2 grid still holds the endpoints of one path.
+        params.width = scaled(26, 2);
+        params.height = scaled(26, 2);
         params.numPaths = scaled(16);
         return params;
     }
@@ -263,7 +311,8 @@ class SuiteRunner
     ssca2Params()
     {
         stamp::Ssca2Params params;
-        params.numVertices = scaled(400);
+        // An edge joins two distinct vertices.
+        params.numVertices = scaled(400, 2);
         params.numEdges = scaled(3200);
         return params;
     }

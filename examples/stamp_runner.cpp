@@ -22,9 +22,11 @@
  * a usage line listing the valid values.
  *
  * Options:
- *   --prof FILE      profile the run per transaction site and write
- *                    the txprof JSON report to FILE
+ *   --prof FILE      profile the run per transaction site, print the
+ *                    per-site table and the top 10 conflicting site
+ *                    pairs, and write the JSON profile to FILE
  *   --perfetto FILE  write a Perfetto / Chrome trace_event file
+ *                    (load it in ui.perfetto.dev)
  *   --no-batch       disable the epoch-batched sync() fast path
  *                    (DESIGN.md Section 5); results are bit-identical,
  *                    only host time differs
@@ -32,7 +34,8 @@
  *
  * Profiling replays the tuned winner with a TxProfiler attached;
  * recording is zero-perturbation, so the profiled numbers are the
- * run's real numbers.
+ * run's real numbers. --quiet keeps the profile files but drops the
+ * printed report.
  */
 
 #include <cstdio>
@@ -188,34 +191,22 @@ main(int argc, char** argv)
         return 1;
     }
 
-    // Tune the retry grid ourselves (rather than through
-    // SuiteRunner::measure) so the winning configuration is known and
-    // can be replayed under the profiler. The lock backend ignores
-    // retry counts, so one candidate suffices there.
+    // Tune the retry grid, keeping the winning configuration so it
+    // can be replayed under the profiler.
     SuiteRunner runner;
-    Speedup result;
-    RuntimeConfig best_config{machine};
-    bool first = true;
-    for (RuntimeConfig config : SuiteRunner::tuningCandidates(machine)) {
-        config.backend = backend;
-        config.batchEpoch = batch;
-        config.policyKind = policy_kind;
-        const Speedup current =
-            runner.run(bench, config, machine, threads, true, 1);
-        if (first || current.ratio > result.ratio) {
-            result = current;
-            best_config = config;
-            first = false;
-        }
-        if (backend == htm::BackendKind::globalLock)
-            break;
-    }
+    SuiteRunner::Tuned best =
+        runner.tune(bench, machine, threads, [&](RuntimeConfig& config) {
+            config.backend = backend;
+            config.batchEpoch = batch;
+            config.policyKind = policy_kind;
+        });
+    Speedup& result = best.result;
 
     const bool profile = !prof_path.empty() || !perfetto_path.empty();
     prof::TxProfiler profiler;
     if (profile) {
-        best_config.observer = &profiler;
-        result = runner.run(bench, best_config, machine, threads, true,
+        best.config.observer = &profiler;
+        result = runner.run(bench, best.config, machine, threads, true,
                             1);
     }
 
@@ -257,6 +248,11 @@ main(int argc, char** argv)
         info.speedup = result.ratio;
         info.stats = result.tm.stats;
         const prof::ProfileReport report = profiler.report();
+        if (!quiet) {
+            std::printf("\n");
+            prof::printReport(stdout, info, report, 10);
+            std::printf("\n");
+        }
         if (!prof_path.empty()) {
             std::ofstream out(prof_path);
             if (!out) {

@@ -1,8 +1,8 @@
 /**
  * @file
  * txprof exporters: machine-readable JSON profile and a Perfetto /
- * Chrome trace_event file, plus the human-readable text report shared
- * by the txprof CLI and stamp_runner --prof.
+ * Chrome trace_event file, plus the human-readable text report that
+ * stamp_runner --prof prints.
  *
  * The Perfetto export uses the legacy Chrome trace_event JSON format
  * ({"traceEvents": [...]}), which ui.perfetto.dev and chrome://tracing

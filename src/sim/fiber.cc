@@ -21,6 +21,7 @@
 // the same annotations even on the ucontext backend's swapcontext
 // interceptor-covered paths, and yields back to the owner must name
 // the host thread's own stack, learned once via pthread_getattr_np.
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 
 #include <pthread.h>
@@ -174,6 +175,11 @@ Fiber::attachStack(StackSpan span)
     assert(stack_.base == nullptr && "attachStack() called twice");
     assert(!started_ && "attachStack() after the fiber already ran");
     stack_ = span;
+#if HTMSIM_ASAN_FIBERS
+    // A pooled slot keeps the shadow poison of its previous fiber's
+    // frames; the new fiber starts on a clean stack.
+    __asan_unpoison_memory_region(stack_.base, stack_.size);
+#endif
 #if HTMSIM_FAST_FIBERS
     initFastStack();
 #else

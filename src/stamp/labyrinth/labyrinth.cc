@@ -1,6 +1,9 @@
 #include "labyrinth.hh"
 
+#include <algorithm>
 #include <queue>
+#include <stdexcept>
+#include <string>
 
 #include "sim/random.hh"
 
@@ -29,7 +32,16 @@ LabyrinthApp::setup()
     }
 
     // Distinct free endpoint cells, reserved so no other route can
-    // pass through them.
+    // pass through them. A grid too small to hold them all would make
+    // the search below spin forever.
+    const auto free_cells = std::size_t(
+        std::count(grid_.begin(), grid_.end(), std::int64_t(0)));
+    if (free_cells < 2 * std::size_t(params_.numPaths)) {
+        throw std::invalid_argument(
+            "labyrinth: " + std::to_string(free_cells) +
+            " free cells cannot hold the endpoints of " +
+            std::to_string(params_.numPaths) + " paths");
+    }
     auto pick_free = [&]() {
         for (;;) {
             const std::size_t index = rng.nextRange(cells());

@@ -10,14 +10,12 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "bench/forked.hh"
 #include "check/fuzz_scheduler.hh"
 #include "check/oracle.hh"
 #include "check/shrink.hh"
@@ -314,101 +312,51 @@ struct ReproResult
 // children must be launched before either result is collected:
 // collecting allocates in the parent, which would perturb the image
 // the second child inherits.
-struct ForkedOracleRun
+struct ForkedOracleRun : bench::ForkedChild
 {
-    int fd = -1;
-    pid_t pid = -1;
-};
-
-ForkedOracleRun
-launchDifferentialForked(const WorkloadFactory& workload,
-                         const htm::MachineConfig& machine,
-                         std::uint64_t seed)
-{
-    ForkedOracleRun run;
-    int fds[2];
-    if (::pipe(fds) != 0)
-        return run;
-    const pid_t child = ::fork();
-    if (child < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        return run;
+    ForkedOracleRun(const WorkloadFactory& workload,
+                    const htm::MachineConfig& machine,
+                    std::uint64_t seed)
+        : ForkedChild([&](const ForkedChild& self) {
+              const RunOutcome outcome = runDifferential(
+                  workload, machine, seed, quickOptions());
+              const Schedule sorted = sortedByThread(outcome.fired);
+              const std::uint64_t header[3] = {outcome.ok ? 1u : 0u,
+                                               outcome.commits,
+                                               sorted.size()};
+              self.send(header, sizeof header);
+              self.send(sorted.data(),
+                        sorted.size() * sizeof(PreemptPoint));
+          })
+    {
     }
-    if (child == 0) {
-        ::close(fds[0]);
-        const RunOutcome outcome =
-            runDifferential(workload, machine, seed, quickOptions());
-        const Schedule sorted = sortedByThread(outcome.fired);
-        const std::uint64_t header[3] = {outcome.ok ? 1u : 0u,
-                                         outcome.commits,
-                                         sorted.size()};
-        const auto writeAll = [&](const void* data,
-                                  std::size_t bytes) {
-            const char* cursor = static_cast<const char*>(data);
-            while (bytes > 0) {
-                const ssize_t written =
-                    ::write(fds[1], cursor, bytes);
-                if (written <= 0)
-                    ::_exit(2);
-                cursor += written;
-                bytes -= std::size_t(written);
-            }
-        };
-        writeAll(header, sizeof header);
-        writeAll(sorted.data(),
-                 sorted.size() * sizeof(PreemptPoint));
-        ::_exit(0);
-    }
-    ::close(fds[1]);
-    run.fd = fds[0];
-    run.pid = child;
-    return run;
-}
 
-bool
-collectDifferentialForked(ForkedOracleRun& run, ReproResult& result)
-{
-    if (run.fd < 0)
-        return false;
-    const auto readAll = [&](void* data, std::size_t bytes) {
-        char* cursor = static_cast<char*>(data);
-        while (bytes > 0) {
-            const ssize_t got = ::read(run.fd, cursor, bytes);
-            if (got <= 0)
-                return false;
-            cursor += got;
-            bytes -= std::size_t(got);
+    bool
+    collect(ReproResult& result)
+    {
+        std::uint64_t header[3] = {0, 0, 0};
+        if (receive(header, sizeof header)) {
+            result.ok = header[0] != 0;
+            result.commits = header[1];
+            result.fired.assign(std::size_t(header[2]), PreemptPoint{});
+            receive(result.fired.data(),
+                    result.fired.size() * sizeof(PreemptPoint));
         }
-        return true;
-    };
-    std::uint64_t header[3] = {0, 0, 0};
-    bool ok = readAll(header, sizeof header);
-    if (ok) {
-        result.ok = header[0] != 0;
-        result.commits = header[1];
-        result.fired.assign(std::size_t(header[2]), PreemptPoint{});
-        ok = readAll(result.fired.data(),
-                     result.fired.size() * sizeof(PreemptPoint));
+        return wait();
     }
-    ::close(run.fd);
-    run.fd = -1;
-    int status = 0;
-    ::waitpid(run.pid, &status, 0);
-    return ok && WIFEXITED(status) && WEXITSTATUS(status) == 0;
-}
+};
 
 TEST(Oracle, RunsAreReproducible)
 {
     const WorkloadFactory* workload = findWorkload("hashtable");
     ASSERT_NE(workload, nullptr);
     const htm::MachineConfig machine = htm::MachineConfig::intelCore();
-    ForkedOracleRun a = launchDifferentialForked(*workload, machine, 9);
-    ForkedOracleRun b = launchDifferentialForked(*workload, machine, 9);
+    ForkedOracleRun a(*workload, machine, 9);
+    ForkedOracleRun b(*workload, machine, 9);
     ReproResult first;
     ReproResult second;
-    ASSERT_TRUE(collectDifferentialForked(a, first));
-    ASSERT_TRUE(collectDifferentialForked(b, second));
+    ASSERT_TRUE(a.collect(first));
+    ASSERT_TRUE(b.collect(second));
     EXPECT_TRUE(first.ok);
     // Per-thread fuzz streams are interleaving-independent, so from
     // identical heap images the *set* of fired points is stable.

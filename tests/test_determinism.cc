@@ -16,34 +16,18 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <array>
-#include <cstdint>
 #include <vector>
 
+#include "bench/forked.hh"
 #include "bench/suite.hh"
+#include "run_metrics.hh"
 #include "sim/scheduler.hh"
 
 namespace
 {
 
 using namespace htmsim;
-
-/// One tuning candidate's simulated outcome; trivially copyable so a
-/// child can ship the whole grid over a pipe in one write.
-struct CandidateMetrics
-{
-    std::uint64_t seqCycles = 0;
-    std::uint64_t tmCycles = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    std::array<std::uint64_t, htm::numAbortCauses> causes{};
-
-    bool
-    operator==(const CandidateMetrics& other) const = default;
-};
+using test::RunMetrics;
 
 constexpr unsigned kThreads = 4;
 constexpr std::uint64_t kSeed = 1;
@@ -57,65 +41,21 @@ constexpr std::uint64_t kSeed = 1;
 bool
 runGridForked(const std::string& bench,
               const htm::MachineConfig& machine,
-              std::vector<CandidateMetrics>& grid, bool batch = true,
+              std::vector<RunMetrics>& grid, bool batch = true,
               sim::StackPolicy policy = sim::StackPolicy::pooled)
 {
-    int fds[2];
-    if (::pipe(fds) != 0)
-        return false;
-    const pid_t child = ::fork();
-    if (child < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        return false;
-    }
-    if (child == 0) {
-        ::close(fds[0]);
+    return bench::runForked(grid.data(), grid.size(), [&] {
         sim::Scheduler::setDefaultStackPolicy(policy);
         bench::SuiteRunner runner(false);
         const auto configs =
             bench::SuiteRunner::tuningCandidates(machine);
         for (std::size_t i = 0; i < grid.size(); ++i) {
-            CandidateMetrics& metrics = grid[i];
             htm::RuntimeConfig config = configs[i];
             config.batchEpoch = batch;
-            const stamp::Speedup speedup = runner.run(
-                bench, config, machine, kThreads, true, kSeed);
-            metrics.seqCycles = speedup.seq.cycles;
-            metrics.tmCycles = speedup.tm.cycles;
-            metrics.commits = speedup.tm.stats.totalCommits();
-            metrics.aborts = speedup.tm.stats.totalAborts();
-            metrics.causes = speedup.tm.stats.trueCauseAborts;
+            grid[i] = RunMetrics::of(runner.run(
+                bench, config, machine, kThreads, true, kSeed));
         }
-        const char* cursor =
-            reinterpret_cast<const char*>(grid.data());
-        std::size_t remaining = grid.size() * sizeof(grid[0]);
-        while (remaining > 0) {
-            const ssize_t written = ::write(fds[1], cursor, remaining);
-            if (written <= 0)
-                ::_exit(2);
-            cursor += written;
-            remaining -= std::size_t(written);
-        }
-        ::_exit(0);
-    }
-    ::close(fds[1]);
-    char* cursor = reinterpret_cast<char*>(grid.data());
-    std::size_t remaining = grid.size() * sizeof(grid[0]);
-    bool ok = true;
-    while (remaining > 0) {
-        const ssize_t got = ::read(fds[0], cursor, remaining);
-        if (got <= 0) {
-            ok = false;
-            break;
-        }
-        cursor += got;
-        remaining -= std::size_t(got);
-    }
-    ::close(fds[0]);
-    int status = 0;
-    ::waitpid(child, &status, 0);
-    return ok && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    });
 }
 
 TEST(Determinism, FullTuningGridIsBitIdenticalAcrossRuns)
@@ -129,8 +69,8 @@ TEST(Determinism, FullTuningGridIsBitIdenticalAcrossRuns)
 
     // Preallocate both result buffers before the first fork so the
     // two children start from the same parent heap image.
-    std::vector<CandidateMetrics> first(candidates);
-    std::vector<CandidateMetrics> second(candidates);
+    std::vector<RunMetrics> first(candidates);
+    std::vector<RunMetrics> second(candidates);
 
     ASSERT_TRUE(runGridForked(bench, machine, first));
     ASSERT_TRUE(runGridForked(bench, machine, second));
@@ -148,7 +88,7 @@ TEST(Determinism, FullTuningGridIsBitIdenticalAcrossRuns)
     // aborted transactions, with at least one non-zero abort cause.
     std::uint64_t total_commits = 0;
     std::uint64_t total_aborts = 0;
-    for (const CandidateMetrics& metrics : first) {
+    for (const RunMetrics& metrics : first) {
         total_commits += metrics.commits;
         total_aborts += metrics.aborts;
     }
@@ -172,8 +112,8 @@ TEST(Determinism, BatchedAndUnbatchedRunsAreBitIdentical)
         bench::SuiteRunner::tuningCandidates(machine).size();
     ASSERT_GT(candidates, 0u);
 
-    std::vector<CandidateMetrics> batched(candidates);
-    std::vector<CandidateMetrics> unbatched(candidates);
+    std::vector<RunMetrics> batched(candidates);
+    std::vector<RunMetrics> unbatched(candidates);
 
     ASSERT_TRUE(runGridForked(bench, machine, batched, true));
     ASSERT_TRUE(runGridForked(bench, machine, unbatched, false));
@@ -189,7 +129,7 @@ TEST(Determinism, BatchedAndUnbatchedRunsAreBitIdentical)
 
     std::uint64_t total_commits = 0;
     std::uint64_t total_aborts = 0;
-    for (const CandidateMetrics& metrics : batched) {
+    for (const RunMetrics& metrics : batched) {
         total_commits += metrics.commits;
         total_aborts += metrics.aborts;
     }
@@ -214,8 +154,8 @@ TEST(Determinism, PooledAndEagerStacksAreBitIdentical)
         bench::SuiteRunner::tuningCandidates(machine).size();
     ASSERT_GT(candidates, 0u);
 
-    std::vector<CandidateMetrics> pooled(candidates);
-    std::vector<CandidateMetrics> eager(candidates);
+    std::vector<RunMetrics> pooled(candidates);
+    std::vector<RunMetrics> eager(candidates);
 
     ASSERT_TRUE(runGridForked(bench, machine, pooled, true,
                               sim::StackPolicy::pooled));
@@ -233,7 +173,7 @@ TEST(Determinism, PooledAndEagerStacksAreBitIdentical)
 
     std::uint64_t total_commits = 0;
     std::uint64_t total_aborts = 0;
-    for (const CandidateMetrics& metrics : pooled) {
+    for (const RunMetrics& metrics : pooled) {
         total_commits += metrics.commits;
         total_aborts += metrics.aborts;
     }

@@ -29,63 +29,37 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "bench/forked.hh"
 #include "bench/suite.hh"
 #include "htm/machine.hh"
 #include "htm/runtime.hh"
 #include "htm/stm.hh"
 #include "htm/tx.hh"
+#include "run_metrics.hh"
 #include "sim/scheduler.hh"
 
 namespace
 {
 
 using namespace htmsim;
+using test::RunMetrics;
 using Subscription = htm::HybridRuntimeConfig::Subscription;
 
 // ---- zero perturbation when off ---------------------------------------
-
-/// One grid cell's simulated outcome; trivially copyable so a child
-/// ships the whole grid over a pipe in one write.
-struct CellMetrics
-{
-    std::uint64_t seqCycles = 0;
-    std::uint64_t tmCycles = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t committedTxCycles = 0;
-    std::uint64_t wastedTxCycles = 0;
-    std::array<std::uint64_t, htm::numAbortCauses> causes{};
-
-    bool
-    operator==(const CellMetrics& other) const = default;
-};
 
 /// Run every (benchmark, machine) cell once in a forked child with the
 /// given configuration mutation and collect the metrics in the parent.
 bool
 runGridForked(const std::function<void(htm::RuntimeConfig&)>& mutate,
-              std::vector<CellMetrics>& grid)
+              std::vector<RunMetrics>& grid)
 {
-    int fds[2];
-    if (::pipe(fds) != 0)
-        return false;
-    const pid_t child = ::fork();
-    if (child < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        return false;
-    }
-    if (child == 0) {
-        ::close(fds[0]);
+    return bench::runForked(grid.data(), grid.size(), [&] {
         bench::SuiteRunner runner(false);
         std::size_t cell = 0;
         for (const htm::MachineConfig& machine :
@@ -93,49 +67,11 @@ runGridForked(const std::function<void(htm::RuntimeConfig&)>& mutate,
             for (const std::string& bench : bench::suiteNames()) {
                 htm::RuntimeConfig config{machine};
                 mutate(config);
-                const stamp::Speedup speedup =
-                    runner.run(bench, config, machine, 4, true, 1);
-                CellMetrics& metrics = grid[cell++];
-                metrics.seqCycles = speedup.seq.cycles;
-                metrics.tmCycles = speedup.tm.cycles;
-                metrics.commits = speedup.tm.stats.totalCommits();
-                metrics.aborts = speedup.tm.stats.totalAborts();
-                metrics.committedTxCycles =
-                    speedup.tm.stats.committedTxCycles;
-                metrics.wastedTxCycles =
-                    speedup.tm.stats.wastedTxCycles;
-                metrics.causes = speedup.tm.stats.trueCauseAborts;
+                grid[cell++] = RunMetrics::of(
+                    runner.run(bench, config, machine, 4, true, 1));
             }
         }
-        const char* cursor =
-            reinterpret_cast<const char*>(grid.data());
-        std::size_t remaining = grid.size() * sizeof(grid[0]);
-        while (remaining > 0) {
-            const ssize_t written = ::write(fds[1], cursor, remaining);
-            if (written <= 0)
-                ::_exit(2);
-            cursor += written;
-            remaining -= std::size_t(written);
-        }
-        ::_exit(0);
-    }
-    ::close(fds[1]);
-    char* cursor = reinterpret_cast<char*>(grid.data());
-    std::size_t remaining = grid.size() * sizeof(grid[0]);
-    bool ok = true;
-    while (remaining > 0) {
-        const ssize_t got = ::read(fds[0], cursor, remaining);
-        if (got <= 0) {
-            ok = false;
-            break;
-        }
-        cursor += got;
-        remaining -= std::size_t(got);
-    }
-    ::close(fds[0]);
-    int status = 0;
-    ::waitpid(child, &status, 0);
-    return ok && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    });
 }
 
 TEST(HybridPerturbation, StmDisabledIsBitIdenticalToHtmFullGrid)
@@ -146,8 +82,8 @@ TEST(HybridPerturbation, StmDisabledIsBitIdenticalToHtmFullGrid)
 
     // Preallocate both result buffers before the first fork so the
     // two children start from the same parent heap image.
-    std::vector<CellMetrics> htm_grid(cells);
-    std::vector<CellMetrics> hybrid_grid(cells);
+    std::vector<RunMetrics> htm_grid(cells);
+    std::vector<RunMetrics> hybrid_grid(cells);
 
     ASSERT_TRUE(runGridForked(
         [](htm::RuntimeConfig& config) {

@@ -16,40 +16,24 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <array>
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <vector>
 
+#include "bench/forked.hh"
 #include "bench/suite.hh"
 #include "prof/profiler.hh"
 #include "prof/report.hh"
+#include "run_metrics.hh"
 
 namespace
 {
 
 using namespace htmsim;
+using test::RunMetrics;
 
 // ---- zero perturbation ------------------------------------------------
-
-/// One tuning candidate's simulated outcome; trivially copyable so a
-/// child can ship the whole grid over a pipe in one write.
-struct CandidateMetrics
-{
-    std::uint64_t seqCycles = 0;
-    std::uint64_t tmCycles = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t committedTxCycles = 0;
-    std::uint64_t wastedTxCycles = 0;
-    std::array<std::uint64_t, htm::numAbortCauses> causes{};
-
-    bool
-    operator==(const CandidateMetrics& other) const = default;
-};
 
 constexpr unsigned kThreads = 4;
 constexpr std::uint64_t kSeed = 1;
@@ -60,19 +44,9 @@ constexpr std::uint64_t kSeed = 1;
 bool
 runGridForked(const std::string& bench,
               const htm::MachineConfig& machine, bool profiled,
-              std::vector<CandidateMetrics>& grid)
+              std::vector<RunMetrics>& grid)
 {
-    int fds[2];
-    if (::pipe(fds) != 0)
-        return false;
-    const pid_t child = ::fork();
-    if (child < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        return false;
-    }
-    if (child == 0) {
-        ::close(fds[0]);
+    return bench::runForked(grid.data(), grid.size(), [&] {
         bench::SuiteRunner runner(false);
         auto configs = bench::SuiteRunner::tuningCandidates(machine);
         prof::TxProfiler profiler;
@@ -81,47 +55,10 @@ runGridForked(const std::string& bench,
                 profiler.clear();
                 configs[i].observer = &profiler;
             }
-            CandidateMetrics& metrics = grid[i];
-            const stamp::Speedup speedup = runner.run(
-                bench, configs[i], machine, kThreads, true, kSeed);
-            metrics.seqCycles = speedup.seq.cycles;
-            metrics.tmCycles = speedup.tm.cycles;
-            metrics.commits = speedup.tm.stats.totalCommits();
-            metrics.aborts = speedup.tm.stats.totalAborts();
-            metrics.committedTxCycles =
-                speedup.tm.stats.committedTxCycles;
-            metrics.wastedTxCycles = speedup.tm.stats.wastedTxCycles;
-            metrics.causes = speedup.tm.stats.trueCauseAborts;
+            grid[i] = RunMetrics::of(runner.run(
+                bench, configs[i], machine, kThreads, true, kSeed));
         }
-        const char* cursor =
-            reinterpret_cast<const char*>(grid.data());
-        std::size_t remaining = grid.size() * sizeof(grid[0]);
-        while (remaining > 0) {
-            const ssize_t written = ::write(fds[1], cursor, remaining);
-            if (written <= 0)
-                ::_exit(2);
-            cursor += written;
-            remaining -= std::size_t(written);
-        }
-        ::_exit(0);
-    }
-    ::close(fds[1]);
-    char* cursor = reinterpret_cast<char*>(grid.data());
-    std::size_t remaining = grid.size() * sizeof(grid[0]);
-    bool ok = true;
-    while (remaining > 0) {
-        const ssize_t got = ::read(fds[0], cursor, remaining);
-        if (got <= 0) {
-            ok = false;
-            break;
-        }
-        cursor += got;
-        remaining -= std::size_t(got);
-    }
-    ::close(fds[0]);
-    int status = 0;
-    ::waitpid(child, &status, 0);
-    return ok && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    });
 }
 
 TEST(ProfPerturbation, ProfiledRunIsBitIdenticalToUnprofiled)
@@ -134,8 +71,8 @@ TEST(ProfPerturbation, ProfiledRunIsBitIdenticalToUnprofiled)
 
     // Preallocate both result buffers before the first fork so the
     // two children start from the same parent heap image.
-    std::vector<CandidateMetrics> plain(candidates);
-    std::vector<CandidateMetrics> profiled(candidates);
+    std::vector<RunMetrics> plain(candidates);
+    std::vector<RunMetrics> profiled(candidates);
 
     ASSERT_TRUE(runGridForked(bench, machine, false, plain));
     ASSERT_TRUE(runGridForked(bench, machine, true, profiled));
@@ -148,7 +85,7 @@ TEST(ProfPerturbation, ProfiledRunIsBitIdenticalToUnprofiled)
     // The cell must actually exercise contention, or bit-identity
     // would be vacuous.
     std::uint64_t total_aborts = 0;
-    for (const CandidateMetrics& metrics : plain)
+    for (const RunMetrics& metrics : plain)
         total_aborts += metrics.aborts;
     EXPECT_GT(total_aborts, 0u);
 }
@@ -287,6 +224,18 @@ TEST(ProfAttribution, CycleAttributionIsConsistent)
                            run.stats.constrainedCommits);
     EXPECT_EQ(fallbacks, run.stats.irrevocableCommits);
     EXPECT_EQ(aborts, run.stats.totalAborts());
+
+    // Each scripted site commits once per iteration, in hardware or
+    // under the fallback lock.
+    EXPECT_EQ(run.stats.totalCommits(), 2 * ScriptedRun::iterations);
+    for (const htm::TxSiteId id : {run.siteAB, run.siteB}) {
+        const auto site = std::find_if(
+            report.sites.begin(), report.sites.end(),
+            [&](const prof::SiteProfile& s) { return s.site == id; });
+        ASSERT_NE(site, report.sites.end());
+        EXPECT_EQ(site->commits + site->fallbackCommits,
+                  ScriptedRun::iterations);
+    }
 
     // Event-derived cycles must agree with the runtime's always-on
     // attribution counters (the event stream is complete here).

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <cmath>
+#include <cstdlib>
 #include <set>
+#include <stdexcept>
+#include <string>
 
+#include "bench/forked.hh"
+#include "bench/suite.hh"
 #include "stamp/bayes/bayes.hh"
 #include "stamp/genome/genome.hh"
 #include "stamp/harness.hh"
@@ -211,6 +213,18 @@ TEST(LabyrinthUnits, DenseWallsStillVerify)
     EXPECT_TRUE(result.valid) << "failed routes must leave no marks";
 }
 
+TEST(LabyrinthUnits, GridTooSmallForItsEndpointsThrows)
+{
+    LabyrinthParams params;
+    params.width = 1;
+    params.height = 1;
+    params.depth = 2;
+    params.wallPct = 0;
+    params.numPaths = 2;
+    LabyrinthApp app(params);
+    EXPECT_THROW(app.setup(), std::invalid_argument);
+}
+
 TEST(LabyrinthUnits, SequentialAndParallelRouteCountsClose)
 {
     LabyrinthParams params;
@@ -332,38 +346,21 @@ TEST(YadaUnits, DeterministicMeshPerSeedAndThreads)
     // run from the same parent image instead: determinism then demands
     // exactly equal geometry counts.
     auto run_in_child = [](std::uint64_t counts[2]) {
-        int fds[2];
-        ASSERT_EQ(::pipe(fds), 0);
-        const pid_t child = ::fork();
-        ASSERT_GE(child, 0);
-        if (child == 0) {
-            ::close(fds[0]);
+        return bench::runForked(counts, 2, [&] {
             YadaParams params;
             params.gridX = 5;
             params.gridY = 5;
             params.pointBudget = 80;
             YadaApp app(params);
             (void)runTransactional(app, intel(), 4, 9);
-            const std::uint64_t result[2] = {app.pointCount(),
-                                             app.aliveTriangles()};
-            const bool ok =
-                ::write(fds[1], result, sizeof(result)) ==
-                ssize_t(sizeof(result));
-            ::_exit(ok ? 0 : 2);
-        }
-        ::close(fds[1]);
-        const ssize_t got =
-            ::read(fds[0], counts, 2 * sizeof(counts[0]));
-        ::close(fds[0]);
-        int status = 0;
-        ::waitpid(child, &status, 0);
-        ASSERT_EQ(got, ssize_t(2 * sizeof(counts[0])));
-        ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+            counts[0] = app.pointCount();
+            counts[1] = app.aliveTriangles();
+        });
     };
     std::uint64_t first[2] = {0, 0};
     std::uint64_t second[2] = {0, 0};
-    run_in_child(first);
-    run_in_child(second);
+    ASSERT_TRUE(run_in_child(first));
+    ASSERT_TRUE(run_in_child(second));
     EXPECT_EQ(first[0], second[0]);
     EXPECT_EQ(first[1], second[1]);
     EXPECT_GT(first[0], 0u);
@@ -372,6 +369,65 @@ TEST(YadaUnits, DeterministicMeshPerSeedAndThreads)
 // ------------------------------------------------------------------
 // Harness invariants across apps
 // ------------------------------------------------------------------
+
+// ------------------------------------------------------------------
+// Workload scaling (HTMSIM_SCALE)
+// ------------------------------------------------------------------
+
+/// Sets HTMSIM_SCALE for one scope and restores the previous value.
+class ScopedScale
+{
+  public:
+    explicit ScopedScale(const char* value)
+    {
+        if (const char* old = std::getenv("HTMSIM_SCALE"))
+            saved_ = old;
+        ::setenv("HTMSIM_SCALE", value, 1);
+    }
+    ~ScopedScale()
+    {
+        if (saved_.empty())
+            ::unsetenv("HTMSIM_SCALE");
+        else
+            ::setenv("HTMSIM_SCALE", saved_.c_str(), 1);
+    }
+
+  private:
+    std::string saved_;
+};
+
+// 1e-6 puts every scaled parameter on its floor.
+TEST(WorkloadScale, EveryAppVerifiesOnEveryMachineAtSmallScales)
+{
+    const bench::SuiteRunner runner(false);
+    for (const char* value : {"0.01", "1e-6"}) {
+        const ScopedScale scale(value);
+        for (const htm::MachineConfig& machine :
+             htm::MachineConfig::all()) {
+            for (const std::string& app : bench::suiteNames()) {
+                const Speedup result = runner.measure(app, machine, 4);
+                EXPECT_TRUE(result.seq.valid)
+                    << app << " on " << machine.name << " at " << value;
+                EXPECT_TRUE(result.tm.valid)
+                    << app << " on " << machine.name << " at " << value;
+            }
+        }
+    }
+}
+
+TEST(WorkloadScale, RejectsAnythingButAFinitePositiveNumber)
+{
+    for (const char* bad : {"", "abc", "0.5x", "0", "-1", "nan", "inf"}) {
+        const ScopedScale scale(bad);
+        EXPECT_EXIT(bench::workloadScale(), ::testing::ExitedWithCode(2),
+                    "HTMSIM_SCALE")
+            << "'" << bad << "'";
+    }
+    const ScopedScale scale("0.25");
+    EXPECT_EQ(bench::workloadScale(), 0.25);
+    EXPECT_EQ(bench::scaled(26, 2), 6u);
+    EXPECT_EQ(bench::scaled(3, 2), 2u);
+}
 
 TEST(HarnessUnits, SequentialBaselineHasNoAborts)
 {

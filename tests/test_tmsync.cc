@@ -10,13 +10,11 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "bench/forked.hh"
 #include "check/liveness.hh"
 #include "htm/machine.hh"
 #include "htm/runtime.hh"
@@ -549,17 +547,7 @@ abServerConfig()
 bool
 runServerForked(bool construct_tmsync, ServerMetrics& metrics)
 {
-    int fds[2];
-    if (::pipe(fds) != 0)
-        return false;
-    const pid_t child = ::fork();
-    if (child < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        return false;
-    }
-    if (child == 0) {
-        ::close(fds[0]);
+    return bench::runForked(&metrics, 1, [&] {
         if (construct_tmsync) {
             atomic_mutex mutex;
             atomic_shared_mutex rw;
@@ -578,36 +566,7 @@ runServerForked(bool construct_tmsync, ServerMetrics& metrics)
         metrics.aborts = result.stats.totalAborts();
         metrics.irrevocable = result.stats.irrevocableCommits;
         metrics.invariantsOk = result.invariantsOk;
-        const char* cursor =
-            reinterpret_cast<const char*>(&metrics);
-        std::size_t remaining = sizeof(metrics);
-        while (remaining > 0) {
-            const ssize_t written =
-                ::write(fds[1], cursor, remaining);
-            if (written <= 0)
-                ::_exit(2);
-            cursor += written;
-            remaining -= std::size_t(written);
-        }
-        ::_exit(0);
-    }
-    ::close(fds[1]);
-    char* cursor = reinterpret_cast<char*>(&metrics);
-    std::size_t remaining = sizeof(metrics);
-    bool ok = true;
-    while (remaining > 0) {
-        const ssize_t got = ::read(fds[0], cursor, remaining);
-        if (got <= 0) {
-            ok = false;
-            break;
-        }
-        cursor += got;
-        remaining -= std::size_t(got);
-    }
-    ::close(fds[0]);
-    int status = 0;
-    ::waitpid(child, &status, 0);
-    return ok && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    });
 }
 
 TEST(TmsyncPerturbation, ConstructingPrimitivesLeavesServerBitIdentical)
