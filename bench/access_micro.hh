@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "htm/runtime.hh"
+#include "sim/region.hh"
 #include "sim/sim.hh"
 
 namespace htmsim::bench
@@ -67,7 +68,8 @@ runAccessCell(const htm::RuntimeConfig& base_config, unsigned threads,
     result.pattern = contended ? "contended" : "uncontended";
     result.threads = threads;
 
-    std::vector<std::uint64_t> data(words, 1);
+    sim::RunScope run;
+    sim::Vector<std::uint64_t> data(words, 1);
     const auto start = std::chrono::steady_clock::now();
 
     sim::Scheduler scheduler(1);

@@ -10,8 +10,6 @@
  *
  *   bench_access             # batched (default)
  *   bench_access --no-batch  # every scheduling point takes the slow path
- *
- * Run under `setarch -R` for stable numbers.
  */
 
 #include <cstdio>

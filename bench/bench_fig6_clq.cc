@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "clq/concurrent_queue.hh"
+#include "sim/region.hh"
 #include "sim/sim.hh"
 
 using namespace htmsim;
@@ -27,9 +28,10 @@ runQueue(QueueMode mode, unsigned threads, int retries,
          std::uint64_t seed)
 {
     RuntimeConfig config{MachineConfig::zEC12()};
+    sim::RunScope run;
     sim::Scheduler scheduler(seed);
     htm::Runtime runtime(config, threads);
-    ConcurrentQueue queue;
+    const auto queue = sim::make<ConcurrentQueue>();
     sim::Barrier barrier(threads);
     sim::Cycles start = 0;
     sim::Cycles finish = 0;
@@ -42,10 +44,10 @@ runQueue(QueueMode mode, unsigned threads, int retries,
             if (ctx.id() == 0)
                 start = ctx.now();
             for (unsigned i = 0; i < share; ++i) {
-                queue.enqueue(runtime, ctx, ctx.id() * 1000 + i, mode,
-                              retries);
+                queue->enqueue(runtime, ctx, ctx.id() * 1000 + i, mode,
+                               retries);
                 std::uint64_t out = 0;
-                queue.dequeue(runtime, ctx, &out, mode, retries);
+                queue->dequeue(runtime, ctx, &out, mode, retries);
             }
             barrier.arrive(ctx);
             if (ctx.id() == 0)

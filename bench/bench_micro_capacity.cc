@@ -7,9 +7,9 @@
  */
 
 #include <cstdio>
-#include <vector>
 
 #include "htm/runtime.hh"
+#include "sim/region.hh"
 #include "sim/sim.hh"
 
 using namespace htmsim;
@@ -22,10 +22,12 @@ namespace
 std::size_t
 findKnee(const MachineConfig& machine, bool stores)
 {
-    // One word per capacity line, far more lines than any budget.
+    // One word per capacity line, far more lines than any budget;
+    // the whole search is one run of the simulated heap.
     const std::size_t max_lines =
         machine.loadCapacityLines() * 2 + 64;
-    std::vector<std::uint64_t> data(
+    sim::RunScope run;
+    sim::Vector<std::uint64_t> data(
         max_lines * machine.capacityLineBytes / 8, 0);
     const std::size_t words_per_line = machine.capacityLineBytes / 8;
 

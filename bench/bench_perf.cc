@@ -7,16 +7,13 @@
  * retry-count tuning) and measures what the other benches do not:
  * host wall-clock per cell and simulated-commit throughput (committed
  * transactions per host second). Emits machine-readable
- * BENCH_perf.json so successive PRs can compare.
+ * BENCH_perf.json so successive runs can compare.
  *
- * Each tuning candidate runs in a forked child process. This isolates
- * the host heap: simulated timings depend on allocation layout (line
- * numbers are derived from real addresses), and forking gives every
- * run the same parent image regardless of which runs came before it.
- * The per-candidate simulated metrics in the JSON are therefore
- * directly comparable across builds — a hot-path refactor that claims
- * bit-identical model behavior must reproduce them exactly (run under
- * `setarch -R` to also pin ASLR).
+ * Every run allocates its simulated state in the run's region
+ * (sim/region.hh), so the per-candidate simulated metrics in the JSON
+ * depend only on the inputs and are directly comparable across builds
+ * and processes: a hot-path refactor that claims bit-identical model
+ * behavior must reproduce them exactly.
  */
 
 #include <chrono>
@@ -28,7 +25,6 @@
 #include <vector>
 
 #include "access_micro.hh"
-#include "forked.hh"
 #include "suite.hh"
 
 namespace
@@ -46,8 +42,7 @@ elapsedNs(Clock::time_point start, Clock::time_point finish)
             .count());
 }
 
-/** One tuning candidate's outcome: host cost + simulated metrics.
- *  Trivially copyable: sent raw over the child->parent pipe. */
+/** One tuning candidate's outcome: host cost + simulated metrics. */
 struct CandidateResult
 {
     std::uint64_t hostNs = 0;   ///< seq + tm run, host wall-clock
@@ -222,34 +217,11 @@ main(int argc, char** argv)
             CellResult cell;
             cell.bench = bench;
             cell.machine = machine.name;
-            // Children inherit the parent's heap image, and the
-            // simulated metrics hash heap addresses — so the
-            // candidate vector is scoped to die before the cell is
-            // appended, exactly where a ranged-for temporary would.
-            // Letting it outlive the push_back reorders the parent's
-            // allocations and shifts every later cell's metrics.
-            {
-                auto candidates =
-                    bench::SuiteRunner::tuningCandidates(machine);
-                if (!batch) {
-                    for (htm::RuntimeConfig& config : candidates)
-                        config.batchEpoch = false;
-                }
-                for (const htm::RuntimeConfig& config : candidates) {
-                    CandidateResult candidate;
-                    if (!bench::runForked(&candidate, 1, [&] {
-                            candidate = runCandidate(bench, machine,
-                                                     config, threads,
-                                                     seed);
-                        })) {
-                        std::fprintf(stderr,
-                                     "cell %s/%s failed in child\n",
-                                     bench.c_str(),
-                                     machine.name.c_str());
-                        return 1;
-                    }
-                    cell.candidates.push_back(candidate);
-                }
+            for (htm::RuntimeConfig config :
+                 bench::SuiteRunner::tuningCandidates(machine)) {
+                config.batchEpoch = batch;
+                cell.candidates.push_back(
+                    runCandidate(bench, machine, config, threads, seed));
             }
             std::printf("%-14s %-22s %8.1f ms  %10.0f tx/s  "
                         "speedup %.2f\n",
@@ -263,8 +235,7 @@ main(int argc, char** argv)
     const auto suite_finish = Clock::now();
 
     // Per-access cost microbenchmark, recorded alongside the grid
-    // (see access_micro.hh). Runs after every child has forked, so it
-    // cannot perturb the heap image the grid metrics depend on.
+    // (see access_micro.hh).
     htm::RuntimeConfig access_config{htm::MachineConfig::intelCore()};
     access_config.batchEpoch = batch;
     const std::vector<bench::AccessResult> access_rows =

@@ -177,7 +177,7 @@ class SuiteRunner
     }
 
     /** Execution mode for run(). */
-    enum class Mode { tm, hle };
+    using Mode = stamp::Mode;
 
     /** HLE run (no tuning possible — that is the point of Fig. 7). */
     Speedup
@@ -378,25 +378,8 @@ class SuiteRunner
     measureApp(const Params& params, const RuntimeConfig& config,
                unsigned threads, std::uint64_t seed, Mode mode)
     {
-        auto factory = [&params] { return App(params); };
-        if (mode == Mode::tm)
-            return stamp::measureSpeedup(factory, config, threads,
-                                         seed);
-        Speedup result;
-        {
-            auto app = factory();
-            result.seq =
-                stamp::runSequential(app, config.machine, seed);
-        }
-        {
-            auto app = factory();
-            result.tm = stamp::runHle(app, config, threads, seed);
-        }
-        result.ratio = result.tm.cycles == 0
-                           ? 0.0
-                           : double(result.seq.cycles) /
-                                 double(result.tm.cycles);
-        return result;
+        return stamp::measureSpeedup([&params] { return App(params); },
+                                     config, threads, seed, mode);
     }
 
     bool tune_;

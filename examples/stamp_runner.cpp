@@ -39,6 +39,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
@@ -76,6 +77,17 @@ usage()
                  benches.c_str(), htm::kMaxTxThreads);
 }
 
+/** A thread count: the whole token must be a decimal number
+ *  (0 when it is not, which the range check then rejects). */
+unsigned
+parseThreads(const std::string& text)
+{
+    char* end = nullptr;
+    const unsigned long value = std::strtoul(text.c_str(), &end, 10);
+    const bool whole = !text.empty() && text[0] != '-' && *end == '\0';
+    return whole && value <= htm::kMaxTxThreads ? unsigned(value) : 0;
+}
+
 } // namespace
 
 int
@@ -87,7 +99,7 @@ main(int argc, char** argv)
     std::string perfetto_path;
     bool quiet = false;
     bool batch = true;
-    unsigned threads_override = 0;
+    std::string threads_override;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> const char* {
@@ -107,7 +119,7 @@ main(int argc, char** argv)
         } else if (arg == "--no-batch") {
             batch = false;
         } else if (arg == "--threads") {
-            threads_override = unsigned(std::atoi(value()));
+            threads_override = value();
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -126,10 +138,10 @@ main(int argc, char** argv)
     }
     const std::string& bench = positional[0];
     const std::string& machine_name = positional[1];
-    const unsigned threads =
-        threads_override != 0
-            ? threads_override
-            : unsigned(std::atoi(positional[2].c_str()));
+    const bool oversubscribe = !threads_override.empty();
+    const std::string& threads_text =
+        oversubscribe ? threads_override : positional[2];
+    const unsigned threads = parseThreads(threads_text);
     const std::string& backend_name = positional[3];
     const std::string& policy_name = positional[4];
 
@@ -178,15 +190,14 @@ main(int argc, char** argv)
     // (the paper's configurations); --threads deliberately allows
     // oversubscription — extra threads timeshare cores via
     // smtTimeScale — up to the runtime's hard thread ceiling.
-    const unsigned thread_limit = threads_override != 0
-                                      ? htm::kMaxTxThreads
-                                      : machine.maxThreads();
+    const unsigned thread_limit =
+        oversubscribe ? htm::kMaxTxThreads : machine.maxThreads();
     if (threads == 0 || threads > thread_limit) {
         std::fprintf(stderr,
-                     "%s supports 1..%u threads (%u with --threads "
-                     "oversubscription)\n",
-                     machine.name.c_str(), machine.maxThreads(),
-                     htm::kMaxTxThreads);
+                     "threads '%s': %s supports 1..%u threads (%u with "
+                     "--threads oversubscription)\n",
+                     threads_text.c_str(), machine.name.c_str(),
+                     machine.maxThreads(), htm::kMaxTxThreads);
         usage();
         return 1;
     }

@@ -16,11 +16,14 @@
  * --expect-failure found none), 2 usage error.
  */
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "check/liveness.hh"
@@ -28,6 +31,7 @@
 #include "check/shrink.hh"
 #include "htm/backend.hh"
 #include "htm/machine.hh"
+#include "htm/runtime.hh"
 
 namespace
 {
@@ -226,6 +230,30 @@ reportFailure(const Args& args, const char* workload,
         std::printf("  trace tail:\n%s", outcome.traceTail.c_str());
 }
 
+/**
+ * The value of numeric flag @p flag: the whole token must parse and
+ * lie in [@p lo, @p hi], or the run exits 2 naming the flag.
+ */
+template <typename T>
+T
+numericFlag(const std::string& flag, const char* text, T lo, T hi)
+{
+    char* end = nullptr;
+    errno = 0;
+    T value;
+    if constexpr (std::is_floating_point_v<T>)
+        value = std::strtod(text, &end);
+    else
+        value = std::strtoll(text, &end, 0);
+    if (end == text || *end != '\0' || errno != 0 ||
+        !(value >= lo && value <= hi)) {
+        std::fprintf(stderr, "%s: expected a number in [%g, %g], got "
+                     "'%s'\n", flag.c_str(), double(lo), double(hi), text);
+        std::exit(2);
+    }
+    return value;
+}
+
 } // namespace
 
 int
@@ -245,10 +273,17 @@ main(int argc, char** argv)
             }
             return argv[++i];
         };
+        const auto integer = [&](long long lo, long long hi) {
+            return numericFlag(flag, next(), lo, hi);
+        };
+        const auto probability = [&] {
+            return numericFlag(flag, next(), 0.0, 1.0);
+        };
+        constexpr long long any = std::numeric_limits<long long>::max();
         if (flag == "--seeds") {
-            args.seeds = std::strtoull(next(), nullptr, 0);
+            args.seeds = std::uint64_t(integer(1, any));
         } else if (flag == "--first-seed") {
-            args.firstSeed = std::strtoull(next(), nullptr, 0);
+            args.firstSeed = std::uint64_t(integer(0, any));
         } else if (flag == "--machines" || flag == "--machine") {
             args.machines = next();
             machine_name = args.machines;
@@ -257,43 +292,34 @@ main(int argc, char** argv)
             workload_name = args.workloads;
         } else if (flag == "--threads") {
             args.options.threads =
-                unsigned(std::strtoul(next(), nullptr, 0));
+                unsigned(integer(1, htm::kMaxTxThreads));
         } else if (flag == "--ops") {
-            args.options.opsPerThread =
-                unsigned(std::strtoul(next(), nullptr, 0));
+            args.options.opsPerThread = unsigned(integer(1, 1 << 20));
         } else if (flag == "--preempt-prob") {
-            args.options.fuzz.preemptProb =
-                std::strtod(next(), nullptr);
+            args.options.fuzz.preemptProb = probability();
         } else if (flag == "--max-delay") {
-            args.options.fuzz.maxDelay =
-                std::strtoull(next(), nullptr, 0);
+            args.options.fuzz.maxDelay = std::uint64_t(integer(0, any));
         } else if (flag == "--ring-capacity") {
-            args.options.ringCapacity =
-                std::strtoull(next(), nullptr, 0);
+            args.options.ringCapacity = std::size_t(integer(1, any));
         } else if (flag == "--hazard-rate") {
             args.options.hazard.enabled = true;
-            args.options.hazard.spuriousAbortProb =
-                std::strtod(next(), nullptr);
+            args.options.hazard.spuriousAbortProb = probability();
         } else if (flag == "--hazard-interrupt") {
             args.options.hazard.enabled = true;
-            args.options.hazard.interruptRate =
-                std::strtod(next(), nullptr);
+            args.options.hazard.interruptRate = probability();
         } else if (flag == "--hazard-capacity") {
             args.options.hazard.enabled = true;
-            args.options.hazard.capacityNoiseProb =
-                std::strtod(next(), nullptr);
+            args.options.hazard.capacityNoiseProb = probability();
         } else if (flag == "--hazard-lock-preempt") {
             args.options.hazard.enabled = true;
-            args.options.hazard.lockPreemptProb =
-                std::strtod(next(), nullptr);
+            args.options.hazard.lockPreemptProb = probability();
         } else if (flag == "--hazard-seed") {
             args.options.hazard.enabled = true;
-            args.options.hazard.seed =
-                std::strtoull(next(), nullptr, 0);
+            args.options.hazard.seed = std::uint64_t(integer(0, any));
         } else if (flag == "--hazard-pin") {
             args.options.hazard.enabled = true;
             args.options.hazard.pinnedVictim =
-                int(std::strtol(next(), nullptr, 0));
+                int(integer(-1, htm::kMaxTxThreads - 1));
         } else if (flag == "--policy") {
             const std::string policy = next();
             const auto kind = htm::parseRetryPolicyKind(policy);
@@ -335,19 +361,17 @@ main(int argc, char** argv)
         } else if (flag == "--stm-only") {
             args.options.hybrid.stmOnly = true;
         } else if (flag == "--stm-attempts") {
-            args.options.hybrid.stmAttempts =
-                int(std::strtol(next(), nullptr, 0));
+            args.options.hybrid.stmAttempts = int(integer(0, 1 << 20));
         } else if (flag == "--orec-log2") {
-            args.options.hybrid.orecTableLog2 =
-                unsigned(std::strtoul(next(), nullptr, 0));
+            args.options.hybrid.orecTableLog2 = unsigned(integer(0, 30));
         } else if (flag == "--liveness") {
             args.liveness = true;
         } else if (flag == "--max-section-cycles") {
             args.livenessOptions.maxSectionCycles =
-                std::strtoull(next(), nullptr, 0);
+                std::uint64_t(integer(1, any));
         } else if (flag == "--starvation-bound") {
             args.livenessOptions.starvationCommitBound =
-                std::strtoull(next(), nullptr, 0);
+                std::uint64_t(integer(1, any));
         } else if (flag == "--inject-fault") {
             const std::string fault = next();
             if (fault == "none") {
@@ -368,14 +392,14 @@ main(int argc, char** argv)
         } else if (flag == "--expect-failure") {
             args.expectFailure = true;
         } else if (flag == "--max-shrunk") {
-            args.maxShrunk = std::strtoull(next(), nullptr, 0);
+            args.maxShrunk = std::size_t(integer(0, any));
         } else if (flag == "--no-shrink") {
             args.noShrink = true;
         } else if (flag == "--quiet") {
             args.quiet = true;
         } else if (flag == "--seed") {
             args.replayMode = true;
-            args.replaySeed = std::strtoull(next(), nullptr, 0);
+            args.replaySeed = std::uint64_t(integer(0, any));
         } else if (flag == "--schedule") {
             args.replaySchedule = next();
         } else if (flag == "--list") {

@@ -7,6 +7,7 @@
 #include "check/trace.hh"
 #include "htm/context.hh"
 #include "htm/tx.hh"
+#include "sim/region.hh"
 
 namespace htmsim::check
 {
@@ -94,7 +95,8 @@ runLiveness(const WorkloadFactory& workload,
         return outcome;
     };
 
-    std::unique_ptr<CheckWorkload> concurrent =
+    sim::RunScope run;
+    sim::Ptr<CheckWorkload> concurrent =
         workload.make(workload_seed, threads, ops);
 
     sim::Scheduler scheduler(seed);

@@ -8,6 +8,7 @@
 #include "htm/backend.hh"
 #include "htm/context.hh"
 #include "htm/tx.hh"
+#include "sim/region.hh"
 #include "sim/scheduler.hh"
 
 namespace htmsim::check
@@ -68,7 +69,9 @@ runDifferential(const WorkloadFactory& workload,
         seed * 0x9e3779b97f4a7c15ULL + 0x51;
 
     // --- Phase 1: concurrent run under the fuzzed HTM model. ---
-    std::unique_ptr<CheckWorkload> concurrent =
+    // Both phases share one run of the simulated heap.
+    sim::RunScope run;
+    sim::Ptr<CheckWorkload> concurrent =
         workload.make(workload_seed, threads, ops);
 
     sim::Scheduler scheduler(seed);
@@ -181,7 +184,7 @@ runDifferential(const WorkloadFactory& workload,
     }
 
     // --- Phase 4: serial replay in the observed commit order. ---
-    std::unique_ptr<CheckWorkload> reference =
+    sim::Ptr<CheckWorkload> reference =
         workload.make(workload_seed, threads, ops);
     htm::RuntimeConfig lock_config(machine);
     lock_config.backend = htm::BackendKind::globalLock;

@@ -735,11 +735,11 @@ class SyncWorkload final : public TableWorkload
 };
 
 template <typename W>
-std::unique_ptr<CheckWorkload>
+sim::Ptr<CheckWorkload>
 makeWorkload(std::uint64_t seed, unsigned threads,
              unsigned ops_per_thread)
 {
-    return std::make_unique<W>(seed, threads, ops_per_thread);
+    return sim::make<W>(seed, threads, ops_per_thread);
 }
 
 } // namespace

@@ -27,9 +27,10 @@
 #define HTMSIM_CHECK_WORKLOAD_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
+
+#include "sim/region.hh"
 
 namespace htmsim::htm
 {
@@ -90,9 +91,9 @@ class CheckWorkload
 struct WorkloadFactory
 {
     const char* name;
-    std::unique_ptr<CheckWorkload> (*make)(std::uint64_t seed,
-                                           unsigned threads,
-                                           unsigned ops_per_thread);
+    sim::Ptr<CheckWorkload> (*make)(std::uint64_t seed,
+                                    unsigned threads,
+                                    unsigned ops_per_thread);
 };
 
 /** All registered workloads, in sweep order. */

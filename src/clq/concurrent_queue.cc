@@ -1,6 +1,6 @@
 #include "concurrent_queue.hh"
 
-#include "htm/node_pool.hh"
+#include "sim/region.hh"
 
 namespace htmsim::clq
 {
@@ -32,14 +32,13 @@ ConcurrentQueue::ConcurrentQueue()
 ConcurrentQueue::~ConcurrentQueue()
 {
     for (Node* node : registry_)
-        htm::NodePool::instance().free(node, sizeof(Node));
+        sim::regionFree(node, sizeof(Node));
 }
 
 ConcurrentQueue::Node*
 ConcurrentQueue::makeNode(std::uint64_t value)
 {
-    auto* node = static_cast<Node*>(
-        htm::NodePool::instance().alloc(sizeof(Node)));
+    auto* node = static_cast<Node*>(sim::regionAlloc(sizeof(Node)));
     node->value = value;
     node->next = nullptr;
     registry_.push_back(node);

@@ -21,7 +21,7 @@
 #include <type_traits>
 
 #include "machine.hh"
-#include "node_pool.hh"
+#include "sim/region.hh"
 #include "sim/scheduler.hh"
 
 namespace htmsim::htm
@@ -45,6 +45,7 @@ class SeqContext
     load(const T* addr)
     {
         static_assert(std::is_trivially_copyable_v<T> && sizeof(T) <= 8);
+        sim::assertSimulated(addr);
         ctx_->advance(machine_->nonTxLoadCost);
         return *addr;
     }
@@ -54,6 +55,7 @@ class SeqContext
     store(T* addr, T value)
     {
         static_assert(std::is_trivially_copyable_v<T> && sizeof(T) <= 8);
+        sim::assertSimulated(addr);
         ctx_->advance(machine_->nonTxStoreCost);
         *addr = value;
     }
@@ -64,13 +66,13 @@ class SeqContext
     allocBytes(std::size_t bytes)
     {
         ctx_->advance(machine_->nonTxStoreCost);
-        return NodePool::instance().alloc(bytes);
+        return sim::regionAlloc(bytes);
     }
 
     void
     deallocBytes(void* ptr, std::size_t bytes)
     {
-        NodePool::instance().free(ptr, bytes);
+        sim::regionFree(ptr, bytes);
     }
 
     template <typename T, typename... Args>
@@ -111,6 +113,7 @@ class DirectContext
     load(const T* addr)
     {
         static_assert(std::is_trivially_copyable_v<T> && sizeof(T) <= 8);
+        sim::assertSimulated(addr);
         return *addr;
     }
 
@@ -119,6 +122,7 @@ class DirectContext
     store(T* addr, T value)
     {
         static_assert(std::is_trivially_copyable_v<T> && sizeof(T) <= 8);
+        sim::assertSimulated(addr);
         *addr = value;
     }
 
@@ -127,13 +131,13 @@ class DirectContext
     void*
     allocBytes(std::size_t bytes)
     {
-        return NodePool::instance().alloc(bytes);
+        return sim::regionAlloc(bytes);
     }
 
     void
     deallocBytes(void* ptr, std::size_t bytes)
     {
-        NodePool::instance().free(ptr, bytes);
+        sim::regionFree(ptr, bytes);
     }
 
     template <typename T, typename... Args>

@@ -23,10 +23,8 @@ HazardInjector::reset(const HazardConfig& config, unsigned num_threads)
 {
     config_ = config;
     threads_.assign(num_threads, ThreadHazards());
-    // Seed eagerly (enabled or not) so the allocation and
-    // initialization work is identical either way; the per-thread
-    // streams make hazard draws a function of (seed, tid, attempt
-    // index), never of the interleaving.
+    // The per-thread streams make hazard draws a function of (seed,
+    // tid, attempt index), never of the interleaving.
     for (unsigned tid = 0; tid < num_threads; ++tid)
         threads_[tid].rng = sim::Rng(config_.seed ^ hazardSeedSalt,
                                      tid + 211);

@@ -29,12 +29,10 @@
  *    schedule-sensitive by design but still a pure function of
  *    (seed, schedule).
  *
- * Zero-perturbation contract: the injector is embedded by value in the
- * Runtime and its state is allocated unconditionally, so enabling it
- * changes no host-allocation sequence; with `enabled == false` (the
- * default) every hook reduces to one branch and the simulation is
+ * Zero-perturbation contract: with `enabled == false` (the default)
+ * every hook reduces to one branch and the simulation is
  * bit-identical to a build without the layer. tests/test_hazard.cc
- * pins this with a forked A/B run over the full benchmark grid.
+ * pins this with an A/B run over the full benchmark grid.
  */
 
 #ifndef HTMSIM_HTM_HAZARD_HH

@@ -47,7 +47,7 @@ class HleLock
         if (runtime.machine().supportsElision()) {
             const AbortCause cause =
                 runtime.tryOnce(ctx, site, [&](Tx& tx) {
-                    if (tx.load(&word_) != 0)
+                    if (tx.load(word_.get()) != 0)
                         tx.abortTx();
                     body(tx);
                 });
@@ -58,19 +58,21 @@ class HleLock
         // Abort: re-execute with the lock held (no retries). The CAS
         // is atomic in virtual time, unlike a plain store after a
         // spin, which could race with another acquirer.
-        while (!runtime.nonTxCas(ctx, &word_, std::uint64_t(0),
+        while (!runtime.nonTxCas(ctx, word_.get(), std::uint64_t(0),
                                  std::uint64_t(1))) {
-            ctx.spinUntil([this] { return word_ == 0; },
+            ctx.spinUntil([this] { return *word_ == 0; },
                           Runtime::lockPollCost);
         }
         runtime.runNonSpeculative(ctx, body);
-        runtime.nonTxStore(ctx, &word_, std::uint64_t(0));
+        runtime.nonTxStore(ctx, word_.get(), std::uint64_t(0));
     }
 
-    bool held() const { return word_ != 0; }
+    bool held() const { return *word_ != 0; }
 
   private:
-    alignas(256) std::uint64_t word_ = 0;
+    /** The lock word: a simulated word on its own line in the run's
+     *  region. */
+    sim::Ptr<std::uint64_t> word_ = sim::make<std::uint64_t>();
 };
 
 } // namespace htmsim::htm

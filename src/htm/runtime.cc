@@ -1,7 +1,5 @@
 #include "runtime.hh"
 
-#include "node_pool.hh"
-
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
@@ -41,7 +39,11 @@ Runtime::Runtime(RuntimeConfig config, unsigned num_threads)
     : config_(std::move(config))
 {
     const MachineConfig& machine = config_.machine;
-    assert(num_threads >= 1 && num_threads <= kMaxTxThreads);
+    if (num_threads < 1 || num_threads > kMaxTxThreads) {
+        throw std::invalid_argument(
+            "Runtime: " + std::to_string(num_threads) +
+            " threads; expected 1.." + std::to_string(kMaxTxThreads));
+    }
     const bool bgq = machine.vendor == Vendor::blueGeneQ;
     const bool ideal = config_.backend == BackendKind::idealHtm;
 
@@ -107,10 +109,7 @@ Runtime::Runtime(RuntimeConfig config, unsigned num_threads)
     hazard_.reset(config_.hazard, num_threads);
     // The orec table is only materialized when the software path is
     // live: every stm_ access on the shared paths is behind the
-    // stmEnabled_ gate, and skipping the (potentially large) heap
-    // allocation keeps non-hybrid runs' allocation sequence — and
-    // therefore the address-hashed conflict behavior — identical to a
-    // build without the hybrid layer.
+    // stmEnabled_ gate.
     if (stmEnabled_)
         stm_.reset(config_.hybrid, conflictShift_);
     stats_.resize(num_threads);
@@ -213,6 +212,7 @@ void
 Runtime::nonTxConflict(unsigned tid, std::uintptr_t addr, bool is_write,
                        Cycles now)
 {
+    sim::assertSimulated(reinterpret_cast<const void*>(addr));
     if (stmEnabled_ && is_write) {
         // Hybrid instrumentation gate: every direct store — from
         // irrevocable sections, suspended mode, non-transactional
@@ -274,7 +274,7 @@ Runtime::txBegin(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
     if (!lazy_subscribe && !tx.constrained_) {
         // Figure 1, lines 13/26: read the lock word transactionally so
         // a later acquisition aborts us; abort at once if it is held.
-        const auto lock = tx.load(&lockWord_);
+        const auto lock = tx.load(lockWord_.get());
         if (lock != 0)
             return AbortCause::lockConflict;
     }
@@ -324,7 +324,7 @@ Runtime::txCommit(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
             return hazard;
     }
 
-    if (lazy_subscribe && lockWord_ != 0) {
+    if (lazy_subscribe && *lockWord_ != 0) {
         // Blue Gene/Q long-running mode: lazy subscription checks the
         // lock at the end of the transaction [12].
         return AbortCause::lockConflict;
@@ -365,7 +365,7 @@ Runtime::txCommit(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
     clearDirectoryMarks(tx);
     for (const auto& record : tx.deferredFrees_) {
         stmOnFree(record.ptr, record.bytes);
-        NodePool::instance().free(record.ptr, record.bytes);
+        sim::regionFree(record.ptr, record.bytes);
     }
 
     if (config_.collectTrace)
@@ -413,7 +413,7 @@ Runtime::rollback(Tx& tx, sim::ThreadContext& ctx)
 {
     clearDirectoryMarks(tx);
     for (const auto& record : tx.speculativeAllocs_)
-        NodePool::instance().free(record.ptr, record.bytes);
+        sim::regionFree(record.ptr, record.bytes);
 
     if (tx.status_ == TxStatus::active ||
         tx.status_ == TxStatus::doomed) {
@@ -439,7 +439,7 @@ Runtime::recordAbort(Tx& tx, AbortCause cause)
     AbortCategory reported;
     if (!config_.machine.hasAbortCodes) {
         reported = AbortCategory::unclassified;
-    } else if (lockWord_ != 0 || cause == AbortCause::lockConflict) {
+    } else if (*lockWord_ != 0 || cause == AbortCause::lockConflict) {
         // The retry driver classifies lock conflicts by inspecting the
         // lock after the abort (Figure 1 line 13); a conflict whose
         // lock was already released again is misattributed to data —
@@ -493,8 +493,8 @@ Runtime::waitToBegin(sim::ThreadContext& ctx)
     // Figure 1 line 9: wait for the global lock to be released before
     // beginning, to avoid the lemming effect [8].
     const Cycles wait_start = ctx.now();
-    if (lockWord_ != 0) {
-        ctx.spinUntil([this] { return lockWord_ == 0; }, lockPollCost);
+    if (*lockWord_ != 0) {
+        ctx.spinUntil([this] { return *lockWord_ == 0; }, lockPollCost);
     }
     if (constrainedOwner_ >= 0 && constrainedOwner_ != int(ctx.id())) {
         ctx.spinUntil([this] { return constrainedOwner_ < 0; },
@@ -532,15 +532,15 @@ Runtime::acquireGlobalLock(sim::ThreadContext& ctx)
 {
     ctx.sync();
     const Cycles wait_start = ctx.now();
-    if (lockWord_ != 0) {
-        ctx.spinUntil([this] { return lockWord_ == 0; }, lockPollCost);
+    if (*lockWord_ != 0) {
+        ctx.spinUntil([this] { return *lockWord_ == 0; }, lockPollCost);
     }
     // No scheduling point between the final probe and the store: the
     // acquisition is atomic in virtual time.
     ctx.advance(config_.machine.nonTxStoreCost);
-    nonTxConflict(ctx.id(), std::uintptr_t(&lockWord_), true,
+    nonTxConflict(ctx.id(), std::uintptr_t(lockWord_.get()), true,
                   ctx.now());
-    lockWord_ = 1;
+    *lockWord_ = 1;
     stats_[ctx.id()].lockWaitCycles += ctx.now() - wait_start;
     lockHoldStart_ = ctx.now();
     emitEvent(TxEventKind::lockAcquired, ctx.id(),
@@ -550,11 +550,11 @@ Runtime::acquireGlobalLock(sim::ThreadContext& ctx)
 void
 Runtime::releaseGlobalLock(sim::ThreadContext& ctx)
 {
-    assert(lockWord_ != 0);
+    assert(*lockWord_ != 0);
     ctx.advance(config_.machine.nonTxStoreCost);
-    nonTxConflict(ctx.id(), std::uintptr_t(&lockWord_), true,
+    nonTxConflict(ctx.id(), std::uintptr_t(lockWord_.get()), true,
                   ctx.now());
-    lockWord_ = 0;
+    *lockWord_ = 0;
     emitEvent(TxEventKind::lockReleased, ctx.id(),
               txs_[ctx.id()]->site_, ctx.now(), lockHoldStart_);
     ctx.sync();
@@ -630,7 +630,7 @@ Runtime::runSection(sim::ThreadContext& ctx, FunctionRef<void(Tx&)> body)
         }
         ++consecutive;
         Tier next = tier == Tier::hardware
-                        ? policy.onHtmAbort(cause, lockWord_ != 0)
+                        ? policy.onHtmAbort(cause, *lockWord_ != 0)
                         : policy.onStmAbort(cause);
         // stuckRetry (simcheck self-tests only): model the classic
         // driver bug of ignoring the policy's stop decision — the
@@ -661,7 +661,7 @@ Runtime::runPolicyAttempts(sim::ThreadContext& ctx, RetryPolicy& policy,
             policy.onCommit();
             return AbortCause::none;
         }
-        if (!policy.onAbort(cause, lockWord_ != 0))
+        if (!policy.onAbort(cause, *lockWord_ != 0))
             return cause;
     }
 }
@@ -730,7 +730,7 @@ Runtime::runRollbackOnly(sim::ThreadContext& ctx,
                         entry->size);
         }
         for (const auto& record : tx.deferredFrees_)
-            NodePool::instance().free(record.ptr, record.bytes);
+            sim::regionFree(record.ptr, record.bytes);
         ++stats_[tx.tid_].htmCommits;
         stats_[tx.tid_].committedTxCycles += ctx.now() - tx.attemptStart_;
         tx.status_ = TxStatus::inactive;
@@ -740,7 +740,7 @@ Runtime::runRollbackOnly(sim::ThreadContext& ctx,
         cause = abort.cause;
     }
     for (const auto& record : tx.speculativeAllocs_)
-        NodePool::instance().free(record.ptr, record.bytes);
+        sim::regionFree(record.ptr, record.bytes);
     tx.status_ = TxStatus::inactive;
     ctx.advance(txAbortCost_);
     ctx.sync();

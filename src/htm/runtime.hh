@@ -42,6 +42,7 @@
 #include "stats.hh"
 #include "stm.hh"
 #include "tx.hh"
+#include "sim/region.hh"
 #include "sim/scheduler.hh"
 
 namespace htmsim::htm
@@ -219,8 +220,8 @@ struct RuntimeConfig
 
     /** Hybrid-backend knobs (stm.hh): subscription mode, software
      *  retry budget, orec-table geometry, cost model. Read only when
-     *  backend == BackendKind::hybrid, but the engine state it sizes
-     *  is allocated unconditionally (determinism contract). */
+     *  backend == BackendKind::hybrid; the orec table they size is
+     *  allocated only when the software path is live. */
     HybridRuntimeConfig hybrid;
 
     /** Deterministic hazard injection (hazard.hh). Off by default;
@@ -249,12 +250,7 @@ struct RuntimeConfig
      * Epoch-batched scheduling fast path (DESIGN.md Section 5). On by
      * default; simulated results are bit-identical either way. The
      * switch exists as an escape hatch and for A/B verification
-     * (`--no-batch` in the tools). Declared last so flag additions
-     * land in tail padding when possible: configs are heap-allocated
-     * before the simulation starts and simulated metrics are
-     * sensitive to host allocation sizes, so a sizeof(RuntimeConfig)
-     * change shifts simulated numbers across builds (same-build A/B
-     * comparisons, which all bit-identity tests use, are unaffected).
+     * (`--no-batch` in the tools).
      */
     bool batchEpoch = true;
 
@@ -275,7 +271,8 @@ class Runtime
   public:
     /**
      * @param config machine + policy configuration
-     * @param num_threads simulated threads that will use this runtime
+     * @param num_threads simulated threads that will use this runtime;
+     *        std::invalid_argument outside 1..kMaxTxThreads
      */
     Runtime(RuntimeConfig config, unsigned num_threads);
     ~Runtime();
@@ -557,7 +554,7 @@ class Runtime
 
     /** Free-is-a-write instrumentation (StmEngine::onFree), gated so
      *  non-hybrid runs never touch the engine. Every path that
-     *  releases simulated memory back to the pool while software
+     *  releases simulated memory back to the region while software
      *  transactions may be in flight must pass through here. */
     void
     stmOnFree(const void* ptr, std::size_t bytes)
@@ -587,7 +584,7 @@ class Runtime
     void bindSite(unsigned tid, TxSiteId site);
 
     /** Whether the global fallback lock is currently held. */
-    bool globalLockHeld() const { return lockWord_ != 0; }
+    bool globalLockHeld() const { return *lockWord_ != 0; }
 
     /** Number of lines with live marks in the conflict directory. */
     std::size_t
@@ -777,18 +774,16 @@ class Runtime
     TraceCollector trace_;
     TxObserver* observer_ = nullptr;
 
-    /** Hazard injector (hazard.hh). Embedded by value and initialized
-     *  unconditionally so enabling hazards changes no allocation
-     *  sequence; every hot-path hook is gated on hazard_.enabled(). */
+    /** Hazard injector (hazard.hh); every hot-path hook is gated on
+     *  hazard_.enabled(). */
     HazardInjector hazard_;
 
-    /** Software-TM engine (stm.hh). Embedded by value and sized
-     *  unconditionally, like hazard_: selecting the hybrid backend
-     *  changes no allocation sequence. */
+    /** Software-TM engine (stm.hh); reset only when stmEnabled_. */
     StmEngine stm_;
 
-    /** The single-memory-word global fallback lock (Section 3). */
-    std::uint64_t lockWord_ = 0;
+    /** The single-memory-word global fallback lock (Section 3), a
+     *  simulated word on its own line in the run's region. */
+    sim::Ptr<std::uint64_t> lockWord_ = sim::make<std::uint64_t>();
 
     /** When the current lock holder completed its acquisition (hold
      *  span start for the lockReleased event; observation only). */

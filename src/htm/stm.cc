@@ -41,7 +41,6 @@
 
 #include <cstring>
 
-#include "node_pool.hh"
 #include "runtime.hh"
 #include "tx.hh"
 
@@ -176,7 +175,7 @@ Runtime::stmCommit(Tx& tx, sim::ThreadContext& ctx)
     // time — the commit event *is* the serialization point the
     // differential oracle replays by. The aborts decided here are
     // returned, not thrown: no body frame is left to unwind.
-    if (lockWord_ != 0) {
+    if (*lockWord_ != 0) {
         // An irrevocable section owns memory outright; committing
         // around it would interleave with its direct stores. Aborting
         // here also keeps the trace invariant that no transactional
@@ -227,7 +226,7 @@ Runtime::stmCommit(Tx& tx, sim::ThreadContext& ctx)
     }
     for (const auto& record : tx.deferredFrees_) {
         stm_.onFree(record.ptr, record.bytes);
-        NodePool::instance().free(record.ptr, record.bytes);
+        sim::regionFree(record.ptr, record.bytes);
     }
 
     if (config_.collectTrace)
@@ -249,7 +248,7 @@ Runtime::stmRollback(Tx& tx, sim::ThreadContext& ctx, AbortCause cause)
     // the speculative allocations and the buffers die with the next
     // resetAttemptState.
     for (const auto& record : tx.speculativeAllocs_)
-        NodePool::instance().free(record.ptr, record.bytes);
+        sim::regionFree(record.ptr, record.bytes);
     tx.status_ = TxStatus::inactive;
     tx.suspended_ = false;
 

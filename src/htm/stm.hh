@@ -20,14 +20,13 @@
  *    begin, so any software commit dooms them through the conflict
  *    directory) or lazily (snapshot at begin, compare at commit).
  *
- * Determinism contract (same discipline as hazard.hh): the engine is
- * embedded by value in the Runtime and its state is allocated
- * unconditionally for every backend, so selecting backend=hybrid
- * changes no allocation sequence. With RuntimeConfig::hybrid
- * .stmEnabled=false every hook is gated off and a hybrid run is
- * byte-identical to backend=htm (proven by the forked A/B test in
- * tests/test_hybrid.cc). Orec versions are bookkeeping, not timing:
- * bumping one never advances a virtual clock or draws randomness.
+ * The engine is embedded by value in the Runtime, which resets it (and
+ * so allocates the orec table and the clock cell) only when the
+ * software path is live. With RuntimeConfig::hybrid.stmEnabled=false
+ * every hook is gated off and a hybrid run is byte-identical to
+ * backend=htm (the A/B test in tests/test_hybrid.cc). Orec versions
+ * are bookkeeping, not timing: bumping one never advances a virtual
+ * clock or draws randomness.
  */
 
 #ifndef HTMSIM_HTM_STM_HH
@@ -37,6 +36,7 @@
 #include <vector>
 
 #include "machine.hh"
+#include "sim/region.hh"
 
 namespace htmsim::htm
 {
@@ -112,8 +112,7 @@ struct HybridRuntimeConfig
 /**
  * The orec table + version clock + clock cell. Owned by value by the
  * Runtime; reset() is called at construction only when the software
- * path is enabled, so pure-HTM runs never pay the table allocation
- * (and keep their heap layout byte-compatible with non-hybrid runs).
+ * path is enabled, so pure-HTM runs never pay the table allocation.
  */
 class StmEngine
 {
@@ -129,7 +128,7 @@ class StmEngine
         wrapLimit_ = config.clockWrapLimit;
         clock_ = 0;
         epoch_ = 0;
-        clockCell_ = 0;
+        clockCell_ = sim::make<std::uint64_t>();
     }
 
     // --- Version clock -----------------------------------------------
@@ -160,12 +159,12 @@ class StmEngine
     // --- Clock cell (the hardware subscription channel) --------------
 
     /** The memory word hardware transactions subscribe to. */
-    std::uint64_t* clockCellAddr() { return &clockCell_; }
-    std::uint64_t clockCell() const { return clockCell_; }
+    std::uint64_t* clockCellAddr() { return clockCell_.get(); }
+    std::uint64_t clockCell() const { return *clockCell_; }
 
     /** Raw store of the committed write version into the clock cell
      *  (the caller dooms directory subscribers first). */
-    void publishClock(std::uint64_t version) { clockCell_ = version; }
+    void publishClock(std::uint64_t version) { *clockCell_ = version; }
 
     // --- Orecs --------------------------------------------------------
 
@@ -175,8 +174,8 @@ class StmEngine
     std::size_t
     indexOfLine(std::uintptr_t line) const
     {
-        // Fibonacci hashing; lines are host addresses shifted right,
-        // exactly as deterministic as the conflict directory's probes.
+        // Fibonacci hashing of the line number (a region address
+        // shifted right).
         return std::size_t((std::uint64_t(line) *
                             0x9E3779B97F4A7C15ull) >> 32) & mask_;
     }
@@ -212,7 +211,7 @@ class StmEngine
 
     /** Free is a write. A software transaction can hold a pointer
      *  read consistently before the owner unlinked and freed the
-     *  node; the pool then recycles that memory with uninstrumented
+     *  node; the region then recycles that memory with uninstrumented
      *  freelist stores. Hardware readers are doomed eagerly through
      *  the directory, but software readers are invisible to it —
      *  stamping every freed line here is what makes their next read
@@ -238,7 +237,8 @@ class StmEngine
     std::uint64_t clock_ = 0;
     std::uint64_t epoch_ = 0;
     std::uint64_t wrapLimit_ = 0;
-    std::uint64_t clockCell_ = 0;
+    /** A simulated word on its own line in the run's region. */
+    sim::Ptr<std::uint64_t> clockCell_;
     unsigned conflictShift_ = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "node_pool.hh"
 #include "runtime.hh"
 
 namespace htmsim::htm
@@ -43,6 +42,7 @@ Tx::selfAbort(AbortCause cause)
 std::uint64_t
 Tx::loadWord(const void* addr, std::size_t size)
 {
+    sim::assertSimulated(addr);
     const MachineConfig& machine = runtime_->machine();
     const auto uaddr = std::uintptr_t(addr);
 
@@ -144,6 +144,7 @@ Tx::loadWord(const void* addr, std::size_t size)
 void
 Tx::storeWord(void* addr, std::size_t size, std::uint64_t value)
 {
+    sim::assertSimulated(addr);
     const MachineConfig& machine = runtime_->machine();
     const auto uaddr = std::uintptr_t(addr);
 
@@ -376,7 +377,7 @@ Tx::allocBytes(std::size_t bytes)
 {
     if (constrained_)
         throw std::logic_error("allocation inside a constrained tx");
-    void* memory = NodePool::instance().alloc(bytes);
+    void* memory = sim::regionAlloc(bytes);
     if (status_ == TxStatus::irrevocable)
         return memory;
 
@@ -390,7 +391,7 @@ Tx::allocBytes(std::size_t bytes)
 
     if (status_ == TxStatus::software) {
         // The software path constructs objects in place (their memory
-        // is private until publication), but the NodePool recycles
+        // is private until publication), but the region recycles
         // addresses: a hardware peer may still be tracking the freed
         // object that lived here. Evict such stale readers/writers
         // exactly as a non-transactional store would — the call also
@@ -431,7 +432,7 @@ Tx::deallocBytes(void* ptr, std::size_t bytes)
 {
     if (status_ == TxStatus::irrevocable) {
         runtime_->stmOnFree(ptr, bytes);
-        NodePool::instance().free(ptr, bytes);
+        sim::regionFree(ptr, bytes);
         return;
     }
     assert(status_ == TxStatus::active ||

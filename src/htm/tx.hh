@@ -244,8 +244,7 @@ class Tx
     /// indices on the software path, which never marks the directory.
     /// Directory cleanup, the hybrid orec bump and software validation
     /// walk it, so they cost this attempt's footprint, not the
-    /// tables' high water. One log for both paths keeps sizeof(Tx),
-    /// and with it the heap layout simulated results hash, unchanged.
+    /// tables' high water.
     std::vector<std::uintptr_t> touchLog_;
     /// Capacity-granularity lines touched: bit0 = read, bit1 = write.
     FlatTable<std::uint8_t> capacityLines_;
@@ -266,8 +265,7 @@ class Tx
 
     /// Software path (hybrid backend): orecs touched this attempt
     /// (bit0 = read, bit1 = written), the read-version snapshot, and
-    /// the clock epoch / clock-cell snapshot taken at begin. Plain
-    /// members, allocated for every backend (determinism contract).
+    /// the clock epoch / clock-cell snapshot taken at begin.
     FlatTable<std::uint8_t> stmOrecs_;
     std::uint64_t stmRv_ = 0;
     std::uint64_t stmEpoch_ = 0;

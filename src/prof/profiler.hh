@@ -7,15 +7,13 @@
  * per-site profile (useful vs wasted cycles, stalls, abort causes) and
  * a site-pair conflict matrix (who aborts whom, and over which lines).
  *
- * Zero perturbation is a hard requirement and shapes the design: the
- * simulated results depend on host heap addresses (conflict lines are
- * hashed from real pointers), so the profiler must not allocate a
- * single byte while the simulation runs. Both event buffers are
- * reserved up front in the constructor; recording is a bounds-checked
- * push_back that drops (and counts) events past capacity instead of
- * growing. All analysis happens post-run in report(). A profiled run
- * is therefore bit-identical to an unprofiled one
- * (tests/test_prof.cc proves this with a forked A/B grid).
+ * Recording stays off the simulation's critical path: both event
+ * buffers are reserved up front in the constructor, and recording is
+ * a bounds-checked push_back that drops (and counts) events past
+ * capacity instead of growing. All analysis happens post-run in
+ * report(). Observers never touch simulated state, so a profiled run
+ * is bit-identical to an unprofiled one (tests/test_prof.cc proves
+ * this with an A/B grid).
  */
 
 #ifndef HTMSIM_PROF_PROFILER_HH

@@ -32,6 +32,7 @@
 
 #include "check/workload.hh"
 #include "htm/context.hh"
+#include "sim/region.hh"
 #include "tmds/tm_hashtable.hh"
 #include "tmds/tm_rbtree.hh"
 
@@ -214,7 +215,7 @@ class KvStore
     std::uint64_t initialBalance_;
     tmds::TmHashTable<> table_;
     tmds::TmRbTree index_;
-    std::vector<Account> accounts_;
+    sim::Vector<Account> accounts_;
 };
 
 } // namespace htmsim::server

@@ -3,9 +3,8 @@
  * Allocation-free latency histogram (HDR-style fixed log buckets).
  *
  * The server benchmark records one latency sample per committed
- * operation while the simulation runs, and simulated results depend on
- * host heap addresses, so recording must not allocate (the same hard
- * rule the txprof observer follows). The histogram is therefore a
+ * operation while the simulation runs, so recording must be cheap and
+ * must not allocate. The histogram is therefore a
  * fixed std::array of buckets: values below 2^kSubBucketBits are exact;
  * above that, each power of two is split into 2^kSubBucketBits
  * sub-buckets, bounding the relative quantization error at ~3% — ample

@@ -6,6 +6,7 @@
 #include "htm/site.hh"
 #include "htm/tx.hh"
 #include "kv_store.hh"
+#include "sim/region.hh"
 #include "sim/scheduler.hh"
 #include "tmsync/atomic_shared_mutex.hh"
 #include "tmsync/guard.hh"
@@ -63,9 +64,12 @@ runServer(const ServerConfig& config)
     assert(config.clients >= 1 &&
            config.clients <= htm::kMaxTxThreads);
 
-    // Shared state and generators are built host-side, untimed.
-    KvStore store(config.traffic.numKeys, config.traffic.numAccounts,
-                  config.traffic.initialBalance);
+    // Shared state and generators are built untimed; the store lives
+    // in the run's region.
+    sim::RunScope run;
+    const auto store = sim::make<KvStore>(config.traffic.numKeys,
+                                          config.traffic.numAccounts,
+                                          config.traffic.initialBalance);
     const ZipfianGenerator key_dist(config.traffic.numKeys,
                                     config.traffic.zipfTheta);
     const ZipfianGenerator account_dist(config.traffic.numAccounts,
@@ -81,12 +85,10 @@ runServer(const ServerConfig& config)
     ServerResult result;
     std::vector<std::uint64_t> finish_times(config.clients, 0);
 
-    // Ordered-index guard (IndexLockMode in server.hh). A stack local,
-    // so the indexLock == none configuration touches neither the heap
-    // nor the simulation: ops stay on the runtime.atomic path below
-    // and the word is never read — bit-identical to the pre-tmsync
-    // server (tests/test_tmsync.cc pins this with a forked A/B run).
-    tmsync::atomic_shared_mutex index_lock;
+    // Ordered-index guard (IndexLockMode in server.hh). With
+    // indexLock == none, ops stay on the runtime.atomic path below and
+    // the word is never read.
+    const auto index_lock = sim::make<tmsync::atomic_shared_mutex>();
     const bool guard_index = config.indexLock != IndexLockMode::none;
     const tmsync::SyncMode index_mode =
         config.indexLock == IndexLockMode::elided ?
@@ -114,25 +116,25 @@ runServer(const ServerConfig& config)
                 const auto body = [&](htm::Tx& tx) {
                     switch (request.kind) {
                     case OpKind::get:
-                        folded = store.get(tx, request.key);
+                        folded = store->get(tx, request.key);
                         break;
                     case OpKind::put:
-                        folded = store.put(tx, request.key,
-                                           request.value);
+                        folded = store->put(tx, request.key,
+                                            request.value);
                         break;
                     case OpKind::rmw:
-                        folded = store.rmw(tx, request.key,
-                                           request.value);
+                        folded = store->rmw(tx, request.key,
+                                            request.value);
                         break;
                     case OpKind::transfer:
-                        folded = store.transfer(
+                        folded = store->transfer(
                             tx, request.key,
                             config.traffic.transferSpan,
                             request.value);
                         break;
                     case OpKind::scan:
-                        folded = store.scan(tx, request.key,
-                                            config.traffic.scanLen);
+                        folded = store->scan(tx, request.key,
+                                             config.traffic.scanLen);
                         break;
                     }
                 };
@@ -142,7 +144,7 @@ runServer(const ServerConfig& config)
                 // shared, index-mutating put/rmw take it exclusive.
                 if (guard_index && request.kind == OpKind::scan) {
                     tmsync::transactional_shared_lock_guard guard(
-                        runtime, ctx, index_lock,
+                        runtime, ctx, *index_lock,
                         siteOf(request.kind), index_mode, body);
                     ++result.indexGuardSections;
                     result.indexGuardElided +=
@@ -151,7 +153,7 @@ runServer(const ServerConfig& config)
                            (request.kind == OpKind::put ||
                             request.kind == OpKind::rmw)) {
                     tmsync::transactional_lock_guard guard(
-                        runtime, ctx, index_lock,
+                        runtime, ctx, *index_lock,
                         siteOf(request.kind), index_mode, body);
                     ++result.indexGuardSections;
                     result.indexGuardElided +=
@@ -180,7 +182,7 @@ runServer(const ServerConfig& config)
     result.committedOps = result.latency.count();
     result.stats = runtime.stats();
     result.invariantsOk =
-        store.balancesConserved() && store.structuresAgree();
+        store->balancesConserved() && store->structuresAgree();
     return result;
 }
 

@@ -197,10 +197,8 @@ Fiber::attachStack(StackSpan span)
 void
 Fiber::initFastStack()
 {
-    // Match glibc makecontext's initial stack pointer byte-for-byte:
-    // run() (and every simulated frame below it) must sit at the same
-    // host addresses under both backends, because the simulated
-    // machine models hash host addresses (line numbers, cache sets).
+    // Match glibc makecontext's initial stack pointer, so run() sees
+    // the same stack alignment under both backends.
     const auto top =
         reinterpret_cast<std::uintptr_t>(stack_.base + stack_.size);
     const std::uintptr_t run_entry =
@@ -223,7 +221,7 @@ Fiber::initFastStack()
     frame[5] = 0;                                      // -> rbx
     frame[6] = 0;                                      // -> rbp
     frame[7] = reinterpret_cast<std::uintptr_t>(&htmsim_fiber_thunk);
-    fastSp() = frame;
+    fastSp_ = frame;
 }
 #endif
 
@@ -278,7 +276,7 @@ Fiber::resume()
     __sanitizer_start_switch_fiber(&owner_fake_stack, stack_.base,
                                    stack_.size);
 #endif
-    htmsim_context_switch(&owner_sp, fastSp());
+    htmsim_context_switch(&owner_sp, fastSp_);
 #if HTMSIM_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(owner_fake_stack, nullptr,
                                     nullptr);
@@ -306,7 +304,7 @@ Fiber::yieldToOwner()
                                    owner_stack_bottom,
                                    owner_stack_size);
 #endif
-    htmsim_context_switch(&self->fastSp(), owner_sp);
+    htmsim_context_switch(&self->fastSp_, owner_sp);
 #if HTMSIM_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(fiber_fake_stack, nullptr,
                                     nullptr);
@@ -334,7 +332,7 @@ Fiber::switchTo(Fiber& next)
                                    next.stack_.base,
                                    next.stack_.size);
 #endif
-    htmsim_context_switch(&self->fastSp(), next.fastSp());
+    htmsim_context_switch(&self->fastSp_, next.fastSp_);
 #if HTMSIM_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(fiber_fake_stack, nullptr,
                                     nullptr);

@@ -149,11 +149,6 @@ class Fiber
 
     /// Build the initial stack frame the first switch-in will pop.
     void initFastStack();
-
-    /// The saved stack pointer lives inside the (otherwise unused)
-    /// ucontext_t member: simulated placement is sensitive to host
-    /// heap layout, so sizeof(Fiber) must not depend on the backend.
-    void*& fastSp() { return *reinterpret_cast<void**>(&context_); }
 #endif
 
     static void trampoline(unsigned hi, unsigned lo);
@@ -165,11 +160,15 @@ class Fiber
     void run();
 
     std::function<void()> body_;
-    /// The stack this fiber runs on — pool-owned memory, never the
-    /// malloc heap, so fiber lifetime cannot perturb the heap layout
-    /// the simulated models hash. Empty until attachStack().
+    /// The stack this fiber runs on (pool-owned). Empty until
+    /// attachStack().
     StackSpan stack_{};
+#if HTMSIM_FAST_FIBERS
+    /// Saved stack pointer while switched out.
+    void* fastSp_ = nullptr;
+#else
     ucontext_t context_;
+#endif
     std::exception_ptr pendingException_;
     /// Standalone fibers own a 1-slot pool range; kNoSlot otherwise.
     unsigned ownSlot_ = kNoSlot;

@@ -142,10 +142,9 @@ Scheduler::spawn(std::function<void(ThreadContext&)> body)
     thread->context.rng_ = Rng(seed_, tid);
     ThreadContext* context = &thread->context;
     auto wrapped = [body = std::move(body), context] { body(*context); };
-    // Deferred stack: the Fiber object exists from spawn (the heap
-    // allocation sequence is identical under every stack policy), but
-    // the stack slot is committed per the policy — up front or at
-    // first dispatch.
+    // Deferred stack: the Fiber object exists from spawn, but the
+    // stack slot is committed per the policy — up front or at first
+    // dispatch.
     thread->fiber =
         std::make_unique<Fiber>(Fiber::DeferStack{}, std::move(wrapped));
     threads_.push_back(std::move(thread));

@@ -185,8 +185,9 @@ class ThreadContext
 /**
  * How a scheduler provisions its fibers' stacks (all from the
  * process-wide StackPool; the mode only decides *when* a slot is
- * committed, never *where* a stack lives, so the two modes are
- * bit-identical by construction — proven by a forked A/B test).
+ * committed, never *where* a stack lives, and stacks hold no
+ * simulated state, so the two modes are bit-identical — proven by an
+ * A/B test).
  */
 enum class StackPolicy
 {

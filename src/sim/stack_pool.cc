@@ -37,19 +37,6 @@ StackPool::instance()
     return *pool;
 }
 
-namespace
-{
-// Construct the pool during static initialization. Its one-time heap
-// allocations (the slot bookkeeping vectors) are never freed; if the
-// first scheduler in the process triggered them lazily, they would
-// shift the heap layout for everything allocated afterwards, and
-// repeated same-process runs — which the determinism harness compares
-// bit-for-bit — would see different addresses in run one than in run
-// two. Warming the pool before main() keeps every run's heap baseline
-// identical.
-[[maybe_unused]] StackPool& warmed = StackPool::instance();
-} // namespace
-
 StackPool::StackPool()
     : used_(maxSlots, false), committedBytes_(maxSlots, 0)
 {

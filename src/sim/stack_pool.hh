@@ -3,14 +3,11 @@
  * Pooled fiber stacks carved out of one reserved arena.
  *
  * Scaling the scheduler to hundreds of fibers with per-fiber
- * heap-allocated stacks fails twice over: a value-initialized 1 MB
- * vector touches every page at construction (256 fibers = 256 MB
- * resident before the first instruction runs), and the allocations
- * perturb the malloc heap — whose addresses the simulated machine
- * models hash into conflict lines and cache sets — so *when* a stack
- * is allocated would leak into simulated metrics.
+ * heap-allocated stacks fails: a value-initialized 1 MB vector touches
+ * every page at construction (256 fibers = 256 MB resident before the
+ * first instruction runs).
  *
- * The pool solves both. One mmap reserves a PROT_NONE arena of
+ * The pool avoids that. One mmap reserves a PROT_NONE arena of
  * fixed-stride slots up front; a slot's stack is committed (mprotect
  * RW) only when a fiber is first dispatched and decommitted
  * (madvise MADV_DONTNEED) when it finishes, so resident memory tracks
@@ -19,12 +16,10 @@
  * committed region stays PROT_NONE — an overflow lands on a guard of
  * at least 64 KB instead of silently corrupting a neighbour.
  *
- * Determinism contract: a slot's address is a pure function of its
- * index, and schedulers reserve index ranges first-fit, so for a given
- * sequence of scheduler lifetimes every fiber stack lands at the same
- * host address regardless of when (or whether lazily) it was
- * committed. That is what makes the pooled/lazy path bit-identical to
- * eager per-fiber stacks — commit timing is invisible to the models.
+ * Stacks hold no simulated state (that lives in the run's region,
+ * region.hh), so where and when a stack is committed is invisible to
+ * the models: the pooled/lazy path is bit-identical to eager
+ * per-fiber stacks.
  *
  * The pool is a process-wide singleton (the simulator is single-host-
  * threaded) and released slot ranges are recycled across scheduler

@@ -75,7 +75,7 @@ BayesApp::setup()
     }
 
     // Initial tasks: one per variable.
-    taskList_ = std::make_unique<tmds::TmList<>>();
+    taskList_ = sim::make<tmds::TmList<>>();
     htm::DirectContext c;
     for (unsigned node = 0; node < v; ++node)
         taskList_->insert(c, node, 0);

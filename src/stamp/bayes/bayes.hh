@@ -22,9 +22,9 @@
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
+#include "sim/region.hh"
 #include "stamp/exec.hh"
 #include "tmds/tm_list.hh"
 
@@ -192,9 +192,9 @@ class BayesApp
     BayesParams params_;
     unsigned stride_ = 0;
     std::vector<std::uint64_t> records_; ///< one bitmask per record
-    std::vector<std::uint64_t> adjacency_; ///< row parent, col child
-    std::vector<std::uint64_t> parentCount_;
-    std::unique_ptr<tmds::TmList<>> taskList_;
+    sim::Vector<std::uint64_t> adjacency_; ///< row parent, col child
+    sim::Vector<std::uint64_t> parentCount_;
+    sim::Ptr<tmds::TmList<>> taskList_;
     std::vector<double> totalGainShared_;
     double totalGain_ = 0.0;
 };

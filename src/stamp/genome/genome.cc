@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "htm/node_pool.hh"
 #include "sim/random.hh"
+#include "sim/region.hh"
 
 namespace htmsim::stamp
 {
@@ -28,20 +28,6 @@ GenomeParams::original()
     params.chunkStep1 = 16;
     params.chunkStep2 = 16;
     return params;
-}
-
-GenomeApp::~GenomeApp()
-{
-    // Unique segment entries were allocated transactionally and are
-    // owned by the dedupe table's values.
-    if (segmentSet_) {
-        htm::DirectContext c;
-        segmentSet_->forEach(c, [](std::uint64_t, std::uint64_t raw) {
-            htm::NodePool::instance().free(
-                reinterpret_cast<GenomeSegment*>(raw),
-                sizeof(GenomeSegment));
-        });
-    }
 }
 
 void
@@ -96,15 +82,14 @@ GenomeApp::setup()
         std::swap(samples_[i - 1], samples_[j]);
     }
 
-    segmentSet_ = std::make_unique<tmds::TmHashTable<>>(
-        starts.size());
+    segmentSet_ = sim::make<tmds::TmHashTable<>>(starts.size());
     prefixTables_.clear();
     for (unsigned round = 0; round < params_.maxStep; ++round) {
         prefixTables_.push_back(
-            std::make_unique<tmds::TmHashTable<>>(starts.size()));
+            sim::make<tmds::TmHashTable<>>(starts.size()));
     }
     unique_.clear();
-    cursor_ = 0;
+    cursor_ = sim::make<std::uint32_t>();
 }
 
 bool

@@ -21,9 +21,9 @@
 #define HTMSIM_STAMP_GENOME_GENOME_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
+#include "sim/region.hh"
 #include "stamp/exec.hh"
 #include "tmds/tm_hashtable.hh"
 
@@ -66,7 +66,6 @@ class GenomeApp
 {
   public:
     explicit GenomeApp(GenomeParams params) : params_(params) {}
-    ~GenomeApp();
 
     void setup();
 
@@ -117,7 +116,7 @@ class GenomeApp
         const unsigned s = params_.segmentLength;
         for (;;) {
             const std::uint32_t begin =
-                exec.fetchAdd(&cursor_, std::uint32_t(chunk));
+                exec.fetchAdd(cursor_.get(), std::uint32_t(chunk));
             if (begin >= total)
                 break;
             const unsigned end = std::min(begin + chunk, total);
@@ -243,7 +242,7 @@ class GenomeApp
 
     GenomeParams params_;
     std::vector<char> gene_;
-    std::vector<char> segmentPool_;
+    sim::Vector<char> segmentPool_;
 
     struct Sample
     {
@@ -252,10 +251,11 @@ class GenomeApp
     };
     std::vector<Sample> samples_;
 
-    std::unique_ptr<tmds::TmHashTable<>> segmentSet_;
-    std::vector<std::unique_ptr<tmds::TmHashTable<>>> prefixTables_;
+    sim::Ptr<tmds::TmHashTable<>> segmentSet_;
+    std::vector<sim::Ptr<tmds::TmHashTable<>>> prefixTables_;
     std::vector<GenomeSegment*> unique_;
-    std::uint32_t cursor_ = 0;
+    /** Next sample to dedupe (a shared counter). */
+    sim::Ptr<std::uint32_t> cursor_;
 };
 
 } // namespace htmsim::stamp

@@ -13,9 +13,11 @@
 #define HTMSIM_STAMP_HARNESS_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "exec.hh"
 #include "htm/runtime.hh"
+#include "sim/region.hh"
 #include "sim/sim.hh"
 
 namespace htmsim::stamp
@@ -34,8 +36,21 @@ struct RunResult
     htm::TraceCollector trace;
 };
 
+/** How a transactional run executes its atomic sections. */
+enum class Mode
+{
+    /** Through the runtime's section driver (retries + fallback). */
+    tm,
+    /** Under hardware lock elision of one global lock (Intel,
+     *  Figure 7). */
+    hle,
+};
+
 /**
- * Run an app transactionally on @p threads simulated threads.
+ * Run an app transactionally on @p threads simulated threads, in one
+ * run of the simulated heap (sim/region.hh). @p app must be freshly
+ * constructed: simulated state kept from an earlier run belongs to
+ * that run's region.
  *
  * App concept:
  *   void setup();                         // untimed, host speed
@@ -45,27 +60,40 @@ struct RunResult
 template <typename App>
 RunResult
 runTransactional(App& app, const htm::RuntimeConfig& config,
-                 unsigned threads, std::uint64_t seed)
+                 unsigned threads, std::uint64_t seed,
+                 Mode mode = Mode::tm)
 {
+    sim::RunScope run;
     app.setup();
     sim::Scheduler scheduler(seed);
     scheduler.setBatching(config.batchEpoch);
     htm::Runtime runtime(config, threads);
+    std::optional<htm::HleLock> lock;
+    if (mode == Mode::hle)
+        lock.emplace();
     sim::Barrier barrier(threads);
     sim::Cycles start = 0;
     sim::Cycles finish = 0;
+    const auto work = [&](sim::ThreadContext& ctx, auto& exec) {
+        barrier.arrive(ctx);
+        if (ctx.id() == 0)
+            start = ctx.now();
+        app.worker(exec);
+        barrier.arrive(ctx);
+        if (ctx.id() == 0)
+            finish = ctx.now();
+    };
     for (unsigned t = 0; t < threads; ++t) {
         scheduler.spawn([&](sim::ThreadContext& ctx) {
             ctx.setTimeScale(config.machine.threadTimeScale(
                 ctx.id(), threads));
-            TmExec exec(runtime, ctx, barrier, threads);
-            barrier.arrive(ctx);
-            if (ctx.id() == 0)
-                start = ctx.now();
-            app.worker(exec);
-            barrier.arrive(ctx);
-            if (ctx.id() == 0)
-                finish = ctx.now();
+            if (lock) {
+                HleExec exec(runtime, *lock, ctx, barrier, threads);
+                work(ctx, exec);
+            } else {
+                TmExec exec(runtime, ctx, barrier, threads);
+                work(ctx, exec);
+            }
         });
     }
     scheduler.run();
@@ -79,49 +107,14 @@ runTransactional(App& app, const htm::RuntimeConfig& config,
     return result;
 }
 
-/** Run an app under hardware lock elision (Intel, Figure 7). */
-template <typename App>
-RunResult
-runHle(App& app, const htm::RuntimeConfig& config, unsigned threads,
-       std::uint64_t seed)
-{
-    app.setup();
-    sim::Scheduler scheduler(seed);
-    scheduler.setBatching(config.batchEpoch);
-    htm::Runtime runtime(config, threads);
-    htm::HleLock lock;
-    sim::Barrier barrier(threads);
-    sim::Cycles start = 0;
-    sim::Cycles finish = 0;
-    for (unsigned t = 0; t < threads; ++t) {
-        scheduler.spawn([&](sim::ThreadContext& ctx) {
-            ctx.setTimeScale(config.machine.threadTimeScale(
-                ctx.id(), threads));
-            HleExec exec(runtime, lock, ctx, barrier, threads);
-            barrier.arrive(ctx);
-            if (ctx.id() == 0)
-                start = ctx.now();
-            app.worker(exec);
-            barrier.arrive(ctx);
-            if (ctx.id() == 0)
-                finish = ctx.now();
-        });
-    }
-    scheduler.run();
-
-    RunResult result;
-    result.cycles = finish - start;
-    result.stats = runtime.stats();
-    result.valid = app.verify();
-    return result;
-}
-
-/** Run the sequential non-HTM baseline of an app. */
+/** Run the sequential non-HTM baseline of an app, in one run of the
+ *  simulated heap. */
 template <typename App>
 RunResult
 runSequential(App& app, const htm::MachineConfig& machine,
               std::uint64_t seed, bool batch_epoch = true)
 {
+    sim::RunScope run;
     app.setup();
     sim::Scheduler scheduler(seed);
     scheduler.setBatching(batch_epoch);
@@ -156,7 +149,8 @@ struct Speedup
 template <typename AppFactory>
 Speedup
 measureSpeedup(AppFactory&& make_app, const htm::RuntimeConfig& config,
-               unsigned threads, std::uint64_t seed = 1)
+               unsigned threads, std::uint64_t seed = 1,
+               Mode mode = Mode::tm)
 {
     Speedup result;
     {
@@ -166,7 +160,7 @@ measureSpeedup(AppFactory&& make_app, const htm::RuntimeConfig& config,
     }
     {
         auto app = make_app();
-        result.tm = runTransactional(app, config, threads, seed);
+        result.tm = runTransactional(app, config, threads, seed, mode);
     }
     result.ratio = result.tm.cycles == 0
                        ? 0.0

@@ -20,11 +20,10 @@
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "htm/node_pool.hh"
+#include "sim/region.hh"
 #include "stamp/exec.hh"
 #include "tmds/tm_hashtable.hh"
 #include "tmds/tm_list.hh"
@@ -77,8 +76,8 @@ class IntruderAppT
         sim::Rng rng(params_.seed);
         htm::DirectContext c;
 
-        flowMap_ = std::make_unique<FlowMap>(params_.numFlows / 2);
-        inputQueue_ = std::make_unique<tmds::TmQueue>(
+        flowMap_ = sim::make<FlowMap>(params_.numFlows / 2);
+        inputQueue_ = sim::make<tmds::TmQueue>(
             params_.numFlows * params_.maxFragments + 8);
         flowStates_.clear();
         fragments_.clear();
@@ -118,7 +117,7 @@ class IntruderAppT
         // Pre-allocate flow reassembly states (one per flow).
         flowStates_.reserve(params_.numFlows);
         for (unsigned f = 0; f < params_.numFlows; ++f) {
-            flowStates_.push_back(std::make_unique<FlowState>());
+            flowStates_.push_back(sim::make<FlowState>());
         }
 
         // Fragment the flows and scramble all fragments into the
@@ -132,10 +131,10 @@ class IntruderAppT
             for (unsigned i = 0; i < fragments; ++i) {
                 const unsigned fragment_length =
                     i + 1 == fragments ? length - offset : base;
-                fragments_.push_back(std::make_unique<
-                                     IntruderFragment>(IntruderFragment{
-                    f, i, i + 1 == fragments ? fragments : 0,
-                    fragment_length, chars + offset}));
+                fragments_.push_back(
+                    sim::make<IntruderFragment>(IntruderFragment{
+                        f, i, i + 1 == fragments ? fragments : 0,
+                        fragment_length, chars + offset}));
                 offset += fragment_length;
             }
         }
@@ -186,8 +185,7 @@ class IntruderAppT
                 ++perThreadFlows_[exec.tid()];
                 if (attack)
                     ++perThreadAttacks_[exec.tid()];
-                htm::NodePool::instance().free(assembled,
-                                               assembled_length + 1);
+                sim::regionFree(assembled, assembled_length + 1);
             }
         }
         exec.barrier();
@@ -322,11 +320,11 @@ class IntruderAppT
     }
 
     IntruderParams params_;
-    std::unique_ptr<FlowMap> flowMap_;
-    std::unique_ptr<tmds::TmQueue> inputQueue_;
-    std::vector<std::unique_ptr<FlowState>> flowStates_;
-    std::vector<std::unique_ptr<IntruderFragment>> fragments_;
-    std::vector<char> charPool_;
+    sim::Ptr<FlowMap> flowMap_;
+    sim::Ptr<tmds::TmQueue> inputQueue_;
+    std::vector<sim::Ptr<FlowState>> flowStates_;
+    std::vector<sim::Ptr<IntruderFragment>> fragments_;
+    sim::Vector<char> charPool_;
 
     std::vector<std::uint64_t> perThreadAttacks_;
     std::vector<std::uint64_t> perThreadFlows_;

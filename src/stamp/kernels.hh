@@ -27,7 +27,8 @@
 #define HTMSIM_STAMP_KERNELS_HH
 
 #include <cstdint>
-#include <vector>
+
+#include "sim/region.hh"
 
 namespace htmsim::stamp
 {
@@ -74,8 +75,8 @@ class KmeansAccumKernel
 
   private:
     unsigned dims_;
-    std::vector<std::uint64_t> counts_;
-    std::vector<std::uint64_t> sums_;
+    sim::Vector<std::uint64_t> counts_;
+    sim::Vector<std::uint64_t> sums_;
 };
 
 /** vacation's reserve/cancel over a capacity-bounded resource table. */
@@ -133,7 +134,7 @@ class ReservationKernel
 
   private:
     std::uint64_t capacity_;
-    std::vector<std::uint64_t> used_;
+    sim::Vector<std::uint64_t> used_;
     std::uint64_t revenue_;
 };
 

@@ -82,14 +82,10 @@ KmeansApp::setup()
             96, (payload + 31) / 32 * 32);
         arenaBase_ = 4; // deliberately off a line boundary
     }
-    arena_.assign(arenaBase_ + clusterStride_ * k + 256, 0);
-    // Align the vector data itself so layout is reproducible: find a
-    // 256-aligned origin inside the buffer.
-    const auto raw = reinterpret_cast<std::uintptr_t>(arena_.data());
-    const std::size_t align_slack = (256 - raw % 256) % 256;
-    arenaBase_ += align_slack;
-
-    nextPoint_ = 0;
+    // Region chunks are 256-byte aligned, so arenaBase_ is the offset
+    // from a line boundary on every machine.
+    arena_.assign(arenaBase_ + clusterStride_ * k, 0);
+    nextPoint_ = sim::make<std::uint32_t>();
 }
 
 std::uint32_t*

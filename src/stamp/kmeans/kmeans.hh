@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/region.hh"
 #include "stamp/exec.hh"
 
 namespace htmsim::stamp
@@ -100,7 +101,7 @@ class KmeansApp
         const unsigned dims = params_.numDims;
         for (;;) {
             const std::uint32_t begin = exec.fetchAdd(
-                &nextPoint_, std::uint32_t(params_.chunkSize));
+                nextPoint_.get(), std::uint32_t(params_.chunkSize));
             if (begin >= n)
                 break;
             const unsigned end =
@@ -148,7 +149,7 @@ class KmeansApp
             *countOf(cluster) = 0;
             exec.work(dims * 4);
         }
-        nextPoint_ = 0;
+        *nextPoint_ = 0;
     }
 
     unsigned nearestCenter(unsigned point) const;
@@ -160,11 +161,12 @@ class KmeansApp
     std::vector<unsigned> clusterSizes_;
 
     /** Accumulator arena; layout depends on the variant. */
-    std::vector<char> arena_;
+    sim::Vector<char> arena_;
     std::size_t clusterStride_ = 0;
     std::size_t arenaBase_ = 0;
 
-    std::uint32_t nextPoint_ = 0;
+    /** Next point to assign (a shared counter). */
+    sim::Ptr<std::uint32_t> nextPoint_;
 };
 
 } // namespace htmsim::stamp

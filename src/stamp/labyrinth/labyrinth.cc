@@ -23,7 +23,7 @@ LabyrinthApp::setup()
     sources_.clear();
     targets_.clear();
     routed_.assign(params_.numPaths, 0);
-    cursor_ = 0;
+    cursor_ = sim::make<std::uint32_t>();
 
     // Walls.
     for (auto& cell : grid_) {

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/region.hh"
 #include "stamp/exec.hh"
 
 namespace htmsim::stamp
@@ -50,7 +51,7 @@ class LabyrinthApp
     {
         for (;;) {
             const std::uint32_t index =
-                exec.fetchAdd(&cursor_, std::uint32_t(1));
+                exec.fetchAdd(cursor_.get(), std::uint32_t(1));
             if (index >= params_.numPaths)
                 break;
             bool routed = false;
@@ -160,13 +161,14 @@ class LabyrinthApp
     std::vector<std::size_t> neighbours(std::size_t index) const;
 
     LabyrinthParams params_;
-    std::vector<std::int64_t> grid_;
+    sim::Vector<std::int64_t> grid_;
     std::vector<std::size_t> sources_;
     std::vector<std::size_t> targets_;
     std::vector<std::uint8_t> routed_;
     std::array<std::vector<std::int64_t>, 64> scratch_;
     std::array<std::vector<std::size_t>, 64> bfsQueue_;
-    std::uint32_t cursor_ = 0;
+    /** Next path to route (a shared counter). */
+    sim::Ptr<std::uint32_t> cursor_;
 };
 
 } // namespace htmsim::stamp

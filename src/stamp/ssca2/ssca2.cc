@@ -25,8 +25,8 @@ Ssca2App::setup()
     fill_.assign(params_.numVertices, 0);
     offset_.assign(params_.numVertices + 1, 0);
     adjacency_.assign(params_.numEdges, ~std::uint64_t(0));
-    cursor1_ = 0;
-    cursor2_ = 0;
+    cursor1_ = sim::make<std::uint32_t>();
+    cursor2_ = sim::make<std::uint32_t>();
 }
 
 bool

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/region.hh"
 #include "stamp/exec.hh"
 
 namespace htmsim::stamp
@@ -47,7 +48,7 @@ class Ssca2App
         // Phase 1: transactional degree counting.
         for (;;) {
             const std::uint32_t begin = exec.fetchAdd(
-                &cursor1_, std::uint32_t(params_.chunkSize));
+                cursor1_.get(), std::uint32_t(params_.chunkSize));
             if (begin >= edges)
                 break;
             const unsigned end =
@@ -79,7 +80,7 @@ class Ssca2App
         // Phase 2: transactional adjacency fill.
         for (;;) {
             const std::uint32_t begin = exec.fetchAdd(
-                &cursor2_, std::uint32_t(params_.chunkSize));
+                cursor2_.get(), std::uint32_t(params_.chunkSize));
             if (begin >= edges)
                 break;
             const unsigned end =
@@ -102,7 +103,7 @@ class Ssca2App
 
     bool verify() const;
 
-    const std::vector<std::uint64_t>& adjacency() const
+    const sim::Vector<std::uint64_t>& adjacency() const
     {
         return adjacency_;
     }
@@ -111,12 +112,13 @@ class Ssca2App
     Ssca2Params params_;
     std::vector<std::uint32_t> edgeSources_;
     std::vector<std::uint32_t> edgeTargets_;
-    std::vector<std::uint64_t> degree_;
-    std::vector<std::uint64_t> fill_;
+    sim::Vector<std::uint64_t> degree_;
+    sim::Vector<std::uint64_t> fill_;
     std::vector<std::uint64_t> offset_;
-    std::vector<std::uint64_t> adjacency_;
-    std::uint32_t cursor1_ = 0;
-    std::uint32_t cursor2_ = 0;
+    sim::Vector<std::uint64_t> adjacency_;
+    /** Next edge of each phase (shared counters). */
+    sim::Ptr<std::uint32_t> cursor1_;
+    sim::Ptr<std::uint32_t> cursor2_;
 };
 
 } // namespace htmsim::stamp

@@ -21,10 +21,10 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/region.hh"
 #include "stamp/exec.hh"
 #include "tmds/tm_hashtable.hh"
 #include "tmds/tm_list.hh"
@@ -84,30 +84,6 @@ class VacationAppT
 
     explicit VacationAppT(VacationParams params) : params_(params) {}
 
-    ~VacationAppT()
-    {
-        htm::DirectContext c;
-        for (auto& table : relations_) {
-            if (table) {
-                table->forEach(c,
-                               [&](std::uint64_t, std::uint64_t value) {
-                                   delete reinterpret_cast<Reservation*>(
-                                       value);
-                               });
-            }
-        }
-        if (customers_) {
-            customers_->forEach(c,
-                                [&](std::uint64_t, std::uint64_t value) {
-                                    auto* customer =
-                                        reinterpret_cast<Customer*>(
-                                            value);
-                                    delete customer->held;
-                                    delete customer;
-                                });
-        }
-    }
-
     void
     setup()
     {
@@ -116,23 +92,24 @@ class VacationAppT
         // query walks keep the per-transaction footprint in the
         // multi-KB band of the paper's Figure 10 (POWER8's pain).
         for (auto& table : relations_)
-            table = std::make_unique<Table>(params_.relationSize / 6);
-        customers_ = std::make_unique<Table>(params_.numCustomers / 4);
+            table = sim::make<Table>(params_.relationSize / 6);
+        customers_ = sim::make<Table>(params_.numCustomers / 4);
 
         sim::Rng rng(params_.seed);
         for (unsigned kind = 0; kind < numKinds; ++kind) {
             for (std::uint64_t id = 1; id <= params_.relationSize;
                  ++id) {
-                auto* row = new Reservation{
+                auto* row = c.create<Reservation>(Reservation{
                     id, 3 + rng.nextRange(5), 0,
-                    50 + rng.nextRange(450)};
+                    50 + rng.nextRange(450)});
                 row->total = row->free;
                 relations_[kind]->insert(
                     c, id, reinterpret_cast<std::uint64_t>(row));
             }
         }
         for (std::uint64_t id = 1; id <= params_.numCustomers; ++id) {
-            auto* customer = new Customer{id, new tmds::TmList<>()};
+            auto* customer = c.create<Customer>(
+                Customer{id, c.create<tmds::TmList<>>()});
             customers_->insert(
                 c, id, reinterpret_cast<std::uint64_t>(customer));
         }
@@ -338,8 +315,8 @@ class VacationAppT
     }
 
     VacationParams params_;
-    std::array<std::unique_ptr<Table>, numKinds> relations_;
-    std::unique_ptr<Table> customers_;
+    std::array<sim::Ptr<Table>, numKinds> relations_;
+    sim::Ptr<Table> customers_;
 };
 
 /** Paper's modified variant (hash tables). */

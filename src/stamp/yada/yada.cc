@@ -4,19 +4,11 @@
 #include <map>
 
 #include "htm/context.hh"
-#include "htm/node_pool.hh"
 #include "sim/random.hh"
+#include "sim/region.hh"
 
 namespace htmsim::stamp
 {
-
-YadaApp::~YadaApp()
-{
-    for (YadaTriangle* triangle : allTriangles_) {
-        htm::NodePool::instance().free(triangle,
-                                       sizeof(YadaTriangle));
-    }
-}
 
 double
 YadaApp::orient2d(double ax, double ay, double bx, double by, double cx,
@@ -163,7 +155,7 @@ YadaApp::setup()
     // order would hand concurrent workers *adjacent* triangles, whose
     // cavities always overlap — an artifact no irregular real-world
     // mesh has.
-    workHeap_ = std::make_unique<tmds::TmHeap<YadaBadnessCompare>>(
+    workHeap_ = sim::make<tmds::TmHeap<YadaBadnessCompare>>(
         allTriangles_.size() * 4);
     htm::DirectContext c;
     std::vector<YadaTriangle*> bad;

@@ -16,11 +16,11 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "sim/region.hh"
 #include "stamp/exec.hh"
 #include "tmds/tm_heap.hh"
 
@@ -98,7 +98,6 @@ class YadaApp
 {
   public:
     explicit YadaApp(YadaParams params) : params_(params) {}
-    ~YadaApp();
 
     void setup();
 
@@ -431,10 +430,10 @@ class YadaApp
     std::uint64_t maxPoints_ = 0;
     std::uint64_t initialPoints_ = 0;
 
-    std::vector<YadaPoint> points_;
+    sim::Vector<YadaPoint> points_;
     std::array<std::uint64_t, 64> pointsUsed_{};
     std::vector<YadaTriangle*> allTriangles_;
-    std::unique_ptr<tmds::TmHeap<YadaBadnessCompare>> workHeap_;
+    sim::Ptr<tmds::TmHeap<YadaBadnessCompare>> workHeap_;
 };
 
 } // namespace htmsim::stamp

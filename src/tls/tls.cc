@@ -45,8 +45,8 @@ TlsParams::sphinxLike()
     return params;
 }
 
-void
-TlsKernel::reset()
+sim::Ptr<TlsKernel::State>
+TlsKernel::makeState()
 {
     sim::Rng rng(params_.seed);
     deps_.assign(params_.iterations, -1);
@@ -54,22 +54,23 @@ TlsKernel::reset()
         if (rng.nextBool(params_.depProb))
             deps_[i] = int(rng.nextRange(params_.sharedSlots));
     }
-    shared_.assign(std::size_t(params_.sharedSlots) * slotStride, 0);
-    results_.assign(std::size_t(params_.iterations) *
-                        params_.resultStrideWords,
-                    0);
-    nextIterToCommit_ = 0;
+    const std::size_t shared_words =
+        std::size_t(params_.sharedSlots) * slotStride;
+    const std::size_t result_words =
+        std::size_t(params_.iterations) * params_.resultStrideWords;
+    auto state = sim::make<State>();
+    state->shared.assign(shared_words, 0);
+    state->results.assign(result_words, 0);
 
     // Reference result via untimed ordered execution.
     htm::DirectContext direct;
     for (unsigned i = 0; i < params_.iterations; ++i)
-        executeIteration(direct, i);
-    reference_ = results_;
+        executeIteration(direct, *state, i);
+    reference_.assign(state->results.begin(), state->results.end());
 
-    shared_.assign(std::size_t(params_.sharedSlots) * slotStride, 0);
-    results_.assign(std::size_t(params_.iterations) *
-                        params_.resultStrideWords,
-                    0);
+    state->shared.assign(shared_words, 0);
+    state->results.assign(result_words, 0);
+    return state;
 }
 
 Cycles
@@ -87,7 +88,8 @@ Cycles
 TlsKernel::runSequential(const htm::MachineConfig& machine,
                          std::uint64_t seed)
 {
-    reset();
+    sim::RunScope run;
+    const sim::Ptr<State> state = makeState();
     sim::Scheduler scheduler(seed);
     Cycles start = 0;
     Cycles finish = 0;
@@ -96,7 +98,7 @@ TlsKernel::runSequential(const htm::MachineConfig& machine,
         start = ctx.now();
         ctx.advance(serialRegionCycles());
         for (unsigned i = 0; i < params_.iterations; ++i)
-            executeIteration(seq, i);
+            executeIteration(seq, *state, i);
         finish = ctx.now();
     });
     scheduler.run();
@@ -104,18 +106,18 @@ TlsKernel::runSequential(const htm::MachineConfig& machine,
 }
 
 void
-TlsKernel::tlsWorker(Runtime& runtime, ThreadContext& ctx,
+TlsKernel::tlsWorker(Runtime& runtime, ThreadContext& ctx, State& state,
                      unsigned threads, bool use_suspend_resume)
 {
+    std::uint64_t* next_iter = &state.nextIterToCommit;
     for (unsigned i = ctx.id(); i < params_.iterations; i += threads) {
         for (;;) {
-            if (runtime.nonTxLoad(ctx, &nextIterToCommit_) == i) {
+            if (runtime.nonTxLoad(ctx, next_iter) == i) {
                 // Our turn already: run non-speculatively.
                 runtime.runNonSpeculative(ctx, [&](Tx& tx) {
-                    executeIteration(tx, i);
+                    executeIteration(tx, state, i);
                 });
-                runtime.nonTxStore(ctx, &nextIterToCommit_,
-                                   std::uint64_t(i) + 1);
+                runtime.nonTxStore(ctx, next_iter, std::uint64_t(i) + 1);
                 break;
             }
 
@@ -123,20 +125,19 @@ TlsKernel::tlsWorker(Runtime& runtime, ThreadContext& ctx,
                 htm::txSite("tls.speculativeIteration");
             const AbortCause cause =
                 runtime.tryOnce(ctx, specSite, [&](Tx& tx) {
-                executeIteration(tx, i);
+                executeIteration(tx, state, i);
                 if (use_suspend_resume) {
                     // Figure 8(b), light grey: wait for our turn
                     // outside transactional tracking.
                     tx.suspend();
-                    ctx.spinUntil(
-                        [&] { return nextIterToCommit_ == i; }, 30);
+                    ctx.spinUntil([&] { return *next_iter == i; }, 30);
                     tx.resume();
                 } else {
                     // Figure 8(b), dark grey: abort until our turn.
-                    if (tx.load(&nextIterToCommit_) != i)
+                    if (tx.load(next_iter) != i)
                         tx.abortTx();
                 }
-                tx.store(&nextIterToCommit_, std::uint64_t(i) + 1);
+                tx.store(next_iter, std::uint64_t(i) + 1);
             });
             if (cause == AbortCause::none)
                 break;
@@ -153,8 +154,8 @@ TlsKernel::runTls(const htm::RuntimeConfig& config, unsigned threads,
         throw std::logic_error(
             "suspend/resume TLS needs POWER8-style support");
     }
-    reset();
-
+    sim::RunScope run;
+    const sim::Ptr<State> state = makeState();
     sim::Scheduler scheduler(seed);
     Runtime runtime(config, threads);
     sim::Barrier barrier(threads);
@@ -170,7 +171,7 @@ TlsKernel::runTls(const htm::RuntimeConfig& config, unsigned threads,
                 ctx.advance(serialRegionCycles()); // Amdahl region
             }
             barrier.arrive(ctx);
-            tlsWorker(runtime, ctx, threads, use_suspend_resume);
+            tlsWorker(runtime, ctx, *state, threads, use_suspend_resume);
             barrier.arrive(ctx);
             if (ctx.id() == 0)
                 finish = ctx.now();
@@ -182,8 +183,10 @@ TlsKernel::runTls(const htm::RuntimeConfig& config, unsigned threads,
     result.cycles = finish - start;
     result.stats = runtime.stats();
     result.abortRatio = result.stats.abortRatio();
-    result.valid = results_ == reference_ &&
-                   nextIterToCommit_ == params_.iterations;
+    result.valid = std::equal(state->results.begin(),
+                              state->results.end(), reference_.begin(),
+                              reference_.end()) &&
+                   state->nextIterToCommit == params_.iterations;
     return result;
 }
 

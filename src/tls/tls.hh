@@ -27,6 +27,7 @@
 
 #include "htm/context.hh"
 #include "htm/runtime.hh"
+#include "sim/region.hh"
 #include "sim/sim.hh"
 
 namespace htmsim::tls
@@ -86,31 +87,42 @@ class TlsKernel
                      bool use_suspend_resume, std::uint64_t seed);
 
   private:
-    void reset();
+    /** One run's simulated state, built in the run's region. */
+    struct State
+    {
+        sim::Vector<std::uint64_t> shared;
+        sim::Vector<std::uint64_t> results;
+        alignas(sim::regionLineBytes) std::uint64_t nextIterToCommit = 0;
+    };
+
+    /** Fresh state for a run (and the reference results). */
+    sim::Ptr<State> makeState();
 
     /** The iteration body, written once against the context. */
     template <typename Ctx>
     void
-    executeIteration(Ctx& c, unsigned i)
+    executeIteration(Ctx& c, State& state, unsigned i)
     {
         c.work(params_.iterWork);
         std::uint64_t value =
             std::uint64_t(i) * 0x9e3779b97f4a7c15ULL;
         const int dep = deps_[i];
         if (dep >= 0) {
-            const std::uint64_t shared_value =
-                c.load(&shared_[unsigned(dep) * slotStride]);
+            std::uint64_t* slot =
+                &state.shared[unsigned(dep) * slotStride];
+            const std::uint64_t shared_value = c.load(slot);
             value ^= shared_value;
-            c.store(&shared_[unsigned(dep) * slotStride],
-                    shared_value + i + 1);
+            c.store(slot, shared_value + i + 1);
         }
-        c.store(&results_[std::size_t(i) * params_.resultStrideWords],
-                value);
+        c.store(
+            &state.results[std::size_t(i) * params_.resultStrideWords],
+            value);
     }
 
     /** Whole-loop driver for one TLS worker thread. */
     void tlsWorker(htm::Runtime& runtime, sim::ThreadContext& ctx,
-                   unsigned threads, bool use_suspend_resume);
+                   State& state, unsigned threads,
+                   bool use_suspend_resume);
 
     /** Cycles of the serial (non-TLS) application region. */
     sim::Cycles serialRegionCycles() const;
@@ -120,10 +132,7 @@ class TlsKernel
 
     TlsParams params_;
     std::vector<int> deps_;
-    std::vector<std::uint64_t> shared_;
-    std::vector<std::uint64_t> results_;
     std::vector<std::uint64_t> reference_;
-    alignas(256) std::uint64_t nextIterToCommit_ = 0;
 };
 
 } // namespace htmsim::tls

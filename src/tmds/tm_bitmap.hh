@@ -7,7 +7,8 @@
 #define HTMSIM_TMDS_TM_BITMAP_HH
 
 #include <cstdint>
-#include <vector>
+
+#include "sim/region.hh"
 
 namespace htmsim::tmds
 {
@@ -69,7 +70,7 @@ class TmBitmap
 
   private:
     std::size_t bits_;
-    std::vector<std::uint64_t> words_;
+    sim::Vector<std::uint64_t> words_;
 };
 
 } // namespace htmsim::tmds

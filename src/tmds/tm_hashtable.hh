@@ -14,9 +14,8 @@
 #define HTMSIM_TMDS_TM_HASHTABLE_HH
 
 #include <cstdint>
-#include <vector>
 
-#include "htm/node_pool.hh"
+#include "sim/region.hh"
 
 namespace htmsim::tmds
 {
@@ -83,7 +82,7 @@ class TmHashTable
         for (Node* node : buckets_) {
             while (node != nullptr) {
                 Node* next = node->next;
-                htm::NodePool::instance().free(node, sizeof(Node));
+                sim::regionFree(node, sizeof(Node));
                 node = next;
             }
         }
@@ -219,8 +218,8 @@ class TmHashTable
                 c.load(&shard.value) + std::uint64_t(delta));
     }
 
-    std::vector<Node*> buckets_;
-    std::vector<PaddedCount> counts_;
+    sim::Vector<Node*> buckets_;
+    sim::Vector<PaddedCount> counts_;
 };
 
 } // namespace htmsim::tmds

@@ -11,7 +11,7 @@
 
 #include <cstdint>
 
-#include "htm/node_pool.hh"
+#include "sim/region.hh"
 
 namespace htmsim::tmds
 {
@@ -28,16 +28,14 @@ class TmHeap
         : capacity_(initial_capacity < 2 ? 2 : initial_capacity)
     {
         items_ = static_cast<std::uint64_t*>(
-            htm::NodePool::instance().alloc(capacity_ *
-                                            sizeof(std::uint64_t)));
+            sim::regionAlloc(capacity_ * sizeof(std::uint64_t)));
     }
 
     TmHeap(const TmHeap&) = delete;
     TmHeap& operator=(const TmHeap&) = delete;
     ~TmHeap()
     {
-        htm::NodePool::instance().free(
-            items_, capacity_ * sizeof(std::uint64_t));
+        sim::regionFree(items_, capacity_ * sizeof(std::uint64_t));
     }
 
     template <typename Ctx>

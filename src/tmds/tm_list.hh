@@ -12,7 +12,7 @@
 
 #include <cstdint>
 
-#include "htm/node_pool.hh"
+#include "sim/region.hh"
 
 namespace htmsim::tmds
 {
@@ -59,7 +59,7 @@ class TmList
         Node* node = head_.next;
         while (node != nullptr) {
             Node* next = node->next;
-            htm::NodePool::instance().free(node, sizeof(Node));
+            sim::regionFree(node, sizeof(Node));
             node = next;
         }
     }

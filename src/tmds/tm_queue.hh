@@ -9,7 +9,7 @@
 
 #include <cstdint>
 
-#include "htm/node_pool.hh"
+#include "sim/region.hh"
 
 namespace htmsim::tmds
 {
@@ -22,16 +22,14 @@ class TmQueue
         : capacity_(initial_capacity < 2 ? 2 : initial_capacity)
     {
         items_ = static_cast<std::uint64_t*>(
-            htm::NodePool::instance().alloc(capacity_ *
-                                            sizeof(std::uint64_t)));
+            sim::regionAlloc(capacity_ * sizeof(std::uint64_t)));
     }
 
     TmQueue(const TmQueue&) = delete;
     TmQueue& operator=(const TmQueue&) = delete;
     ~TmQueue()
     {
-        htm::NodePool::instance().free(
-            items_, capacity_ * sizeof(std::uint64_t));
+        sim::regionFree(items_, capacity_ * sizeof(std::uint64_t));
     }
 
     template <typename Ctx>

@@ -14,7 +14,7 @@
 
 #include <cstdint>
 
-#include "htm/node_pool.hh"
+#include "sim/region.hh"
 
 namespace htmsim::tmds
 {
@@ -545,7 +545,7 @@ class TmRbTree
             return;
         freeSubtree(node->left);
         freeSubtree(node->right);
-        htm::NodePool::instance().free(node, sizeof(Node));
+        sim::regionFree(node, sizeof(Node));
     }
 
     Node* root_ = nullptr;

@@ -9,6 +9,7 @@
 #include "htm/site.hh"
 #include "htm/tx.hh"
 #include "sim/random.hh"
+#include "sim/region.hh"
 #include "sim/scheduler.hh"
 #include "tmsync/atomic_condition_variable.hh"
 #include "tmsync/atomic_mutex.hh"
@@ -92,7 +93,7 @@ runSharedArray(const ScenarioConfig& config, htm::Runtime& runtime,
                unsigned read_span, unsigned read_permille,
                htm::TxSiteId read_site, htm::TxSiteId write_site)
 {
-    auto state = std::make_unique<SharedArrayState>();
+    auto state = sim::make<SharedArrayState>();
     std::vector<FiberCounters> counters(config.threads);
     std::vector<sim::Rng> rngs;
     rngs.reserve(config.threads);
@@ -167,7 +168,7 @@ ScenarioResult
 runMutexHammer(const ScenarioConfig& config, htm::Runtime& runtime,
                bool mixed, htm::TxSiteId site)
 {
-    auto state = std::make_unique<MutexState>();
+    auto state = sim::make<MutexState>();
     std::vector<FiberCounters> counters(config.threads);
     std::vector<sim::Rng> rngs;
     rngs.reserve(config.threads);
@@ -239,10 +240,10 @@ runPingPong(const ScenarioConfig& config, htm::Runtime& runtime,
             unsigned threads, htm::TxSiteId site)
 {
     const unsigned pairs = threads / 2;
-    std::vector<std::unique_ptr<PairState>> states;
+    std::vector<sim::Ptr<PairState>> states;
     states.reserve(pairs);
     for (unsigned pair = 0; pair < pairs; ++pair)
-        states.push_back(std::make_unique<PairState>());
+        states.push_back(sim::make<PairState>());
     std::vector<FiberCounters> counters(threads);
 
     drive(config, threads, counters,
@@ -331,6 +332,7 @@ runScenario(const ScenarioConfig& config)
     const unsigned threads = config.scenario == Scenario::pingPong ?
                                  config.threads & ~1u :
                                  config.threads;
+    sim::RunScope run;
     htm::Runtime runtime(config.runtime, threads);
     if (config.observer != nullptr)
         runtime.setObserver(config.observer);

@@ -1,8 +1,6 @@
 /**
  * @file
- * The simulated outcome of one STAMP run as the forked A/B tests
- * compare it. Trivially copyable, so a child ships a whole grid of
- * them back over a pipe (bench/forked.hh) in one write.
+ * The simulated outcome of one STAMP run as the A/B tests compare it.
  */
 
 #ifndef HTMSIM_TESTS_RUN_METRICS_HH

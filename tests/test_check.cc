@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/forked.hh"
 #include "check/fuzz_scheduler.hh"
 #include "check/oracle.hh"
 #include "check/shrink.hh"
@@ -293,74 +292,20 @@ TEST(Oracle, CleanSweepOverAllMachinesAndWorkloads)
     }
 }
 
-// Reduced oracle verdict shipped out of a forked run: verdict flag,
-// concurrent-phase commits, and the fired preemption set (sorted by
-// thread so the comparison ignores global firing order).
-struct ReproResult
-{
-    bool ok = false;
-    std::uint64_t commits = 0;
-    Schedule fired;
-};
-
-// Simulated conflict behavior hashes host heap addresses, and run 1
-// warms the allocator freelists run 2 then inherits — so two
-// back-to-back in-process runs compare two *different* heap layouts
-// and their fired sets can drift. Fork each run from the same parent
-// image instead (the A/B discipline of test_hazard.cc /
-// test_hybrid.cc) and ship the verdict back over a pipe. Both
-// children must be launched before either result is collected:
-// collecting allocates in the parent, which would perturb the image
-// the second child inherits.
-struct ForkedOracleRun : bench::ForkedChild
-{
-    ForkedOracleRun(const WorkloadFactory& workload,
-                    const htm::MachineConfig& machine,
-                    std::uint64_t seed)
-        : ForkedChild([&](const ForkedChild& self) {
-              const RunOutcome outcome = runDifferential(
-                  workload, machine, seed, quickOptions());
-              const Schedule sorted = sortedByThread(outcome.fired);
-              const std::uint64_t header[3] = {outcome.ok ? 1u : 0u,
-                                               outcome.commits,
-                                               sorted.size()};
-              self.send(header, sizeof header);
-              self.send(sorted.data(),
-                        sorted.size() * sizeof(PreemptPoint));
-          })
-    {
-    }
-
-    bool
-    collect(ReproResult& result)
-    {
-        std::uint64_t header[3] = {0, 0, 0};
-        if (receive(header, sizeof header)) {
-            result.ok = header[0] != 0;
-            result.commits = header[1];
-            result.fired.assign(std::size_t(header[2]), PreemptPoint{});
-            receive(result.fired.data(),
-                    result.fired.size() * sizeof(PreemptPoint));
-        }
-        return wait();
-    }
-};
-
 TEST(Oracle, RunsAreReproducible)
 {
     const WorkloadFactory* workload = findWorkload("hashtable");
     ASSERT_NE(workload, nullptr);
     const htm::MachineConfig machine = htm::MachineConfig::intelCore();
-    ForkedOracleRun a(*workload, machine, 9);
-    ForkedOracleRun b(*workload, machine, 9);
-    ReproResult first;
-    ReproResult second;
-    ASSERT_TRUE(a.collect(first));
-    ASSERT_TRUE(b.collect(second));
+    const RunOutcome first =
+        runDifferential(*workload, machine, 9, quickOptions());
+    const RunOutcome second =
+        runDifferential(*workload, machine, 9, quickOptions());
     EXPECT_TRUE(first.ok);
-    // Per-thread fuzz streams are interleaving-independent, so from
-    // identical heap images the *set* of fired points is stable.
-    EXPECT_EQ(first.fired, second.fired);
+    // Per-thread fuzz streams are interleaving-independent, and every
+    // simulated address lies in the run's region, so back-to-back runs
+    // fire the same *set* of points.
+    EXPECT_EQ(sortedByThread(first.fired), sortedByThread(second.fired));
     EXPECT_EQ(first.commits, second.commits);
     EXPECT_GT(first.fired.size(), 0u);
 }

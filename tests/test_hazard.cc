@@ -7,9 +7,8 @@
  *  1. Zero perturbation when off. The injector is compiled in and
  *     value-embedded in every Runtime, so "hazards disabled" vs
  *     "hazards enabled with all-zero rates" must be bit-identical —
- *     same forked A/B discipline as test_prof.cc, but over the full
- *     benchmark x machine grid (simulated results depend on host heap
- *     addresses, so both runs fork from the same parent image).
+ *     same A/B discipline as test_prof.cc, but over the full
+ *     benchmark x machine grid.
  *
  *  2. Injection is real and attributed. Each hazard class — spurious
  *     transient aborts, virtual-time interrupts, capacity
@@ -25,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/forked.hh"
 #include "bench/suite.hh"
 #include "htm/hazard.hh"
 #include "htm/machine.hh"
@@ -42,25 +40,22 @@ using test::RunMetrics;
 
 // ---- zero perturbation when off ---------------------------------------
 
-/// Run every (benchmark, machine) cell once in a forked child with the
-/// given hazard configuration and collect the metrics in the parent.
-bool
-runGridForked(const htm::HazardConfig& hazard,
-              std::vector<RunMetrics>& grid)
+/// Run every (benchmark, machine) cell once with the given hazard
+/// configuration.
+std::vector<RunMetrics>
+runGrid(const htm::HazardConfig& hazard)
 {
-    return bench::runForked(grid.data(), grid.size(), [&] {
-        bench::SuiteRunner runner(false);
-        std::size_t cell = 0;
-        for (const htm::MachineConfig& machine :
-             htm::MachineConfig::all()) {
-            for (const std::string& bench : bench::suiteNames()) {
-                htm::RuntimeConfig config{machine};
-                config.hazard = hazard;
-                grid[cell++] = RunMetrics::of(
-                    runner.run(bench, config, machine, 4, true, 1));
-            }
+    const bench::SuiteRunner runner(false);
+    std::vector<RunMetrics> grid;
+    for (const htm::MachineConfig& machine : htm::MachineConfig::all()) {
+        for (const std::string& bench : bench::suiteNames()) {
+            htm::RuntimeConfig config{machine};
+            config.hazard = hazard;
+            grid.push_back(RunMetrics::of(
+                runner.run(bench, config, machine, 4, true, 1)));
         }
-    });
+    }
+    return grid;
 }
 
 TEST(HazardPerturbation, DisabledIsBitIdenticalToZeroRatesFullGrid)
@@ -71,21 +66,18 @@ TEST(HazardPerturbation, DisabledIsBitIdenticalToZeroRatesFullGrid)
 
     // "Off" is a configured-but-disabled injector; "zero" is the same
     // injector enabled with every rate at zero. Same seed, so any
-    // divergence would expose a draw or allocation the enabled path
-    // does that the disabled path doesn't.
+    // divergence would expose a draw the enabled path does that the
+    // disabled path doesn't.
     htm::HazardConfig off;
     off.enabled = false;
     off.seed = 7;
     htm::HazardConfig zero = off;
     zero.enabled = true;
 
-    // Preallocate both result buffers before the first fork so the
-    // two children start from the same parent heap image.
-    std::vector<RunMetrics> disabled(cells);
-    std::vector<RunMetrics> zeroed(cells);
-
-    ASSERT_TRUE(runGridForked(off, disabled));
-    ASSERT_TRUE(runGridForked(zero, zeroed));
+    const std::vector<RunMetrics> disabled = runGrid(off);
+    const std::vector<RunMetrics> zeroed = runGrid(zero);
+    ASSERT_EQ(disabled.size(), cells);
+    ASSERT_EQ(zeroed.size(), cells);
 
     std::size_t cell = 0;
     std::uint64_t total_aborts = 0;

@@ -9,8 +9,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "htm/node_pool.hh"
 #include "htm/runtime.hh"
+#include "sim/region.hh"
 #include "sim/sim.hh"
 
 namespace
@@ -124,8 +124,8 @@ TEST(HtmBasics, TxAllocFreedOnAbortKeptOnCommit)
     scheduler.run();
     ASSERT_NE(kept, nullptr);
     EXPECT_EQ(*kept, 42);
-    // Transactionally created objects live in the NodePool.
-    NodePool::instance().free(kept, sizeof(int));
+    // Transactionally created objects live in the region.
+    sim::regionFree(kept, sizeof(int));
 }
 
 TEST(HtmConflict, WriterAbortsReader)

@@ -9,9 +9,8 @@
  *     every Runtime and the hybrid instrumentation is compiled into
  *     the shared HTM hot path, so "backend=hybrid with the software
  *     path disabled" vs "backend=htm" must be bit-identical over the
- *     full benchmark x machine grid — same forked A/B discipline as
- *     test_hazard.cc (simulated results depend on host heap
- *     addresses, so both runs fork from the same parent image).
+ *     full benchmark x machine grid — same A/B discipline as
+ *     test_hazard.cc.
  *
  *  2. The software path is real and exact. Whatever mix of hardware,
  *     software and irrevocable commits a configuration produces, a
@@ -35,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/forked.hh"
 #include "bench/suite.hh"
 #include "htm/machine.hh"
 #include "htm/runtime.hh"
@@ -53,25 +51,22 @@ using Subscription = htm::HybridRuntimeConfig::Subscription;
 
 // ---- zero perturbation when off ---------------------------------------
 
-/// Run every (benchmark, machine) cell once in a forked child with the
-/// given configuration mutation and collect the metrics in the parent.
-bool
-runGridForked(const std::function<void(htm::RuntimeConfig&)>& mutate,
-              std::vector<RunMetrics>& grid)
+/// Run every (benchmark, machine) cell once with the given
+/// configuration mutation.
+std::vector<RunMetrics>
+runGrid(const std::function<void(htm::RuntimeConfig&)>& mutate)
 {
-    return bench::runForked(grid.data(), grid.size(), [&] {
-        bench::SuiteRunner runner(false);
-        std::size_t cell = 0;
-        for (const htm::MachineConfig& machine :
-             htm::MachineConfig::all()) {
-            for (const std::string& bench : bench::suiteNames()) {
-                htm::RuntimeConfig config{machine};
-                mutate(config);
-                grid[cell++] = RunMetrics::of(
-                    runner.run(bench, config, machine, 4, true, 1));
-            }
+    const bench::SuiteRunner runner(false);
+    std::vector<RunMetrics> grid;
+    for (const htm::MachineConfig& machine : htm::MachineConfig::all()) {
+        for (const std::string& bench : bench::suiteNames()) {
+            htm::RuntimeConfig config{machine};
+            mutate(config);
+            grid.push_back(RunMetrics::of(
+                runner.run(bench, config, machine, 4, true, 1)));
         }
-    });
+    }
+    return grid;
 }
 
 TEST(HybridPerturbation, StmDisabledIsBitIdenticalToHtmFullGrid)
@@ -80,22 +75,17 @@ TEST(HybridPerturbation, StmDisabledIsBitIdenticalToHtmFullGrid)
                               bench::suiteNames().size();
     ASSERT_GT(cells, 0u);
 
-    // Preallocate both result buffers before the first fork so the
-    // two children start from the same parent heap image.
-    std::vector<RunMetrics> htm_grid(cells);
-    std::vector<RunMetrics> hybrid_grid(cells);
-
-    ASSERT_TRUE(runGridForked(
-        [](htm::RuntimeConfig& config) {
+    const std::vector<RunMetrics> htm_grid =
+        runGrid([](htm::RuntimeConfig& config) {
             config.backend = htm::BackendKind::htm;
-        },
-        htm_grid));
-    ASSERT_TRUE(runGridForked(
-        [](htm::RuntimeConfig& config) {
+        });
+    const std::vector<RunMetrics> hybrid_grid =
+        runGrid([](htm::RuntimeConfig& config) {
             config.backend = htm::BackendKind::hybrid;
             config.hybrid.stmEnabled = false;
-        },
-        hybrid_grid));
+        });
+    ASSERT_EQ(htm_grid.size(), cells);
+    ASSERT_EQ(hybrid_grid.size(), cells);
 
     std::size_t cell = 0;
     std::uint64_t total_aborts = 0;

@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
-#include "htm/node_pool.hh"
+#include "htm/context.hh"
 #include "htm/runtime.hh"
+#include "sim/region.hh"
 #include "sim/sim.hh"
+#include "tmds/tm_hashtable.hh"
 
 namespace
 {
@@ -104,29 +108,100 @@ TEST(NonTxCas, SucceedsOnceUnderContention)
     EXPECT_NE(word, 0u);
 }
 
-TEST(NodePool, ChunksAreLineGranularAndRecycled)
+TEST(Region, ChunksAreLineGranularAndRecycled)
 {
-    NodePool& pool = NodePool::instance();
-    void* a = pool.alloc(24);
-    void* b = pool.alloc(24);
+    void* a = sim::regionAlloc(24);
+    void* b = sim::regionAlloc(24);
     const auto ua = std::uintptr_t(a);
     const auto ub = std::uintptr_t(b);
-    EXPECT_EQ(ua % NodePool::lineBytes, 0u);
-    EXPECT_EQ(ub % NodePool::lineBytes, 0u);
+    EXPECT_EQ(ua % sim::regionLineBytes, 0u);
+    EXPECT_EQ(ub % sim::regionLineBytes, 0u);
     EXPECT_NE(ua >> 8, ub >> 8)
         << "two allocations must not share a 256-byte line";
-    pool.free(a, 24);
-    void* c = pool.alloc(40); // same size class -> reused chunk
+    sim::regionFree(a, 24);
+    void* c = sim::regionAlloc(40); // same size class -> reused chunk
     EXPECT_EQ(c, a);
-    pool.free(b, 24);
-    pool.free(c, 40);
+    sim::regionFree(b, 24);
+    sim::regionFree(c, 40);
 
-    void* big = pool.alloc(5000);
-    EXPECT_EQ(std::uintptr_t(big) % NodePool::lineBytes, 0u);
-    pool.free(big, 5000);
-    void* big2 = pool.alloc(4900); // same class (rounded to lines)
+    void* big = sim::regionAlloc(5000);
+    EXPECT_EQ(std::uintptr_t(big) % sim::regionLineBytes, 0u);
+    sim::regionFree(big, 5000);
+    void* big2 = sim::regionAlloc(4900); // same class (rounded to lines)
     EXPECT_EQ(big2, big);
-    pool.free(big2, 4900);
+    sim::regionFree(big2, 4900);
+}
+
+TEST(Region, EveryRunRestartsAtTheFixedBase)
+{
+    void* first = nullptr;
+    void* nested = nullptr;
+    {
+        sim::RunScope run;
+        first = sim::regionAlloc(100);
+        EXPECT_EQ(std::uintptr_t(first), sim::Region::base);
+        {
+            // A nested scope continues the enclosing run.
+            sim::RunScope inner;
+            nested = sim::regionAlloc(100);
+            EXPECT_NE(nested, first);
+        }
+        EXPECT_TRUE(sim::Region::instance().inRun(nested));
+    }
+    // Outside any run, frees of run memory are no-ops and allocations
+    // come from the loose area.
+    sim::regionFree(first, 100);
+    void* loose = sim::regionAlloc(100);
+    EXPECT_FALSE(sim::Region::instance().inRun(loose));
+    sim::regionFree(loose, 100);
+    {
+        sim::RunScope run;
+        EXPECT_EQ(sim::regionAlloc(100), first);
+        EXPECT_EQ(sim::regionAlloc(100), nested);
+    }
+}
+
+TEST(Region, ObjectsOfAFinishedRunAreReclaimedWithIt)
+{
+    sim::Ptr<tmds::TmHashTable<>> table;
+    {
+        sim::RunScope run;
+        table = sim::make<tmds::TmHashTable<>>(16);
+        htm::DirectContext direct;
+        table->insert(direct, 1, 2);
+    }
+    {
+        // The next run reuses the table's memory for its own state.
+        sim::RunScope run;
+        auto words = sim::make<std::array<std::uint64_t, 64>>();
+        words->fill(~std::uint64_t(0));
+    }
+    // Destroying the stale table must not walk that memory.
+    table.reset();
+    SUCCEED();
+}
+
+#ifndef NDEBUG
+TEST(RegionDeathTest, SimulatedAccessOutsideTheRunAsserts)
+{
+    EXPECT_DEATH(
+        {
+            sim::RunScope run;
+            std::uint64_t host_word = 0;
+            htm::DirectContext direct;
+            direct.store(&host_word, std::uint64_t(1));
+        },
+        "outside the run's region");
+}
+#endif
+
+TEST(RuntimeThreads, CountsOutsideOneToMaxThrow)
+{
+    const htm::RuntimeConfig config(MachineConfig::intelCore());
+    EXPECT_THROW(Runtime(config, 0), std::invalid_argument);
+    EXPECT_THROW(Runtime(config, htm::kMaxTxThreads + 1),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(Runtime(config, htm::kMaxTxThreads));
 }
 
 TEST(SpecIds, ReleasedOnAbortAndCommit)

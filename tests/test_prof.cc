@@ -3,11 +3,10 @@
  * txprof subsystem tests.
  *
  * The critical property is zero perturbation: attaching a TxProfiler
- * must not change the simulation by a single cycle. Simulated results
- * depend on host heap addresses, so the A/B comparison forks both the
- * profiled and the unprofiled run from the same parent image (the same
- * technique as test_determinism.cc) and demands bit-identical metrics
- * across the full tuning grid.
+ * must not change the simulation by a single cycle. The A/B comparison
+ * runs the profiled and the unprofiled grid back to back in one
+ * process (the same technique as test_determinism.cc) and demands
+ * bit-identical metrics across the full tuning grid.
  *
  * The attribution tests drive a scripted two-site workload whose
  * conflict structure is known by construction and check that the
@@ -21,7 +20,6 @@
 #include <sstream>
 #include <vector>
 
-#include "bench/forked.hh"
 #include "bench/suite.hh"
 #include "prof/profiler.hh"
 #include "prof/report.hh"
@@ -38,27 +36,25 @@ using test::RunMetrics;
 constexpr unsigned kThreads = 4;
 constexpr std::uint64_t kSeed = 1;
 
-/// Run the full tuning grid for one cell in a forked child — with or
-/// without a TxProfiler attached — and collect the metrics in the
-/// parent.
-bool
-runGridForked(const std::string& bench,
-              const htm::MachineConfig& machine, bool profiled,
-              std::vector<RunMetrics>& grid)
+/// Run the full tuning grid for one cell, with or without a
+/// TxProfiler attached.
+std::vector<RunMetrics>
+runGrid(const std::string& bench, const htm::MachineConfig& machine,
+        bool profiled)
 {
-    return bench::runForked(grid.data(), grid.size(), [&] {
-        bench::SuiteRunner runner(false);
-        auto configs = bench::SuiteRunner::tuningCandidates(machine);
-        prof::TxProfiler profiler;
-        for (std::size_t i = 0; i < grid.size(); ++i) {
-            if (profiled) {
-                profiler.clear();
-                configs[i].observer = &profiler;
-            }
-            grid[i] = RunMetrics::of(runner.run(
-                bench, configs[i], machine, kThreads, true, kSeed));
+    const bench::SuiteRunner runner(false);
+    prof::TxProfiler profiler;
+    std::vector<RunMetrics> grid;
+    for (htm::RuntimeConfig config :
+         bench::SuiteRunner::tuningCandidates(machine)) {
+        if (profiled) {
+            profiler.clear();
+            config.observer = &profiler;
         }
-    });
+        grid.push_back(RunMetrics::of(runner.run(
+            bench, config, machine, kThreads, true, kSeed)));
+    }
+    return grid;
 }
 
 TEST(ProfPerturbation, ProfiledRunIsBitIdenticalToUnprofiled)
@@ -69,13 +65,11 @@ TEST(ProfPerturbation, ProfiledRunIsBitIdenticalToUnprofiled)
         bench::SuiteRunner::tuningCandidates(machine).size();
     ASSERT_GT(candidates, 0u);
 
-    // Preallocate both result buffers before the first fork so the
-    // two children start from the same parent heap image.
-    std::vector<RunMetrics> plain(candidates);
-    std::vector<RunMetrics> profiled(candidates);
-
-    ASSERT_TRUE(runGridForked(bench, machine, false, plain));
-    ASSERT_TRUE(runGridForked(bench, machine, true, profiled));
+    const std::vector<RunMetrics> plain = runGrid(bench, machine, false);
+    const std::vector<RunMetrics> profiled =
+        runGrid(bench, machine, true);
+    ASSERT_EQ(plain.size(), candidates);
+    ASSERT_EQ(profiled.size(), candidates);
 
     for (std::size_t i = 0; i < candidates; ++i) {
         SCOPED_TRACE("candidate " + std::to_string(i));

@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "bench/forked.hh"
 #include "bench/suite.hh"
 #include "stamp/bayes/bayes.hh"
 #include "stamp/genome/genome.hh"
@@ -341,26 +340,23 @@ TEST(YadaUnits, GentleAspectMeansNoWork)
 
 TEST(YadaUnits, DeterministicMeshPerSeedAndThreads)
 {
-    // Mesh pointers feed the conflict model, so two in-process runs
-    // see different heap layouts and may legitimately drift. Fork each
-    // run from the same parent image instead: determinism then demands
-    // exactly equal geometry counts.
-    auto run_in_child = [](std::uint64_t counts[2]) {
-        return bench::runForked(counts, 2, [&] {
-            YadaParams params;
-            params.gridX = 5;
-            params.gridY = 5;
-            params.pointBudget = 80;
-            YadaApp app(params);
-            (void)runTransactional(app, intel(), 4, 9);
-            counts[0] = app.pointCount();
-            counts[1] = app.aliveTriangles();
-        });
+    // Mesh pointers feed the conflict model and the work queue's
+    // order; both lie in the run's region, so two back-to-back runs
+    // must produce exactly equal geometry counts.
+    auto run = [](std::uint64_t counts[2]) {
+        YadaParams params;
+        params.gridX = 5;
+        params.gridY = 5;
+        params.pointBudget = 80;
+        YadaApp app(params);
+        (void)runTransactional(app, intel(), 4, 9);
+        counts[0] = app.pointCount();
+        counts[1] = app.aliveTriangles();
     };
     std::uint64_t first[2] = {0, 0};
     std::uint64_t second[2] = {0, 0};
-    ASSERT_TRUE(run_in_child(first));
-    ASSERT_TRUE(run_in_child(second));
+    run(first);
+    run(second);
     EXPECT_EQ(first[0], second[0]);
     EXPECT_EQ(first[1], second[1]);
     EXPECT_GT(first[0], 0u);

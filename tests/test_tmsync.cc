@@ -4,8 +4,8 @@
  * condition-variable primitives, the guard executors, the adversarial
  * scenarios under the liveness oracle, and the zero-perturbation
  * contract (constructing tmsync objects must not move a single cycle
- * of an existing workload — pinned with the same forked A/B technique
- * as test_prof.cc).
+ * of an existing workload — pinned with the same A/B technique as
+ * test_prof.cc).
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "bench/forked.hh"
 #include "check/liveness.hh"
 #include "htm/machine.hh"
 #include "htm/runtime.hh"
@@ -505,11 +504,10 @@ TEST(TmsyncScenarios, ReaderHeavyElisionBeatsTatasOnElisionMachines)
 }
 
 // ------------------------------------------------------------------
-// Zero perturbation (forked A/B)
+// Zero perturbation (A/B)
 // ------------------------------------------------------------------
 
-/// Server-run outcome; trivially copyable so the child ships it over
-/// a pipe in one write.
+/// Server-run outcome.
 struct ServerMetrics
 {
     std::uint64_t committedOps = 0;
@@ -540,46 +538,42 @@ abServerConfig()
     return config;
 }
 
-/// Run the A/B server cell in a forked child. When @p construct_tmsync
-/// is set, the child constructs (and pokes, host-side) every tmsync
-/// primitive before the run — on the stack, exactly how a user linking
-/// the library would — and the metrics must still be bit-identical.
-bool
-runServerForked(bool construct_tmsync, ServerMetrics& metrics)
+/// Run the A/B server cell. When @p construct_tmsync is set, every
+/// tmsync primitive is first constructed (and poked, host-side) on the
+/// stack, exactly how a user linking the library would, and the
+/// metrics must still be bit-identical.
+ServerMetrics
+runServerCell(bool construct_tmsync)
 {
-    return bench::runForked(&metrics, 1, [&] {
-        if (construct_tmsync) {
-            atomic_mutex mutex;
-            atomic_shared_mutex rw;
-            atomic_condition_variable cv;
-            (void)mutex.is_locked();
-            (void)rw.is_locked_or_waiting();
-            (void)cv.pending();
-        }
-        const server::ServerResult result =
-            server::runServer(abServerConfig());
-        metrics.committedOps = result.committedOps;
-        metrics.horizonCycles = result.horizonCycles;
-        metrics.p50 = result.latency.percentile(0.50);
-        metrics.p999 = result.latency.percentile(0.999);
-        metrics.commits = result.stats.totalCommits();
-        metrics.aborts = result.stats.totalAborts();
-        metrics.irrevocable = result.stats.irrevocableCommits;
-        metrics.invariantsOk = result.invariantsOk;
-    });
+    if (construct_tmsync) {
+        atomic_mutex mutex;
+        atomic_shared_mutex rw;
+        atomic_condition_variable cv;
+        (void)mutex.is_locked();
+        (void)rw.is_locked_or_waiting();
+        (void)cv.pending();
+    }
+    const server::ServerResult result =
+        server::runServer(abServerConfig());
+    ServerMetrics metrics;
+    metrics.committedOps = result.committedOps;
+    metrics.horizonCycles = result.horizonCycles;
+    metrics.p50 = result.latency.percentile(0.50);
+    metrics.p999 = result.latency.percentile(0.999);
+    metrics.commits = result.stats.totalCommits();
+    metrics.aborts = result.stats.totalAborts();
+    metrics.irrevocable = result.stats.irrevocableCommits;
+    metrics.invariantsOk = result.invariantsOk;
+    return metrics;
 }
 
 TEST(TmsyncPerturbation, ConstructingPrimitivesLeavesServerBitIdentical)
 {
-    // Both children fork from the same parent image; the only
-    // difference is that child B constructs the tmsync primitives
-    // first. With indexLock == none the server must not read a single
-    // tmsync word, so the runs must match to the cycle.
-    ServerMetrics plain;
-    ServerMetrics with_tmsync;
-
-    ASSERT_TRUE(runServerForked(false, plain));
-    ASSERT_TRUE(runServerForked(true, with_tmsync));
+    // The only difference is that run B constructs the tmsync
+    // primitives first. With indexLock == none the server must not
+    // read a single tmsync word, so the runs must match to the cycle.
+    const ServerMetrics plain = runServerCell(false);
+    const ServerMetrics with_tmsync = runServerCell(true);
 
     EXPECT_EQ(plain, with_tmsync);
     // Non-vacuity: the cell must exercise real contention.
