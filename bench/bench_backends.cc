@@ -15,13 +15,12 @@
  * checks.
  */
 
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "suite.hh"
+#include "check/cli.hh"
+#include "report.hh"
 
 namespace
 {
@@ -39,28 +38,18 @@ struct CellRow
     double hybrid = 0.0;
 };
 
-double
-geomean(const std::vector<double>& values)
-{
-    if (values.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (const double value : values)
-        log_sum += std::log(value);
-    return std::exp(log_sum / double(values.size()));
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    const char* output_path = "BENCH_backends.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc)
-            output_path = argv[++i];
+    std::string output_path = "BENCH_backends.json";
+    cli::Args args(argc, argv);
+    while (args.next()) {
+        if (args.is("-o"))
+            output_path = args.value();
         else
-            output_path = argv[i];
+            args.unknown();
     }
     const unsigned threads = 4;
     const std::uint64_t seed = 1;
@@ -108,73 +97,62 @@ main(int argc, char** argv)
         }
     }
 
-    std::FILE* out = std::fopen(output_path, "w");
-    if (out == nullptr) {
-        std::perror(output_path);
-        return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"schema\": \"htmsim-bench-backends-v1\",\n"
-                 "  \"threads\": %u,\n"
-                 "  \"seed\": %llu,\n"
-                 "  \"scale\": %.3f,\n"
-                 "  \"cells\": [\n",
-                 threads, (unsigned long long)seed,
-                 bench::workloadScale());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const CellRow& row = rows[i];
-        std::fprintf(out,
-                     "    {\"bench\": \"%s\", \"machine\": \"%s\", "
-                     "\"htm\": %.4f, \"lock\": %.4f, "
-                     "\"ideal\": %.4f, \"hybrid\": %.4f}%s\n",
-                     row.bench.c_str(), row.machine.c_str(), row.htm,
-                     row.lock, row.ideal, row.hybrid,
-                     i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"geomeans\": [\n");
-    std::size_t machine_index = 0;
-    const auto& machines = htm::MachineConfig::all();
+    // Per-machine geomeans, one row each (bench left empty).
+    std::vector<CellRow> geomeans;
     std::printf("\n%-22s %8s %8s %8s %8s\n", "geomean", "htm",
                 "lock", "ideal", "hybrid");
-    for (const htm::MachineConfig& machine : machines) {
-        std::vector<double> htm_values;
-        std::vector<double> lock_values;
-        std::vector<double> ideal_values;
-        std::vector<double> hybrid_values;
-        for (const CellRow& row : rows) {
-            if (row.machine != machine.name)
-                continue;
-            htm_values.push_back(row.htm);
-            lock_values.push_back(row.lock);
-            ideal_values.push_back(row.ideal);
-            hybrid_values.push_back(row.hybrid);
-        }
-        const double g_htm = geomean(htm_values);
-        const double g_lock = geomean(lock_values);
-        const double g_ideal = geomean(ideal_values);
-        const double g_hybrid = geomean(hybrid_values);
+    for (const htm::MachineConfig& machine :
+         htm::MachineConfig::all()) {
+        const auto mean = [&](double CellRow::*column) {
+            std::vector<double> values;
+            for (const CellRow& row : rows) {
+                if (row.machine == machine.name)
+                    values.push_back(row.*column);
+            }
+            return bench::geomean(values);
+        };
+        geomeans.push_back({"", machine.name, mean(&CellRow::htm),
+                            mean(&CellRow::lock), mean(&CellRow::ideal),
+                            mean(&CellRow::hybrid)});
+        const CellRow& g = geomeans.back();
         std::printf("%-22s %8.2f %8.2f %8.2f %8.2f\n",
-                    machine.name.c_str(), g_htm, g_lock, g_ideal,
-                    g_hybrid);
-        std::fprintf(out,
-                     "    {\"machine\": \"%s\", \"htm\": %.4f, "
-                     "\"lock\": %.4f, \"ideal\": %.4f, "
-                     "\"hybrid\": %.4f}%s\n",
-                     machine.name.c_str(), g_htm, g_lock, g_ideal,
-                     g_hybrid,
-                     ++machine_index < machines.size() ? "," : "");
+                    g.machine.c_str(), g.htm, g.lock, g.ideal, g.hybrid);
     }
-    std::fprintf(out,
-                 "  ],\n"
-                 "  \"checks\": {\"lock_speedup_above_1.05\": %u, "
-                 "\"ideal_below_htm\": %u}\n"
-                 "}\n",
-                 lock_violations, ideal_violations);
-    std::fclose(out);
+
+    if (!bench::writeReport(output_path, argc, argv, [&](auto& json) {
+            // A row's machine and speed-ups; closes its object.
+            const auto columns = [&json](const CellRow& row) {
+                json.field("machine", row.machine)
+                    .field("htm", row.htm)
+                    .field("lock", row.lock)
+                    .field("ideal", row.ideal)
+                    .field("hybrid", row.hybrid)
+                    .end();
+            };
+            json.field("threads", threads)
+                .field("seed", seed)
+                .key("cells")
+                .beginArray();
+            for (const CellRow& row : rows) {
+                json.beginObject().field("bench", row.bench);
+                columns(row);
+            }
+            json.end().key("geomeans").beginArray();
+            for (const CellRow& row : geomeans) {
+                json.beginObject();
+                columns(row);
+            }
+            json.end()
+                .key("checks")
+                .beginObject()
+                .field("lock_speedup_above_1_05", lock_violations)
+                .field("ideal_below_htm", ideal_violations)
+                .end();
+        }))
+        return 1;
 
     std::printf("\nchecks: lock>1.05 violations %u, ideal<htm "
                 "violations %u -> %s\n",
-                lock_violations, ideal_violations, output_path);
+                lock_violations, ideal_violations, output_path.c_str());
     return 0;
 }

@@ -24,13 +24,12 @@
  * structure, not retry-budget luck.
  */
 
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "suite.hh"
+#include "check/cli.hh"
+#include "report.hh"
 
 namespace
 {
@@ -48,17 +47,6 @@ runRatio(const bench::SuiteRunner& runner, const std::string& bench,
     config.hybrid.stmOnly = stm_only;
     return runner.run(bench, config, machine, threads, true, seed)
         .ratio;
-}
-
-double
-geomean(const std::vector<double>& values)
-{
-    if (values.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (const double value : values)
-        log_sum += std::log(value);
-    return std::exp(log_sum / double(values.size()));
 }
 
 struct InstRow
@@ -85,12 +73,13 @@ struct ConcRow
 int
 main(int argc, char** argv)
 {
-    const char* output_path = "BENCH_hybrid.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc)
-            output_path = argv[++i];
+    std::string output_path = "BENCH_hybrid.json";
+    cli::Args args(argc, argv);
+    while (args.next()) {
+        if (args.is("-o"))
+            output_path = args.value();
         else
-            output_path = argv[i];
+            args.unknown();
     }
     const std::uint64_t seed = 1;
     const bench::SuiteRunner runner(false);
@@ -183,53 +172,42 @@ main(int argc, char** argv)
         }
         machines_without_win += wins == 0 ? 1 : 0;
         std::printf("%-22s %9.2fx %6u/%zu%s\n", machine.name.c_str(),
-                    geomean(slowdowns), wins, conc_benches.size(),
+                    bench::geomean(slowdowns), wins, conc_benches.size(),
                     wins == 0 ? "  [no win]" : "");
     }
 
-    std::FILE* out = std::fopen(output_path, "w");
-    if (out == nullptr) {
-        std::perror(output_path);
+    if (!bench::writeReport(output_path, argc, argv, [&](auto& json) {
+            json.field("seed", seed).key("instrumentation").beginArray();
+            for (const InstRow& row : inst_rows) {
+                json.beginObject()
+                    .field("bench", row.bench)
+                    .field("machine", row.machine)
+                    .field("htm", row.htm)
+                    .field("stm", row.stm)
+                    .field("slowdown", row.slowdown)
+                    .end();
+            }
+            json.end().key("concurrency").beginArray();
+            for (const ConcRow& row : conc_rows) {
+                json.beginObject()
+                    .field("bench", row.bench)
+                    .field("machine", row.machine)
+                    .field("threads", row.threads)
+                    .field("lock", row.lock)
+                    .field("htm", row.htm)
+                    .field("hybrid", row.hybrid)
+                    .end();
+            }
+            json.end()
+                .key("checks")
+                .beginObject()
+                .field("machines_without_hybrid_win", machines_without_win)
+                .end();
+        }))
         return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"schema\": \"htmsim-bench-hybrid-v1\",\n"
-                 "  \"seed\": %llu,\n"
-                 "  \"scale\": %.3f,\n"
-                 "  \"instrumentation\": [\n",
-                 (unsigned long long)seed, bench::workloadScale());
-    for (std::size_t i = 0; i < inst_rows.size(); ++i) {
-        const InstRow& row = inst_rows[i];
-        std::fprintf(out,
-                     "    {\"bench\": \"%s\", \"machine\": \"%s\", "
-                     "\"htm\": %.4f, \"stm\": %.4f, "
-                     "\"slowdown\": %.4f}%s\n",
-                     row.bench.c_str(), row.machine.c_str(), row.htm,
-                     row.stm, row.slowdown,
-                     i + 1 < inst_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"concurrency\": [\n");
-    for (std::size_t i = 0; i < conc_rows.size(); ++i) {
-        const ConcRow& row = conc_rows[i];
-        std::fprintf(out,
-                     "    {\"bench\": \"%s\", \"machine\": \"%s\", "
-                     "\"threads\": %u, \"lock\": %.4f, "
-                     "\"htm\": %.4f, \"hybrid\": %.4f}%s\n",
-                     row.bench.c_str(), row.machine.c_str(),
-                     row.threads, row.lock, row.htm, row.hybrid,
-                     i + 1 < conc_rows.size() ? "," : "");
-    }
-    std::fprintf(out,
-                 "  ],\n"
-                 "  \"checks\": {\"machines_without_hybrid_win\": "
-                 "%u}\n"
-                 "}\n",
-                 machines_without_win);
-    std::fclose(out);
 
     std::printf("\nchecks: machines without a hybrid>lock contended "
                 "cell: %u -> %s\n",
-                machines_without_win, output_path);
+                machines_without_win, output_path.c_str());
     return machines_without_win == 0 ? 0 : 1;
 }

@@ -14,18 +14,19 @@
  * depend only on the inputs and are directly comparable across builds
  * and processes: a hot-path refactor that claims bit-identical model
  * behavior must reproduce them exactly.
+ *
+ * Usage: bench_perf [--no-batch] [-o OUT.json]
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "access_micro.hh"
-#include "suite.hh"
+#include "check/cli.hh"
+#include "prof/report.hh"
+#include "report.hh"
 
 namespace
 {
@@ -47,12 +48,7 @@ struct CandidateResult
 {
     std::uint64_t hostNs = 0;   ///< seq + tm run, host wall-clock
     std::uint64_t hostTmNs = 0; ///< tm share (by simulated cycles)
-    std::uint64_t seqCycles = 0;
-    std::uint64_t tmCycles = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    std::array<std::uint64_t, htm::numAbortCauses> causes{};
-    double ratio = 0.0;
+    stamp::Speedup speedup;
 };
 
 /** Run one tuning candidate (sequential baseline + tm run). */
@@ -65,13 +61,14 @@ runCandidate(const std::string& bench,
     bench::SuiteRunner runner(false);
     CandidateResult candidate;
     const auto start = Clock::now();
-    const stamp::Speedup speedup =
+    candidate.speedup =
         runner.run(bench, config, machine, threads, true, seed);
     const auto finish = Clock::now();
     candidate.hostNs = elapsedNs(start, finish);
     // The sequential baseline is identical across candidates and
     // cheap; attribute host time to the tm run proportionally to
     // simulated cycles instead of timing the phases separately.
+    const stamp::Speedup& speedup = candidate.speedup;
     const double total_cycles =
         double(speedup.seq.cycles) + double(speedup.tm.cycles);
     const double tm_share = total_cycles == 0.0
@@ -80,12 +77,6 @@ runCandidate(const std::string& bench,
                                       total_cycles;
     candidate.hostTmNs =
         std::uint64_t(double(candidate.hostNs) * tm_share);
-    candidate.seqCycles = speedup.seq.cycles;
-    candidate.tmCycles = speedup.tm.cycles;
-    candidate.commits = speedup.tm.stats.totalCommits();
-    candidate.aborts = speedup.tm.stats.totalAborts();
-    candidate.causes = speedup.tm.stats.trueCauseAborts;
-    candidate.ratio = speedup.ratio;
     return candidate;
 }
 
@@ -118,7 +109,7 @@ struct CellResult
     {
         std::uint64_t sum = 0;
         for (const auto& candidate : candidates)
-            sum += candidate.commits;
+            sum += candidate.speedup.tm.stats.totalCommits();
         return sum;
     }
 
@@ -138,8 +129,8 @@ struct CellResult
         double best = 0.0;
         bool first = true;
         for (const auto& candidate : candidates) {
-            if (first || candidate.ratio > best) {
-                best = candidate.ratio;
+            if (first || candidate.speedup.ratio > best) {
+                best = candidate.speedup.ratio;
                 first = false;
             }
         }
@@ -147,63 +138,24 @@ struct CellResult
     }
 };
 
-void
-writeCellJson(std::FILE* out, const CellResult& cell)
-{
-    std::fprintf(out,
-                 "    {\"bench\": \"%s\", \"machine\": \"%s\",\n"
-                 "     \"host_ns\": %llu, \"host_tm_ns\": %llu,\n"
-                 "     \"committed_tx\": %llu, \"tx_per_sec\": %.1f,\n"
-                 "     \"best_speedup\": %.4f,\n"
-                 "     \"candidates\": [\n",
-                 cell.bench.c_str(), cell.machine.c_str(),
-                 (unsigned long long)cell.hostNs(),
-                 (unsigned long long)cell.hostTmNs(),
-                 (unsigned long long)cell.committedTx(),
-                 cell.txPerSec(), cell.bestRatio());
-    for (std::size_t i = 0; i < cell.candidates.size(); ++i) {
-        const CandidateResult& candidate = cell.candidates[i];
-        std::fprintf(out,
-                     "      {\"seq_cycles\": %llu, \"tm_cycles\": %llu, "
-                     "\"commits\": %llu, \"aborts\": %llu, "
-                     "\"causes\": [",
-                     (unsigned long long)candidate.seqCycles,
-                     (unsigned long long)candidate.tmCycles,
-                     (unsigned long long)candidate.commits,
-                     (unsigned long long)candidate.aborts);
-        for (std::size_t c = 0; c < candidate.causes.size(); ++c) {
-            std::fprintf(out, "%s%llu", c == 0 ? "" : ", ",
-                         (unsigned long long)candidate.causes[c]);
-        }
-        std::fprintf(out, "]}%s\n",
-                     i + 1 < cell.candidates.size() ? "," : "");
-    }
-    std::fprintf(out, "    ]}");
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    const char* output_path = "BENCH_perf.json";
+    std::string output_path = "BENCH_perf.json";
     bool batch = true;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "-o") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "usage: %s [--no-batch] [-o output.json]\n",
-                             argv[0]);
-                return 2;
-            }
-            output_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--no-batch") == 0) {
+    cli::Args args(argc, argv);
+    while (args.next()) {
+        if (args.is("-o")) {
+            output_path = args.value();
+        } else if (args.is("--no-batch")) {
             // Escape hatch: disable the epoch-batched sync() fast
             // path (DESIGN.md Section 5). Simulated metrics must be
             // bit-identical either way; only host time may differ.
             batch = false;
         } else {
-            output_path = argv[i];
+            args.unknown();
         }
     }
     const unsigned threads = 4;
@@ -240,70 +192,68 @@ main(int argc, char** argv)
     access_config.batchEpoch = batch;
     const std::vector<bench::AccessResult> access_rows =
         bench::runAccessSweep(access_config);
-    std::printf("\n%-12s %8s %10s\n", "access", "threads",
-                "ns/access");
+    std::printf("\n%-12s %8s %12s %10s %10s %10s\n", "access",
+                "threads", "accesses", "ns/access", "commits", "aborts");
     for (const bench::AccessResult& row : access_rows) {
-        std::printf("%-12s %8u %10.1f\n", row.pattern, row.threads,
-                    row.nsPerAccess());
+        std::printf("%-12s %8u %12llu %10.1f %10llu %10llu\n",
+                    row.pattern, row.threads,
+                    (unsigned long long)row.accesses,
+                    row.nsPerAccess(), (unsigned long long)row.commits,
+                    (unsigned long long)row.aborts);
     }
 
     // Geomean of per-cell host times: the suite-level trajectory
     // metric (robust to one cell dominating).
-    double log_sum = 0.0;
+    std::vector<double> cell_ns;
     std::uint64_t total_ns = 0;
     for (const CellResult& cell : cells) {
-        log_sum += std::log(double(cell.hostNs()));
+        cell_ns.push_back(double(cell.hostNs()));
         total_ns += cell.hostNs();
     }
-    const double geomean_ns =
-        cells.empty() ? 0.0 : std::exp(log_sum / double(cells.size()));
+    const double geomean_ns = bench::geomean(cell_ns);
 
-    std::FILE* out = std::fopen(output_path, "w");
-    if (out == nullptr) {
-        std::perror(output_path);
+    if (!bench::writeReport(output_path, argc, argv, [&](auto& json) {
+            json.field("threads", threads)
+                .field("seed", seed)
+                .field("total_host_ns", total_ns)
+                .field("wall_host_ns", elapsedNs(suite_start, suite_finish))
+                .field("geomean_cell_host_ns", geomean_ns)
+                .key("cells")
+                .beginArray();
+            for (const CellResult& cell : cells) {
+                json.beginObject()
+                    .field("bench", cell.bench)
+                    .field("machine", cell.machine)
+                    .field("host_ns", cell.hostNs())
+                    .field("host_tm_ns", cell.hostTmNs())
+                    .field("committed_tx", cell.committedTx())
+                    .field("tx_per_sec", cell.txPerSec())
+                    .field("best_speedup", cell.bestRatio())
+                    .key("candidates")
+                    .beginArray();
+                for (const CandidateResult& candidate : cell.candidates)
+                    prof::writeJson(json, candidate.speedup);
+                json.end().end();
+            }
+            json.end().key("access").beginArray();
+            for (const bench::AccessResult& row : access_rows) {
+                json.beginObject()
+                    .field("pattern", row.pattern)
+                    .field("threads", row.threads)
+                    .field("accesses", row.accesses)
+                    .field("host_ns", row.hostNs)
+                    .field("ns_per_access", row.nsPerAccess())
+                    .field("tm_cycles", row.tmCycles)
+                    .field("commits", row.commits)
+                    .field("aborts", row.aborts)
+                    .end();
+            }
+            json.end();
+        }))
         return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"schema\": \"htmsim-bench-perf-v1\",\n"
-                 "  \"threads\": %u,\n"
-                 "  \"seed\": %llu,\n"
-                 "  \"scale\": %.3f,\n"
-                 "  \"total_host_ns\": %llu,\n"
-                 "  \"wall_host_ns\": %llu,\n"
-                 "  \"geomean_cell_host_ns\": %.0f,\n"
-                 "  \"cells\": [\n",
-                 threads, (unsigned long long)seed,
-                 bench::workloadScale(),
-                 (unsigned long long)total_ns,
-                 (unsigned long long)elapsedNs(suite_start,
-                                               suite_finish),
-                 geomean_ns);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        writeCellJson(out, cells[i]);
-        std::fprintf(out, "%s\n", i + 1 < cells.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"access\": [\n");
-    for (std::size_t i = 0; i < access_rows.size(); ++i) {
-        const bench::AccessResult& row = access_rows[i];
-        std::fprintf(
-            out,
-            "    {\"pattern\": \"%s\", \"threads\": %u, "
-            "\"accesses\": %llu, \"host_ns\": %llu, "
-            "\"ns_per_access\": %.2f, \"tm_cycles\": %llu, "
-            "\"commits\": %llu, \"aborts\": %llu}%s\n",
-            row.pattern, row.threads,
-            (unsigned long long)row.accesses,
-            (unsigned long long)row.hostNs, row.nsPerAccess(),
-            (unsigned long long)row.tmCycles,
-            (unsigned long long)row.commits,
-            (unsigned long long)row.aborts,
-            i + 1 < access_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
 
     std::printf("\ntotal %.1f ms (geomean cell %.1f ms) -> %s\n",
-                double(total_ns) / 1e6, geomean_ns / 1e6, output_path);
+                double(total_ns) / 1e6, geomean_ns / 1e6,
+                output_path.c_str());
     return 0;
 }

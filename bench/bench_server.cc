@@ -29,13 +29,15 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "check/cli.hh"
 #include "htm/backend.hh"
 #include "htm/machine.hh"
 #include "prof/profiler.hh"
+#include "prof/report.hh"
+#include "report.hh"
 #include "server/server.hh"
 
 namespace
@@ -100,25 +102,23 @@ struct RunRow
 int
 main(int argc, char** argv)
 {
-    const char* output_path = "BENCH_server.json";
+    std::string output_path = "BENCH_server.json";
     bool smoke = false;
     server::IndexLockMode index_lock = server::IndexLockMode::none;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
+    // The report records HTMSIM_SCALE: reject a malformed value before
+    // the sweep, not after it.
+    bench::workloadScale();
+    cli::Args args(argc, argv);
+    while (args.next()) {
+        if (args.is("--smoke")) {
             smoke = true;
-        } else if (std::strcmp(argv[i], "--index-lock") == 0 &&
-                   i + 1 < argc) {
-            if (!server::parseIndexLockMode(argv[++i], index_lock)) {
-                std::fprintf(stderr,
-                             "unknown --index-lock mode '%s' "
-                             "(accepted: none elided tatas)\n",
-                             argv[i]);
-                return 2;
-            }
-        } else if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc) {
-            output_path = argv[++i];
+        } else if (args.is("--index-lock")) {
+            if (!server::parseIndexLockMode(args.value(), index_lock))
+                args.invalid("none elided tatas");
+        } else if (args.is("-o")) {
+            output_path = args.value();
         } else {
-            output_path = argv[i];
+            args.unknown();
         }
     }
 
@@ -134,14 +134,10 @@ main(int argc, char** argv)
         {"readmostly", readMostlyTraffic()},
         {"contended", contendedTraffic()},
     };
-    std::vector<htm::MachineConfig> machines;
-    if (smoke) {
-        machines.push_back(htm::MachineConfig::intelCore());
-    } else {
-        for (const htm::MachineConfig& machine :
-             htm::MachineConfig::all())
-            machines.push_back(machine);
-    }
+    std::vector<htm::MachineConfig> machines(
+        htm::MachineConfig::all().begin(), htm::MachineConfig::all().end());
+    if (smoke)
+        machines = {htm::MachineConfig::intelCore()};
 
     std::printf("%-22s %-6s %-11s %8s %10s %10s %10s %10s %8s\n",
                 "machine", "bkend", "profile", "clients", "thru/kcyc",
@@ -178,13 +174,9 @@ main(int argc, char** argv)
                     row.clients = clients;
                     row.result = server::runServer(config);
 
-                    const prof::ProfileReport report =
-                        profiler.report();
-                    const std::size_t keep =
-                        report.sites.size() < 5 ? report.sites.size()
-                                                : 5;
-                    row.topSites.assign(report.sites.begin(),
-                                        report.sites.begin() + keep);
+                    row.topSites = profiler.report().sites;
+                    row.topSites.resize(
+                        std::min<std::size_t>(row.topSites.size(), 5));
 
                     if (!row.result.invariantsOk)
                         ++invariant_failures;
@@ -210,83 +202,51 @@ main(int argc, char** argv)
         }
     }
 
-    std::FILE* out = std::fopen(output_path, "w");
-    if (out == nullptr) {
-        std::perror(output_path);
+    if (!bench::writeReport(output_path, argc, argv, [&](auto& json) {
+            json.field("seed", seed)
+                .field("ops_per_client", ops_per_client)
+                .field("smoke", smoke)
+                .field("index_lock", server::indexLockModeName(index_lock))
+                .key("runs")
+                .beginArray();
+            for (const RunRow& row : rows) {
+                const server::ServerResult& r = row.result;
+                json.beginObject()
+                    .field("machine", row.machine)
+                    .field("backend", row.backend)
+                    .field("profile", row.profile)
+                    .field("clients", row.clients)
+                    .field("committed", r.committedOps)
+                    .field("horizon_cycles", r.horizonCycles)
+                    .field("throughput_per_kcycle", r.throughputPerKcycle())
+                    .key("latency")
+                    .beginObject()
+                    .field("mean", r.latency.mean())
+                    .field("p50", r.latency.percentile(0.50))
+                    .field("p99", r.latency.percentile(0.99))
+                    .field("p999", r.latency.percentile(0.999))
+                    .field("max", r.latency.max())
+                    .end()
+                    .field("queue_delay_p99", r.queueDelay.percentile(0.99))
+                    .field("invariants_ok", r.invariantsOk)
+                    .field("index_guard_sections", r.indexGuardSections)
+                    .field("index_guard_elided", r.indexGuardElided)
+                    .key("stats");
+                prof::writeJson(json, r.stats);
+                json.key("sites").beginArray();
+                for (const prof::SiteProfile& site : row.topSites)
+                    prof::writeJson(json, site);
+                json.end().end();
+            }
+            json.end()
+                .key("checks")
+                .beginObject()
+                .field("invariant_failures", invariant_failures)
+                .end();
+        }))
         return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"schema\": \"htmsim-bench-server-v1\",\n"
-                 "  \"seed\": %llu,\n"
-                 "  \"ops_per_client\": %u,\n"
-                 "  \"smoke\": %s,\n"
-                 "  \"index_lock\": \"%s\",\n"
-                 "  \"runs\": [\n",
-                 (unsigned long long)seed, ops_per_client,
-                 smoke ? "true" : "false",
-                 server::indexLockModeName(index_lock));
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const RunRow& row = rows[i];
-        const server::ServerResult& r = row.result;
-        std::fprintf(
-            out,
-            "    {\"machine\": \"%s\", \"backend\": \"%s\", "
-            "\"profile\": \"%s\", \"clients\": %u,\n"
-            "     \"committed\": %llu, \"horizon_cycles\": %llu, "
-            "\"throughput_per_kcycle\": %.4f,\n"
-            "     \"latency\": {\"mean\": %.1f, \"p50\": %llu, "
-            "\"p99\": %llu, \"p999\": %llu, \"max\": %llu},\n"
-            "     \"queue_delay_p99\": %llu,\n"
-            "     \"abort_ratio\": %.4f, "
-            "\"serialization_ratio\": %.4f, "
-            "\"invariants_ok\": %s,\n"
-            "     \"index_guard_sections\": %llu, "
-            "\"index_guard_elided\": %llu,\n"
-            "     \"sites\": [",
-            row.machine.c_str(), row.backend.c_str(),
-            row.profile.c_str(), row.clients,
-            (unsigned long long)r.committedOps,
-            (unsigned long long)r.horizonCycles,
-            r.throughputPerKcycle(), r.latency.mean(),
-            (unsigned long long)r.latency.percentile(0.50),
-            (unsigned long long)r.latency.percentile(0.99),
-            (unsigned long long)r.latency.percentile(0.999),
-            (unsigned long long)r.latency.max(),
-            (unsigned long long)r.queueDelay.percentile(0.99),
-            r.stats.abortRatio(), r.stats.serializationRatio(),
-            r.invariantsOk ? "true" : "false",
-            (unsigned long long)r.indexGuardSections,
-            (unsigned long long)r.indexGuardElided);
-        for (std::size_t s = 0; s < row.topSites.size(); ++s) {
-            const prof::SiteProfile& site = row.topSites[s];
-            std::fprintf(
-                out,
-                "%s\n       {\"site\": \"%s\", \"attempts\": %llu, "
-                "\"commits\": %llu, \"aborts\": %llu, "
-                "\"fallbacks\": %llu, \"committed_cycles\": %llu, "
-                "\"wasted_cycles\": %llu, \"stall_cycles\": %llu, "
-                "\"lock_wait_cycles\": %llu}",
-                s == 0 ? "" : ",", site.name.c_str(),
-                (unsigned long long)site.attempts,
-                (unsigned long long)site.commits,
-                (unsigned long long)site.aborts,
-                (unsigned long long)site.fallbackCommits,
-                (unsigned long long)site.committedCycles,
-                (unsigned long long)site.wastedCycles,
-                (unsigned long long)site.stallCycles,
-                (unsigned long long)site.lockWaitCycles);
-        }
-        std::fprintf(out, "]}%s\n", i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(out,
-                 "  ],\n"
-                 "  \"checks\": {\"invariant_failures\": %u}\n"
-                 "}\n",
-                 invariant_failures);
-    std::fclose(out);
 
     std::printf("\ninvariant failures: %u -> %s\n", invariant_failures,
-                output_path);
+                output_path.c_str());
     return invariant_failures == 0 ? 0 : 1;
 }

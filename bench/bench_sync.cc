@@ -22,14 +22,16 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "check/cli.hh"
 #include "check/liveness.hh"
 #include "htm/machine.hh"
 #include "prof/profiler.hh"
+#include "prof/report.hh"
+#include "report.hh"
 #include "tmsync/scenarios.hh"
 
 namespace
@@ -45,7 +47,6 @@ struct RunRow
     std::uint64_t seed = 1;
     tmsync::ScenarioResult result;
     bool livenessOk = true;
-    std::string livenessError;
     std::vector<prof::SiteProfile> topSites;
 };
 
@@ -54,35 +55,33 @@ struct RunRow
 int
 main(int argc, char** argv)
 {
-    const char* output_path = "BENCH_sync.json";
+    std::string output_path = "BENCH_sync.json";
     bool smoke = false;
     unsigned num_seeds = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
+    // The report records HTMSIM_SCALE: reject a malformed value before
+    // the sweep, not after it.
+    bench::workloadScale();
+    cli::Args args(argc, argv);
+    while (args.next()) {
+        if (args.is("--smoke"))
             smoke = true;
-        else if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc)
-            num_seeds = unsigned(std::strtoul(argv[++i], nullptr, 10));
-        else if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc)
-            output_path = argv[++i];
+        else if (args.is("--seeds"))
+            num_seeds = args.number(1u, 100000u);
+        else if (args.is("-o"))
+            output_path = args.value();
         else
-            output_path = argv[i];
+            args.unknown();
     }
-    if (num_seeds == 0)
-        num_seeds = 1;
 
     const unsigned threads = smoke ? 4 : 8;
     const unsigned ops_per_thread = smoke ? 40 : 200;
     const std::vector<tmsync::SyncMode> modes = {
         tmsync::SyncMode::elided, tmsync::SyncMode::tatas,
         tmsync::SyncMode::globalLock};
-    std::vector<htm::MachineConfig> machines;
-    if (smoke) {
-        machines.push_back(htm::MachineConfig::intelCore());
-    } else {
-        for (const htm::MachineConfig& machine :
-             htm::MachineConfig::all())
-            machines.push_back(machine);
-    }
+    std::vector<htm::MachineConfig> machines(
+        htm::MachineConfig::all().begin(), htm::MachineConfig::all().end());
+    if (smoke)
+        machines = {htm::MachineConfig::intelCore()};
 
     std::printf("%-22s %-14s %-12s %6s %9s %8s %8s %8s\n", "machine",
                 "scenario", "mode", "seed", "thru/kcyc", "sections",
@@ -118,19 +117,14 @@ main(int argc, char** argv)
                     row.seed = seed;
                     try {
                         row.result = tmsync::runScenario(config);
-                    } catch (const check::LivenessViolation& e) {
+                    } catch (const check::LivenessViolation&) {
                         row.livenessOk = false;
-                        row.livenessError = e.what();
                         ++liveness_failures;
                     }
 
-                    const prof::ProfileReport report =
-                        profiler.report();
-                    const std::size_t keep =
-                        report.sites.size() < 5 ? report.sites.size()
-                                                : 5;
-                    row.topSites.assign(report.sites.begin(),
-                                        report.sites.begin() + keep);
+                    row.topSites = profiler.report().sites;
+                    row.topSites.resize(
+                        std::min<std::size_t>(row.topSites.size(), 5));
 
                     const tmsync::ScenarioResult& r = row.result;
                     const double elided_pct =
@@ -185,76 +179,47 @@ main(int argc, char** argv)
                     tatas_thru / double(num_seeds));
     }
 
-    std::FILE* out = std::fopen(output_path, "w");
-    if (out == nullptr) {
-        std::perror(output_path);
+    if (!bench::writeReport(output_path, argc, argv, [&](auto& json) {
+            json.field("threads", threads)
+                .field("ops_per_thread", ops_per_thread)
+                .field("seeds", num_seeds)
+                .field("smoke", smoke)
+                .key("runs")
+                .beginArray();
+            for (const RunRow& row : rows) {
+                const tmsync::ScenarioResult& r = row.result;
+                char checksum[24];
+                std::snprintf(checksum, sizeof(checksum), "%016llx",
+                              (unsigned long long)r.checksum);
+                json.beginObject()
+                    .field("machine", row.machine)
+                    .field("scenario", row.scenario)
+                    .field("mode", row.mode)
+                    .field("seed", row.seed)
+                    .field("sections", r.sections)
+                    .field("elided_sections", r.elidedSections)
+                    .field("horizon_cycles", r.horizonCycles)
+                    .field("throughput_per_kcycle", r.throughputPerKcycle())
+                    .field("checksum", checksum)
+                    .field("liveness_ok", row.livenessOk)
+                    .key("stats");
+                prof::writeJson(json, r.stats);
+                json.key("sites").beginArray();
+                for (const prof::SiteProfile& site : row.topSites)
+                    prof::writeJson(json, site);
+                json.end().end();
+            }
+            json.end()
+                .key("checks")
+                .beginObject()
+                .field("liveness_failures", liveness_failures)
+                .field("reader_heavy_cells", reader_heavy_cells)
+                .field("reader_heavy_elision_wins", reader_heavy_elision_wins)
+                .end();
+        }))
         return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"schema\": \"htmsim-bench-sync-v1\",\n"
-                 "  \"threads\": %u,\n"
-                 "  \"ops_per_thread\": %u,\n"
-                 "  \"seeds\": %u,\n"
-                 "  \"smoke\": %s,\n"
-                 "  \"runs\": [\n",
-                 threads, ops_per_thread, num_seeds,
-                 smoke ? "true" : "false");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const RunRow& row = rows[i];
-        const tmsync::ScenarioResult& r = row.result;
-        std::fprintf(
-            out,
-            "    {\"machine\": \"%s\", \"scenario\": \"%s\", "
-            "\"mode\": \"%s\", \"seed\": %llu,\n"
-            "     \"sections\": %llu, \"elided_sections\": %llu, "
-            "\"horizon_cycles\": %llu, "
-            "\"throughput_per_kcycle\": %.4f,\n"
-            "     \"abort_ratio\": %.4f, "
-            "\"serialization_ratio\": %.4f, "
-            "\"checksum\": \"%016llx\", \"liveness_ok\": %s,\n"
-            "     \"sites\": [",
-            row.machine.c_str(), row.scenario, row.mode,
-            (unsigned long long)row.seed,
-            (unsigned long long)r.sections,
-            (unsigned long long)r.elidedSections,
-            (unsigned long long)r.horizonCycles,
-            r.throughputPerKcycle(), r.stats.abortRatio(),
-            r.stats.serializationRatio(),
-            (unsigned long long)r.checksum,
-            row.livenessOk ? "true" : "false");
-        for (std::size_t s = 0; s < row.topSites.size(); ++s) {
-            const prof::SiteProfile& site = row.topSites[s];
-            std::fprintf(
-                out,
-                "%s\n       {\"site\": \"%s\", \"attempts\": %llu, "
-                "\"commits\": %llu, \"aborts\": %llu, "
-                "\"fallbacks\": %llu, \"committed_cycles\": %llu, "
-                "\"wasted_cycles\": %llu, \"stall_cycles\": %llu, "
-                "\"lock_wait_cycles\": %llu}",
-                s == 0 ? "" : ",", site.name.c_str(),
-                (unsigned long long)site.attempts,
-                (unsigned long long)site.commits,
-                (unsigned long long)site.aborts,
-                (unsigned long long)site.fallbackCommits,
-                (unsigned long long)site.committedCycles,
-                (unsigned long long)site.wastedCycles,
-                (unsigned long long)site.stallCycles,
-                (unsigned long long)site.lockWaitCycles);
-        }
-        std::fprintf(out, "]}%s\n", i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(out,
-                 "  ],\n"
-                 "  \"checks\": {\"liveness_failures\": %u, "
-                 "\"reader_heavy_cells\": %u, "
-                 "\"reader_heavy_elision_wins\": %u}\n"
-                 "}\n",
-                 liveness_failures, reader_heavy_cells,
-                 reader_heavy_elision_wins);
-    std::fclose(out);
 
     std::printf("\nliveness failures: %u -> %s\n", liveness_failures,
-                output_path);
+                output_path.c_str());
     return liveness_failures == 0 ? 0 : 1;
 }

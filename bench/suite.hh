@@ -71,6 +71,18 @@ workloadScale()
     return scale;
 }
 
+/** Geometric mean of @p values (0 when empty). */
+inline double
+geomean(const std::vector<double>& values)
+{
+    if (values.empty())
+        return 0.0;
+    double log_sum = 0.0;
+    for (const double value : values)
+        log_sum += std::log(value);
+    return std::exp(log_sum / double(values.size()));
+}
+
 /** @p base times workloadScale(), but never below @p floor (the least
  *  the app's verify needs; no floor binds at scale 1). */
 inline unsigned

@@ -39,11 +39,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 
+#include "../bench/report.hh"
 #include "../bench/suite.hh"
+#include "check/cli.hh"
 #include "htm/backend.hh"
 #include "prof/profiler.hh"
 #include "prof/report.hh"
@@ -77,17 +76,6 @@ usage()
                  benches.c_str(), htm::kMaxTxThreads);
 }
 
-/** A thread count: the whole token must be a decimal number
- *  (0 when it is not, which the range check then rejects). */
-unsigned
-parseThreads(const std::string& text)
-{
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(text.c_str(), &end, 10);
-    const bool whole = !text.empty() && text[0] != '-' && *end == '\0';
-    return whole && value <= htm::kMaxTxThreads ? unsigned(value) : 0;
-}
-
 } // namespace
 
 int
@@ -100,40 +88,31 @@ main(int argc, char** argv)
     bool quiet = false;
     bool batch = true;
     std::string threads_override;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--prof") {
-            prof_path = value();
-        } else if (arg == "--perfetto") {
-            perfetto_path = value();
-        } else if (arg == "--quiet") {
+    cli::Args args(argc, argv);
+    while (args.next()) {
+        if (args.is("--prof")) {
+            prof_path = args.value();
+        } else if (args.is("--perfetto")) {
+            perfetto_path = args.value();
+        } else if (args.is("--quiet")) {
             quiet = true;
-        } else if (arg == "--no-batch") {
+        } else if (args.is("--no-batch")) {
             batch = false;
-        } else if (arg == "--threads") {
-            threads_override = value();
-        } else if (arg == "--help" || arg == "-h") {
+        } else if (args.is("--threads")) {
+            threads_override = args.value();
+        } else if (args.is("--help") || args.is("-h")) {
             usage();
             return 0;
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
+        } else if (args.flag().starts_with("--")) {
             usage();
-            return 1;
+            args.unknown();
         } else if (num_positional < 5) {
-            positional[num_positional++] = arg;
+            positional[num_positional++] = args.flag();
         } else {
             std::fprintf(stderr, "too many arguments at '%s'\n",
-                         arg.c_str());
+                         std::string(args.flag()).c_str());
             usage();
-            return 1;
+            return 2;
         }
     }
     const std::string& bench = positional[0];
@@ -141,7 +120,6 @@ main(int argc, char** argv)
     const bool oversubscribe = !threads_override.empty();
     const std::string& threads_text =
         oversubscribe ? threads_override : positional[2];
-    const unsigned threads = parseThreads(threads_text);
     const std::string& backend_name = positional[3];
     const std::string& policy_name = positional[4];
 
@@ -150,7 +128,7 @@ main(int argc, char** argv)
         std::fprintf(stderr, "unknown backend '%s'\n",
                      backend_name.c_str());
         usage();
-        return 1;
+        return 2;
     }
     const htm::BackendKind backend = *parsed_backend;
 
@@ -159,7 +137,7 @@ main(int argc, char** argv)
         std::fprintf(stderr, "unknown policy '%s'\n",
                      policy_name.c_str());
         usage();
-        return 1;
+        return 2;
     }
     const htm::RetryPolicyKind policy_kind = *parsed_policy;
 
@@ -173,7 +151,7 @@ main(int argc, char** argv)
         std::fprintf(stderr, "unknown machine '%s'\n",
                      machine_name.c_str());
         usage();
-        return 1;
+        return 2;
     }
     bool known = false;
     for (const std::string& name : suiteNames())
@@ -181,7 +159,7 @@ main(int argc, char** argv)
     if (!known) {
         std::fprintf(stderr, "unknown benchmark '%s'\n", bench.c_str());
         usage();
-        return 1;
+        return 2;
     }
 
     const MachineConfig& machine =
@@ -192,15 +170,18 @@ main(int argc, char** argv)
     // smtTimeScale — up to the runtime's hard thread ceiling.
     const unsigned thread_limit =
         oversubscribe ? htm::kMaxTxThreads : machine.maxThreads();
-    if (threads == 0 || threads > thread_limit) {
+    const std::optional<unsigned> parsed_threads =
+        cli::parseNumber(threads_text.c_str(), 1u, thread_limit);
+    if (!parsed_threads) {
         std::fprintf(stderr,
                      "threads '%s': %s supports 1..%u threads (%u with "
                      "--threads oversubscription)\n",
                      threads_text.c_str(), machine.name.c_str(),
                      machine.maxThreads(), htm::kMaxTxThreads);
         usage();
-        return 1;
+        return 2;
     }
+    const unsigned threads = *parsed_threads;
 
     // Tune the retry grid, keeping the winning configuration so it
     // can be replayed under the profiler.
@@ -254,36 +235,27 @@ main(int argc, char** argv)
         info.backend = htm::backendKindName(backend);
         info.threads = threads;
         info.seed = 1;
-        info.tmCycles = result.tm.cycles;
-        info.seqCycles = result.seq.cycles;
-        info.speedup = result.ratio;
-        info.stats = result.tm.stats;
-        const prof::ProfileReport report = profiler.report();
+        info.result = result;
+        const prof::ProfileReport profile_report = profiler.report();
         if (!quiet) {
             std::printf("\n");
-            prof::printReport(stdout, info, report, 10);
+            prof::printReport(stdout, info, profile_report, 10);
             std::printf("\n");
         }
         if (!prof_path.empty()) {
-            std::ofstream out(prof_path);
-            if (!out) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             prof_path.c_str());
+            if (!writeReport(prof_path, argc, argv, [&](auto& json) {
+                    prof::writeProfile(json, info, profile_report);
+                }))
                 return 1;
-            }
-            prof::writeProfileJson(out, info, report);
             if (!quiet)
                 std::printf("  profile written to %s\n",
                             prof_path.c_str());
         }
         if (!perfetto_path.empty()) {
-            std::ofstream out(perfetto_path);
-            if (!out) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             perfetto_path.c_str());
+            if (!writeJsonFile(perfetto_path, [&](auto& json) {
+                    prof::writePerfettoTrace(json, info, profiler);
+                }))
                 return 1;
-            }
-            prof::writePerfettoTrace(out, info, profiler);
             if (!quiet)
                 std::printf("  trace written to %s (load in "
                             "ui.perfetto.dev)\n",

@@ -16,16 +16,15 @@
  * --expect-failure found none), 2 usage error.
  */
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
-#include <type_traits>
 #include <vector>
 
+#include "check/cli.hh"
 #include "check/liveness.hh"
 #include "check/oracle.hh"
 #include "check/shrink.hh"
@@ -230,30 +229,6 @@ reportFailure(const Args& args, const char* workload,
         std::printf("  trace tail:\n%s", outcome.traceTail.c_str());
 }
 
-/**
- * The value of numeric flag @p flag: the whole token must parse and
- * lie in [@p lo, @p hi], or the run exits 2 naming the flag.
- */
-template <typename T>
-T
-numericFlag(const std::string& flag, const char* text, T lo, T hi)
-{
-    char* end = nullptr;
-    errno = 0;
-    T value;
-    if constexpr (std::is_floating_point_v<T>)
-        value = std::strtod(text, &end);
-    else
-        value = std::strtoll(text, &end, 0);
-    if (end == text || *end != '\0' || errno != 0 ||
-        !(value >= lo && value <= hi)) {
-        std::fprintf(stderr, "%s: expected a number in [%g, %g], got "
-                     "'%s'\n", flag.c_str(), double(lo), double(hi), text);
-        std::exit(2);
-    }
-    return value;
-}
-
 } // namespace
 
 int
@@ -263,21 +238,11 @@ main(int argc, char** argv)
     std::string workload_name;
     std::string machine_name;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        const auto next = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             flag.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        const auto integer = [&](long long lo, long long hi) {
-            return numericFlag(flag, next(), lo, hi);
-        };
-        const auto probability = [&] {
-            return numericFlag(flag, next(), 0.0, 1.0);
+    cli::Args cli(argc, argv);
+    while (cli.next()) {
+        const std::string_view flag = cli.flag();
+        const auto integer = [&cli](long long lo, long long hi) {
+            return cli.number(lo, hi);
         };
         constexpr long long any = std::numeric_limits<long long>::max();
         if (flag == "--seeds") {
@@ -285,10 +250,10 @@ main(int argc, char** argv)
         } else if (flag == "--first-seed") {
             args.firstSeed = std::uint64_t(integer(0, any));
         } else if (flag == "--machines" || flag == "--machine") {
-            args.machines = next();
+            args.machines = cli.value();
             machine_name = args.machines;
         } else if (flag == "--workloads" || flag == "--workload") {
-            args.workloads = next();
+            args.workloads = cli.value();
             workload_name = args.workloads;
         } else if (flag == "--threads") {
             args.options.threads =
@@ -296,23 +261,23 @@ main(int argc, char** argv)
         } else if (flag == "--ops") {
             args.options.opsPerThread = unsigned(integer(1, 1 << 20));
         } else if (flag == "--preempt-prob") {
-            args.options.fuzz.preemptProb = probability();
+            args.options.fuzz.preemptProb = cli.number(0.0, 1.0);
         } else if (flag == "--max-delay") {
             args.options.fuzz.maxDelay = std::uint64_t(integer(0, any));
         } else if (flag == "--ring-capacity") {
             args.options.ringCapacity = std::size_t(integer(1, any));
         } else if (flag == "--hazard-rate") {
             args.options.hazard.enabled = true;
-            args.options.hazard.spuriousAbortProb = probability();
+            args.options.hazard.spuriousAbortProb = cli.number(0.0, 1.0);
         } else if (flag == "--hazard-interrupt") {
             args.options.hazard.enabled = true;
-            args.options.hazard.interruptRate = probability();
+            args.options.hazard.interruptRate = cli.number(0.0, 1.0);
         } else if (flag == "--hazard-capacity") {
             args.options.hazard.enabled = true;
-            args.options.hazard.capacityNoiseProb = probability();
+            args.options.hazard.capacityNoiseProb = cli.number(0.0, 1.0);
         } else if (flag == "--hazard-lock-preempt") {
             args.options.hazard.enabled = true;
-            args.options.hazard.lockPreemptProb = probability();
+            args.options.hazard.lockPreemptProb = cli.number(0.0, 1.0);
         } else if (flag == "--hazard-seed") {
             args.options.hazard.enabled = true;
             args.options.hazard.seed = std::uint64_t(integer(0, any));
@@ -321,30 +286,19 @@ main(int argc, char** argv)
             args.options.hazard.pinnedVictim =
                 int(integer(-1, htm::kMaxTxThreads - 1));
         } else if (flag == "--policy") {
-            const std::string policy = next();
-            const auto kind = htm::parseRetryPolicyKind(policy);
-            if (!kind) {
-                std::fprintf(stderr,
-                             "unknown policy '%s' (default | "
-                             "hardened)\n",
-                             policy.c_str());
-                return 2;
-            }
+            const auto kind = htm::parseRetryPolicyKind(cli.value());
+            if (!kind)
+                cli.invalid("default hardened");
             args.options.policyKind = *kind;
         } else if (flag == "--backend") {
-            const std::string backend = next();
             // The concurrent phase runs htm or hybrid (oracle.hh).
-            const auto kind = htm::parseBackendKind(backend);
+            const auto kind = htm::parseBackendKind(cli.value());
             if (kind != htm::BackendKind::htm &&
-                kind != htm::BackendKind::hybrid) {
-                std::fprintf(stderr,
-                             "unknown backend '%s' (htm | hybrid)\n",
-                             backend.c_str());
-                return 2;
-            }
+                kind != htm::BackendKind::hybrid)
+                cli.invalid("htm hybrid");
             args.options.backend = *kind;
         } else if (flag == "--subscription") {
-            const std::string mode = next();
+            const std::string_view mode = cli.value();
             if (mode == "eager") {
                 args.options.hybrid.subscription =
                     htm::HybridRuntimeConfig::Subscription::eager;
@@ -352,11 +306,7 @@ main(int argc, char** argv)
                 args.options.hybrid.subscription =
                     htm::HybridRuntimeConfig::Subscription::lazy;
             } else {
-                std::fprintf(stderr,
-                             "unknown subscription '%s' (eager | "
-                             "lazy)\n",
-                             mode.c_str());
-                return 2;
+                cli.invalid("eager lazy");
             }
         } else if (flag == "--stm-only") {
             args.options.hybrid.stmOnly = true;
@@ -373,7 +323,7 @@ main(int argc, char** argv)
             args.livenessOptions.starvationCommitBound =
                 std::uint64_t(integer(1, any));
         } else if (flag == "--inject-fault") {
-            const std::string fault = next();
+            const std::string_view fault = cli.value();
             if (fault == "none") {
                 args.options.fault = htm::CheckFault::none;
             } else if (fault == "miss-reader-conflict") {
@@ -385,9 +335,8 @@ main(int argc, char** argv)
                 args.options.fault =
                     htm::CheckFault::missStmSubscription;
             } else {
-                std::fprintf(stderr, "unknown fault '%s'\n",
-                             fault.c_str());
-                return 2;
+                cli.invalid("none miss-reader-conflict stuck-retry "
+                            "stm-subscription");
             }
         } else if (flag == "--expect-failure") {
             args.expectFailure = true;
@@ -401,7 +350,7 @@ main(int argc, char** argv)
             args.replayMode = true;
             args.replaySeed = std::uint64_t(integer(0, any));
         } else if (flag == "--schedule") {
-            args.replaySchedule = next();
+            args.replaySchedule = cli.value();
         } else if (flag == "--list") {
             std::printf("workloads:");
             for (const WorkloadFactory& factory : allWorkloads())
@@ -415,7 +364,8 @@ main(int argc, char** argv)
             usage(stdout);
             return 0;
         } else {
-            std::fprintf(stderr, "unknown flag '%s'\n", flag.c_str());
+            std::fprintf(stderr, "unknown flag '%s'\n",
+                         std::string(flag).c_str());
             usage(stderr);
             return 2;
         }

@@ -1,13 +1,8 @@
 #include "liveness.hh"
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "check/trace.hh"
-#include "htm/context.hh"
-#include "htm/tx.hh"
-#include "sim/region.hh"
 
 namespace htmsim::check
 {
@@ -83,11 +78,6 @@ runLiveness(const WorkloadFactory& workload,
 {
     const unsigned threads = options.threads;
     const unsigned ops = options.opsPerThread;
-    // Same derivation as runDifferential so a seed reproduces the same
-    // op streams under either oracle.
-    const std::uint64_t workload_seed =
-        seed * 0x9e3779b97f4a7c15ULL + 0x51;
-
     RunOutcome outcome;
     const auto fail = [&outcome](std::string reason) {
         outcome.ok = false;
@@ -95,63 +85,27 @@ runLiveness(const WorkloadFactory& workload,
         return outcome;
     };
 
-    sim::RunScope run;
-    sim::Ptr<CheckWorkload> concurrent =
-        workload.make(workload_seed, threads, ops);
-
-    sim::Scheduler scheduler(seed);
-    std::unique_ptr<FuzzScheduler> fuzz;
-    if (replay != nullptr)
-        fuzz = std::make_unique<FuzzScheduler>(*replay);
-    else
-        fuzz = std::make_unique<FuzzScheduler>(seed, options.fuzz);
-    scheduler.setPerturber(fuzz.get());
-
-    htm::RuntimeConfig config(machine);
-    config.checkFault = options.fault;
-    config.hazard = options.hazard;
-    config.policyKind = options.policyKind;
-    htm::Runtime runtime(config, threads);
-
+    ConcurrentRun concurrent(workload, machine, seed, options, replay);
     // The ring is pure diagnostics here (the checker is online), so
     // unlike the differential oracle a wrapped ring is fine: the tail
     // it retains is exactly the events leading up to a violation.
     EventRing ring(options.ringCapacity);
     LivenessChecker checker(threads, liveness, &ring);
-    runtime.setObserver(&checker);
+    concurrent.runtime.setObserver(&checker);
 
-    const bool selfDriven = concurrent->selfDriven();
-    for (unsigned tid = 0; tid < threads; ++tid) {
-        scheduler.spawn([&, tid](sim::ThreadContext& ctx) {
-            for (unsigned i = 0; i < ops; ++i) {
-                if (selfDriven) {
-                    (void) concurrent->applyDirect(runtime, ctx, tid,
-                                                   i);
-                } else {
-                    static const htm::TxSiteId opSite =
-                        htm::txSite("check.concurrentOp");
-                    runtime.atomic(ctx, opSite, [&](htm::Tx& tx) {
-                        (void) concurrent->apply(tx, tid, i);
-                    });
-                }
-            }
-        });
-    }
     try {
-        scheduler.run();
-    } catch (const LivenessViolation& violation) {
-        outcome.fired = fuzz->fired();
-        outcome.traceTail = formatTrace(ring.events());
-        return fail(std::string("liveness violated: ") +
-                    violation.what());
+        concurrent.run(nullptr);
     } catch (const std::exception& error) {
-        outcome.fired = fuzz->fired();
+        outcome.fired = concurrent.fuzz.fired();
         outcome.traceTail = formatTrace(ring.events());
-        return fail(std::string("concurrent run raised: ") +
+        const bool violated =
+            dynamic_cast<const LivenessViolation*>(&error) != nullptr;
+        return fail(std::string(violated ? "liveness violated: "
+                                         : "concurrent run raised: ") +
                     error.what());
     }
 
-    outcome.fired = fuzz->fired();
+    outcome.fired = concurrent.fuzz.fired();
     outcome.commits = checker.globalCommits();
 
     // Completeness: every operation committed (exactly-once at the

@@ -118,8 +118,9 @@ class LivenessChecker final : public htm::TxObserver
 
 /**
  * Run the liveness oracle for (@p workload, @p machine, @p seed): the
- * concurrent phase of the differential oracle — fuzzed schedule,
- * hazards and retry policy from @p options — watched by a
+ * concurrent phase of the differential oracle (ConcurrentRun) —
+ * fuzzed schedule, hazards, retry policy, backend and hybrid settings
+ * from @p options — watched by a
  * LivenessChecker, plus the exactly-once completeness check. No serial
  * replay (that is the safety oracle's job). When @p replay is non-null
  * the run fires exactly that schedule, making failures replayable and

@@ -1,7 +1,6 @@
 #include "oracle.hh"
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "check/trace.hh"
@@ -55,42 +54,75 @@ class CheckObserver final : public htm::TxObserver
 
 } // namespace
 
+ConcurrentRun::ConcurrentRun(const WorkloadFactory& factory,
+                             const htm::MachineConfig& machine,
+                             std::uint64_t seed,
+                             const CheckOptions& options,
+                             const Schedule* replay)
+    : threads(options.threads), ops(options.opsPerThread),
+      // Decouple the workload's op streams from the fuzzing seed so a
+      // seed sweep varies the interleaving *and* the op mix.
+      workloadSeed(seed * 0x9e3779b97f4a7c15ULL + 0x51),
+      workload(factory.make(workloadSeed, threads, ops)),
+      scheduler(seed),
+      fuzz(replay != nullptr ? FuzzScheduler(*replay)
+                             : FuzzScheduler(seed, options.fuzz)),
+      runtime(
+          [&] {
+              htm::RuntimeConfig config(machine);
+              config.checkFault = options.fault;
+              config.hazard = options.hazard;
+              config.policyKind = options.policyKind;
+              config.backend = options.backend;
+              config.hybrid = options.hybrid;
+              return config;
+          }(),
+          threads)
+{
+    scheduler.setPerturber(&fuzz);
+}
+
+void
+ConcurrentRun::run(std::vector<std::vector<std::uint64_t>>* results)
+{
+    const bool selfDriven = workload->selfDriven();
+    for (unsigned tid = 0; tid < threads; ++tid) {
+        scheduler.spawn([this, results, selfDriven,
+                         tid](sim::ThreadContext& ctx) {
+            for (unsigned i = 0; i < ops; ++i) {
+                std::uint64_t result = 0;
+                if (selfDriven) {
+                    // The workload stages its own atomic sections
+                    // (lock-elision protocols); each op's closing
+                    // event is its serialization point.
+                    result = workload->applyDirect(runtime, ctx, tid, i);
+                } else {
+                    static const htm::TxSiteId opSite =
+                        htm::txSite("check.concurrentOp");
+                    runtime.atomic(ctx, opSite, [&](htm::Tx& tx) {
+                        result = workload->apply(tx, tid, i);
+                    });
+                }
+                if (results != nullptr)
+                    (*results)[tid][i] = result;
+            }
+        });
+    }
+    scheduler.run();
+}
+
 RunOutcome
 runDifferential(const WorkloadFactory& workload,
                 const htm::MachineConfig& machine, std::uint64_t seed,
                 const CheckOptions& options, const Schedule* replay)
 {
-    const unsigned threads = options.threads;
-    const unsigned ops = options.opsPerThread;
-    // Decouple the workload's op streams from the fuzzing seed so a
-    // seed sweep varies the interleaving *and* the op mix, yet both
-    // phases of one run agree on the ops.
-    const std::uint64_t workload_seed =
-        seed * 0x9e3779b97f4a7c15ULL + 0x51;
-
     // --- Phase 1: concurrent run under the fuzzed HTM model. ---
     // Both phases share one run of the simulated heap.
-    sim::RunScope run;
-    sim::Ptr<CheckWorkload> concurrent =
-        workload.make(workload_seed, threads, ops);
-
-    sim::Scheduler scheduler(seed);
-    std::unique_ptr<FuzzScheduler> fuzz;
-    if (replay != nullptr)
-        fuzz = std::make_unique<FuzzScheduler>(*replay);
-    else
-        fuzz = std::make_unique<FuzzScheduler>(seed, options.fuzz);
-    scheduler.setPerturber(fuzz.get());
-
-    htm::RuntimeConfig config(machine);
-    config.checkFault = options.fault;
-    config.hazard = options.hazard;
-    config.policyKind = options.policyKind;
-    config.backend = options.backend;
-    config.hybrid = options.hybrid;
-    htm::Runtime runtime(config, threads);
+    ConcurrentRun concurrent(workload, machine, seed, options, replay);
+    const unsigned threads = concurrent.threads;
+    const unsigned ops = concurrent.ops;
     CheckObserver observer(options.ringCapacity);
-    runtime.setObserver(&observer);
+    concurrent.runtime.setObserver(&observer);
 
     RunOutcome outcome;
     // The trace tail is rendered here and only here: a passing run
@@ -104,37 +136,15 @@ runDifferential(const WorkloadFactory& workload,
 
     std::vector<std::vector<std::uint64_t>> results(
         threads, std::vector<std::uint64_t>(ops, 0));
-    const bool selfDriven = concurrent->selfDriven();
-    for (unsigned tid = 0; tid < threads; ++tid) {
-        scheduler.spawn([&, tid](sim::ThreadContext& ctx) {
-            for (unsigned i = 0; i < ops; ++i) {
-                std::uint64_t result = 0;
-                if (selfDriven) {
-                    // The workload stages its own atomic sections
-                    // (lock-elision protocols); each op's closing
-                    // event is its serialization point.
-                    result =
-                        concurrent->applyDirect(runtime, ctx, tid, i);
-                } else {
-                    static const htm::TxSiteId opSite =
-                        htm::txSite("check.concurrentOp");
-                    runtime.atomic(ctx, opSite, [&](htm::Tx& tx) {
-                        result = concurrent->apply(tx, tid, i);
-                    });
-                }
-                results[tid][i] = result;
-            }
-        });
-    }
     try {
-        scheduler.run();
+        concurrent.run(&results);
     } catch (const std::exception& error) {
-        outcome.fired = fuzz->fired();
+        outcome.fired = concurrent.fuzz.fired();
         return fail(std::string("concurrent run raised: ") +
                     error.what());
     }
 
-    outcome.fired = fuzz->fired();
+    outcome.fired = concurrent.fuzz.fired();
     outcome.commits = observer.commitOrder.size();
 
     // --- Phase 2: in-flight invariants over the event trace. ---
@@ -185,7 +195,8 @@ runDifferential(const WorkloadFactory& workload,
 
     // --- Phase 4: serial replay in the observed commit order. ---
     sim::Ptr<CheckWorkload> reference =
-        workload.make(workload_seed, threads, ops);
+        workload.make(concurrent.workloadSeed, threads, ops);
+    const bool selfDriven = reference->selfDriven();
     htm::RuntimeConfig lock_config(machine);
     lock_config.backend = htm::BackendKind::globalLock;
     htm::Runtime lock_runtime(lock_config, 1);
@@ -224,7 +235,7 @@ runDifferential(const WorkloadFactory& workload,
         return fail("serializability violated: " + divergence);
 
     // --- Phase 5: final states must be identical. ---
-    const std::uint64_t got = concurrent->fingerprint();
+    const std::uint64_t got = concurrent.workload->fingerprint();
     const std::uint64_t want = reference->fingerprint();
     if (got != want) {
         return fail("final-state fingerprint mismatch: concurrent " +

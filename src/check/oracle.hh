@@ -26,11 +26,14 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "check/fuzz_scheduler.hh"
 #include "check/workload.hh"
 #include "htm/machine.hh"
 #include "htm/runtime.hh"
+#include "sim/region.hh"
+#include "sim/scheduler.hh"
 
 namespace htmsim::check
 {
@@ -77,6 +80,44 @@ struct RunOutcome
     std::string traceTail;
     /** Commits observed in the concurrent phase. */
     std::uint64_t commits = 0;
+};
+
+/**
+ * The concurrent phase both oracles run (this one and liveness.hh),
+ * in one place so their configurations cannot drift apart: one run
+ * of the simulated heap, the workload, a fuzzed (or replayed)
+ * schedule, the runtime configured from CheckOptions (fault, hazards,
+ * policy, backend, hybrid settings), and one fiber per thread
+ * applying that thread's operations.
+ */
+struct ConcurrentRun
+{
+    /** Set up the phase for (@p factory, @p machine, @p seed); fire
+     *  exactly @p replay's schedule when it is non-null. */
+    ConcurrentRun(const WorkloadFactory& factory,
+                  const htm::MachineConfig& machine, std::uint64_t seed,
+                  const CheckOptions& options, const Schedule* replay);
+
+    /**
+     * Run every thread's operations to completion; when @p results is
+     * non-null, store op i of thread t in (*results)[t][i]. Errors
+     * raised in the run, an observer's included, propagate.
+     */
+    void run(std::vector<std::vector<std::uint64_t>>* results);
+
+    const unsigned threads;
+    const unsigned ops;
+    /** Seed of the op streams, derived from the run seed so that both
+     *  oracles and the serial replay agree on the ops. */
+    const std::uint64_t workloadSeed;
+    // Declaration order is construction order: the workload and the
+    // runtime are allocated in this run of the simulated heap.
+    sim::RunScope region;
+    const sim::Ptr<CheckWorkload> workload;
+    sim::Scheduler scheduler;
+    FuzzScheduler fuzz;
+    /** The runtime under test; the oracle attaches its observer. */
+    htm::Runtime runtime;
 };
 
 /**

@@ -11,32 +11,6 @@ namespace htmsim::prof
 using htm::TxEvent;
 using htm::TxEventKind;
 
-std::string
-jsonEscape(std::string_view text)
-{
-    std::string result;
-    result.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '"': result += "\\\""; break;
-          case '\\': result += "\\\\"; break;
-          case '\n': result += "\\n"; break;
-          case '\r': result += "\\r"; break;
-          case '\t': result += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                              unsigned(c));
-                result += buffer;
-            } else {
-                result += c;
-            }
-        }
-    }
-    return result;
-}
-
 namespace
 {
 
@@ -47,215 +21,223 @@ micros(sim::Cycles cycles)
     return double(cycles) / 1000.0;
 }
 
+std::string
+hexLine(std::uintptr_t line)
+{
+    char text[32];
+    std::snprintf(text, sizeof(text), "0x%" PRIxPTR, line);
+    return text;
+}
+
+/** Nonzero entries of a per-cause tally, keyed by cause name. */
+void
+writeCauses(JsonWriter& json,
+            const std::array<std::uint64_t, htm::numAbortCauses>& causes)
+{
+    json.beginObject();
+    for (std::size_t cause = 0; cause < causes.size(); ++cause) {
+        if (causes[cause] != 0) {
+            json.field(htm::abortCauseName(htm::AbortCause(cause)),
+                       causes[cause]);
+        }
+    }
+    json.end();
+}
+
 } // namespace
 
 void
-writeProfileJson(std::ostream& out, const RunInfo& info,
-                 const ProfileReport& report)
+writeJson(JsonWriter& json, const htm::TxStats& stats)
 {
-    out << "{\n";
-    out << "  \"tool\": \"txprof\",\n";
-    out << "  \"run\": {\n";
-    out << "    \"bench\": \"" << jsonEscape(info.bench) << "\",\n";
-    out << "    \"machine\": \"" << jsonEscape(info.machine) << "\",\n";
-    out << "    \"backend\": \"" << jsonEscape(info.backend) << "\",\n";
-    out << "    \"threads\": " << info.threads << ",\n";
-    out << "    \"seed\": " << info.seed << ",\n";
-    out << "    \"tmCycles\": " << info.tmCycles << ",\n";
-    out << "    \"seqCycles\": " << info.seqCycles << ",\n";
-    out << "    \"speedup\": " << info.speedup << ",\n";
-    out << "    \"commits\": " << info.stats.totalCommits() << ",\n";
-    out << "    \"aborts\": " << info.stats.totalAborts() << ",\n";
-    out << "    \"abortRatio\": " << info.stats.abortRatio() << ",\n";
-    out << "    \"serializationRatio\": "
-        << info.stats.serializationRatio() << ",\n";
-    out << "    \"wastedWorkRatio\": "
-        << info.stats.wastedWorkRatio() << ",\n";
-    out << "    \"committedTxCycles\": "
-        << info.stats.committedTxCycles << ",\n";
-    out << "    \"wastedTxCycles\": " << info.stats.wastedTxCycles
-        << ",\n";
-    out << "    \"stmCommits\": " << info.stats.stmCommits << ",\n";
-    out << "    \"committedStmCycles\": "
-        << info.stats.committedStmCycles << ",\n";
-    out << "    \"wastedStmCycles\": " << info.stats.wastedStmCycles
-        << ",\n";
-    out << "    \"fallbackCycles\": " << info.stats.fallbackCycles
-        << ",\n";
-    out << "    \"lockWaitCycles\": " << info.stats.lockWaitCycles
-        << ",\n";
-    out << "    \"backoffCycles\": " << info.stats.backoffCycles
-        << ",\n";
-    out << "    \"hazardAborts\": " << info.stats.hazardAborts()
-        << ",\n";
-    out << "    \"hazardCapacityAborts\": "
-        << info.stats.hazardCapacityAborts << ",\n";
-    out << "    \"hazardPreemptStalls\": "
-        << info.stats.hazardPreemptStalls << ",\n";
-    out << "    \"hazardStallCycles\": "
-        << info.stats.hazardStallCycles << "\n";
-    out << "  },\n";
-    out << "  \"capture\": {\n";
-    out << "    \"events\": " << report.events << ",\n";
-    out << "    \"droppedEvents\": " << report.droppedEvents << ",\n";
-    out << "    \"conflicts\": " << report.conflicts << ",\n";
-    out << "    \"droppedConflicts\": " << report.droppedConflicts
-        << "\n";
-    out << "  },\n";
-
-    out << "  \"sites\": [\n";
-    for (std::size_t i = 0; i < report.sites.size(); ++i) {
-        const SiteProfile& site = report.sites[i];
-        out << "    {\n";
-        out << "      \"site\": " << site.site << ",\n";
-        out << "      \"name\": \"" << jsonEscape(site.name)
-            << "\",\n";
-        out << "      \"attempts\": " << site.attempts << ",\n";
-        out << "      \"commits\": " << site.commits << ",\n";
-        out << "      \"aborts\": " << site.aborts << ",\n";
-        out << "      \"fallbackCommits\": " << site.fallbackCommits
-            << ",\n";
-        out << "      \"committedCycles\": " << site.committedCycles
-            << ",\n";
-        out << "      \"wastedCycles\": " << site.wastedCycles
-            << ",\n";
-        out << "      \"fallbackCycles\": " << site.fallbackCycles
-            << ",\n";
-        out << "      \"hazardAborts\": " << site.hazardAborts
-            << ",\n";
-        out << "      \"hazardWastedCycles\": "
-            << site.hazardWastedCycles << ",\n";
-        out << "      \"stallCycles\": " << site.stallCycles << ",\n";
-        out << "      \"lockWaitCycles\": " << site.lockWaitCycles
-            << ",\n";
-        out << "      \"abortRatio\": " << site.abortRatio() << ",\n";
-        out << "      \"wastedWorkRatio\": " << site.wastedWorkRatio()
-            << ",\n";
-        out << "      \"abortCauses\": {";
-        bool first = true;
-        for (std::size_t cause = 0; cause < site.abortCauses.size();
-             ++cause) {
-            if (site.abortCauses[cause] == 0)
-                continue;
-            if (!first)
-                out << ", ";
-            first = false;
-            out << "\""
-                << jsonEscape(
-                       htm::abortCauseName(htm::AbortCause(cause)))
-                << "\": " << site.abortCauses[cause];
-        }
-        out << "}\n";
-        out << "    }" << (i + 1 < report.sites.size() ? "," : "")
-            << "\n";
-    }
-    out << "  ],\n";
-
-    out << "  \"conflictPairs\": [\n";
-    for (std::size_t i = 0; i < report.pairs.size(); ++i) {
-        const ConflictPairProfile& pair = report.pairs[i];
-        out << "    {\n";
-        out << "      \"attacker\": \""
-            << jsonEscape(pair.attackerName) << "\",\n";
-        out << "      \"victim\": \"" << jsonEscape(pair.victimName)
-            << "\",\n";
-        out << "      \"conflicts\": " << pair.conflicts << ",\n";
-        out << "      \"nonTxConflicts\": " << pair.nonTxConflicts
-            << ",\n";
-        out << "      \"distinctLines\": " << pair.distinctLines
-            << ",\n";
-        out << "      \"hotLine\": \"0x" << std::hex << pair.hotLine
-            << std::dec << "\",\n";
-        out << "      \"hotLineConflicts\": " << pair.hotLineConflicts
-            << "\n";
-        out << "    }" << (i + 1 < report.pairs.size() ? "," : "")
-            << "\n";
-    }
-    out << "  ]\n";
-    out << "}\n";
+    json.beginObject()
+        .field("commits", stats.totalCommits())
+        .field("aborts", stats.totalAborts())
+        .field("abort_ratio", stats.abortRatio())
+        .field("serialization_ratio", stats.serializationRatio())
+        .field("wasted_work_ratio", stats.wastedWorkRatio())
+        .field("committed_tx_cycles", stats.committedTxCycles)
+        .field("wasted_tx_cycles", stats.wastedTxCycles)
+        .field("stm_commits", stats.stmCommits)
+        .field("committed_stm_cycles", stats.committedStmCycles)
+        .field("wasted_stm_cycles", stats.wastedStmCycles)
+        .field("fallback_cycles", stats.fallbackCycles)
+        .field("lock_wait_cycles", stats.lockWaitCycles)
+        .field("backoff_cycles", stats.backoffCycles)
+        .field("hazard_aborts", stats.hazardAborts())
+        .field("hazard_capacity_aborts", stats.hazardCapacityAborts)
+        .field("hazard_preempt_stalls", stats.hazardPreemptStalls)
+        .field("hazard_stall_cycles", stats.hazardStallCycles)
+        .key("causes");
+    writeCauses(json, stats.trueCauseAborts);
+    json.end();
 }
 
 void
-writePerfettoTrace(std::ostream& out, const RunInfo& info,
+writeJson(JsonWriter& json, const stamp::Speedup& speedup)
+{
+    json.beginObject()
+        .field("speedup", speedup.ratio)
+        .field("seq_cycles", speedup.seq.cycles)
+        .field("tm_cycles", speedup.tm.cycles)
+        .field("valid", speedup.tm.valid)
+        .key("stats");
+    writeJson(json, speedup.tm.stats);
+    json.end();
+}
+
+void
+writeJson(JsonWriter& json, const SiteProfile& site)
+{
+    json.beginObject()
+        .field("name", site.name)
+        .field("attempts", site.attempts)
+        .field("commits", site.commits)
+        .field("aborts", site.aborts)
+        .field("fallback_commits", site.fallbackCommits)
+        .field("committed_cycles", site.committedCycles)
+        .field("wasted_cycles", site.wastedCycles)
+        .field("fallback_cycles", site.fallbackCycles)
+        .field("stall_cycles", site.stallCycles)
+        .field("lock_wait_cycles", site.lockWaitCycles)
+        .field("hazard_aborts", site.hazardAborts)
+        .field("hazard_wasted_cycles", site.hazardWastedCycles)
+        .field("abort_ratio", site.abortRatio())
+        .field("wasted_work_ratio", site.wastedWorkRatio())
+        .key("causes");
+    writeCauses(json, site.abortCauses);
+    json.end();
+}
+
+void
+writeProfile(JsonWriter& json, const RunInfo& info,
+             const ProfileReport& report)
+{
+    json.key("run")
+        .beginObject()
+        .field("bench", info.bench)
+        .field("machine", info.machine)
+        .field("backend", info.backend)
+        .field("threads", info.threads)
+        .field("seed", info.seed)
+        .key("result");
+    writeJson(json, info.result);
+    json.end()
+        .key("capture")
+        .beginObject()
+        .field("events", report.events)
+        .field("dropped_events", report.droppedEvents)
+        .field("conflicts", report.conflicts)
+        .field("dropped_conflicts", report.droppedConflicts)
+        .end();
+
+    json.key("sites").beginArray();
+    for (const SiteProfile& site : report.sites)
+        writeJson(json, site);
+    json.end();
+
+    json.key("conflict_pairs").beginArray();
+    for (const ConflictPairProfile& pair : report.pairs) {
+        json.beginObject()
+            .field("attacker", pair.attackerName)
+            .field("victim", pair.victimName)
+            .field("conflicts", pair.conflicts)
+            .field("non_tx_conflicts", pair.nonTxConflicts)
+            .field("distinct_lines", pair.distinctLines)
+            .field("hot_line", hexLine(pair.hotLine))
+            .field("hot_line_conflicts", pair.hotLineConflicts)
+            .end();
+    }
+    json.end();
+}
+
+void
+writePerfettoTrace(JsonWriter& json, const RunInfo& info,
                    const TxProfiler& profiler)
 {
     const htm::SiteRegistry& registry = htm::SiteRegistry::instance();
-    out << "{\n\"displayTimeUnit\": \"ns\",\n\"traceEvents\": [\n";
+    json.beginObject()
+        .field("displayTimeUnit", "ns")
+        .key("traceEvents")
+        .beginArray();
 
-    out << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
-           "\"args\": {\"name\": \"htmsim "
-        << jsonEscape(info.bench) << " on "
-        << jsonEscape(info.machine) << "\"}}";
+    json.beginObject()
+        .field("name", "process_name")
+        .field("ph", "M")
+        .field("pid", 1)
+        .key("args")
+        .beginObject()
+        .field("name", "htmsim " + info.bench + " on " + info.machine)
+        .end()
+        .end();
 
-    auto slice = [&](const char* name, const char* category,
-                     std::uint16_t tid, sim::Cycles start,
-                     sim::Cycles end, const std::string& args) {
-        out << ",\n{\"name\": \"" << name << "\", \"cat\": \""
-            << category << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": "
-            << tid << ", \"ts\": " << micros(start)
-            << ", \"dur\": " << micros(end - start);
-        if (!args.empty())
-            out << ", \"args\": {" << args << "}";
-        out << "}";
+    // One complete ("X") slice; the caller writes its args and closes
+    // the args and event objects.
+    const auto slice = [&json](std::string_view name,
+                               const char* category,
+                               const TxEvent& event) -> JsonWriter& {
+        return json.beginObject()
+            .field("name", name)
+            .field("cat", category)
+            .field("ph", "X")
+            .field("pid", 1)
+            .field("tid", event.tid)
+            .field("ts", micros(event.sectionStart))
+            .field("dur", micros(event.cycles - event.sectionStart))
+            .key("args")
+            .beginObject();
     };
 
     for (const TxEvent& event : profiler.events()) {
-        const std::string site =
-            jsonEscape(registry.name(event.site));
+        const std::string& site = registry.name(event.site);
         switch (event.kind) {
           case TxEventKind::commit:
-            slice(site.c_str(), "tx", event.tid, event.sectionStart,
-                  event.cycles, "\"outcome\": \"commit\"");
+            slice(site, "tx", event).field("outcome", "commit");
             break;
           case TxEventKind::abort:
-            slice(site.c_str(), "abort", event.tid,
-                  event.sectionStart, event.cycles,
-                  std::string("\"outcome\": \"abort\", \"cause\": \"") +
-                      jsonEscape(htm::abortCauseName(event.cause)) +
-                      "\"");
+            slice(site, "abort", event)
+                .field("outcome", "abort")
+                .field("cause", htm::abortCauseName(event.cause));
             break;
           case TxEventKind::fallbackCommit:
-            slice(site.c_str(), "fallback", event.tid,
-                  event.sectionStart, event.cycles,
-                  "\"outcome\": \"fallback\"");
+            slice(site, "fallback", event).field("outcome", "fallback");
             break;
           case TxEventKind::nonSpecCommit:
-            slice(site.c_str(), "fallback", event.tid,
-                  event.sectionStart, event.cycles,
-                  "\"outcome\": \"nonspec\"");
+            slice(site, "fallback", event).field("outcome", "nonspec");
             break;
           case TxEventKind::lockAcquired:
-            if (event.cycles > event.sectionStart) {
-                slice("lock wait", "lock", event.tid,
-                      event.sectionStart, event.cycles,
-                      "\"site\": \"" + site + "\"");
-            }
+            if (event.cycles <= event.sectionStart)
+                continue;
+            slice("lock wait", "lock", event).field("site", site);
             break;
           case TxEventKind::lockReleased:
-            slice("lock held", "lock", event.tid, event.sectionStart,
-                  event.cycles, "\"site\": \"" + site + "\"");
+            slice("lock held", "lock", event).field("site", site);
             break;
           case TxEventKind::begin:
-            break;
+            continue;
         }
+        json.end().end();
     }
 
-    char line[32];
     for (const htm::TxConflictEvent& event : profiler.conflicts()) {
-        std::snprintf(line, sizeof(line), "0x%" PRIxPTR, event.line);
-        out << ",\n{\"name\": \"conflict\", \"cat\": \"conflict\", "
-               "\"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": "
-            << event.victimTid << ", \"ts\": " << micros(event.cycles)
-            << ", \"args\": {\"attacker\": \""
-            << jsonEscape(registry.name(event.attackerSite))
-            << "\", \"victim\": \""
-            << jsonEscape(registry.name(event.victimSite))
-            << "\", \"nonTxAttacker\": "
-            << (event.attackerNonTx ? "true" : "false")
-            << ", \"line\": \"" << line << "\"}}";
+        json.beginObject()
+            .field("name", "conflict")
+            .field("cat", "conflict")
+            .field("ph", "i")
+            .field("s", "t")
+            .field("pid", 1)
+            .field("tid", event.victimTid)
+            .field("ts", micros(event.cycles))
+            .key("args")
+            .beginObject()
+            .field("attacker", registry.name(event.attackerSite))
+            .field("victim", registry.name(event.victimSite))
+            .field("non_tx_attacker", event.attackerNonTx)
+            .field("line", hexLine(event.line))
+            .end()
+            .end();
     }
 
-    out << "\n]\n}\n";
+    json.end().end();
 }
 
 void
@@ -267,30 +249,32 @@ printReport(std::FILE* out, const RunInfo& info,
                  "%" PRIu64 "\n",
                  info.bench.c_str(), info.machine.c_str(),
                  info.threads, info.backend.c_str(), info.seed);
-    if (info.seqCycles != 0) {
+    const htm::TxStats& stats = info.result.tm.stats;
+    if (info.result.seq.cycles != 0) {
         std::fprintf(out,
                      "  cycles: seq %" PRIu64 "  tm %" PRIu64
                      "  speed-up %.2fx\n",
-                     info.seqCycles, info.tmCycles, info.speedup);
+                     info.result.seq.cycles, info.result.tm.cycles,
+                     info.result.ratio);
     }
     std::fprintf(out,
                  "  run: commits %" PRIu64 "  aborts %" PRIu64
                  " (%.1f%%)  serialization %.1f%%  wasted work "
                  "%.1f%%\n",
-                 info.stats.totalCommits(), info.stats.totalAborts(),
-                 info.stats.abortRatio() * 100.0,
-                 info.stats.serializationRatio() * 100.0,
-                 info.stats.wastedWorkRatio() * 100.0);
-    if (info.stats.hazardAborts() != 0 ||
-        info.stats.hazardPreemptStalls != 0) {
+                 stats.totalCommits(), stats.totalAborts(),
+                 stats.abortRatio() * 100.0,
+                 stats.serializationRatio() * 100.0,
+                 stats.wastedWorkRatio() * 100.0);
+    if (stats.hazardAborts() != 0 ||
+        stats.hazardPreemptStalls != 0) {
         std::fprintf(out,
                      "  hazards: %" PRIu64 " injected aborts (%" PRIu64
                      " capacity)  %" PRIu64 " lock-holder stalls "
                      "(%.1f kc, %.1f kc wasted in aborted attempts)\n",
-                     info.stats.hazardAborts(),
-                     info.stats.hazardCapacityAborts,
-                     info.stats.hazardPreemptStalls,
-                     double(info.stats.hazardStallCycles) / 1000.0,
+                     stats.hazardAborts(),
+                     stats.hazardCapacityAborts,
+                     stats.hazardPreemptStalls,
+                     double(stats.hazardStallCycles) / 1000.0,
                      double(report.hazardWastedCycles) / 1000.0);
     }
     if (report.droppedEvents != 0 || report.droppedConflicts != 0) {

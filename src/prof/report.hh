@@ -1,8 +1,14 @@
 /**
  * @file
- * txprof exporters: machine-readable JSON profile and a Perfetto /
- * Chrome trace_event file, plus the human-readable text report that
- * stamp_runner --prof prints.
+ * txprof exporters and the shared serializers: the JSON profile, a
+ * Perfetto / Chrome trace_event file, the human-readable text report
+ * that stamp_runner --prof prints, and the one serializer of each
+ * struct that several reports carry (TxStats, stamp::Speedup,
+ * SiteProfile), all in one snake_case vocabulary.
+ *
+ * Everything here writes into a JsonWriter its caller opened; the
+ * report envelope (schema, tool, provenance) is the tool's, in
+ * bench/report.hh.
  *
  * The Perfetto export uses the legacy Chrome trace_event JSON format
  * ({"traceEvents": [...]}), which ui.perfetto.dev and chrome://tracing
@@ -13,12 +19,12 @@
 #define HTMSIM_PROF_REPORT_HH
 
 #include <cstdio>
-#include <ostream>
 #include <string>
-#include <string_view>
 
 #include "htm/stats.hh"
+#include "json.hh"
 #include "profiler.hh"
+#include "stamp/harness.hh"
 
 namespace htmsim::prof
 {
@@ -31,29 +37,35 @@ struct RunInfo
     std::string backend;
     unsigned threads = 0;
     std::uint64_t seed = 0;
-    /** Parallel-region cycles of the profiled (transactional) run. */
-    std::uint64_t tmCycles = 0;
-    /** Sequential-baseline cycles (0 if not measured). */
-    std::uint64_t seqCycles = 0;
-    double speedup = 0.0;
-    /** Run-wide runtime statistics (cycle attribution included). */
-    htm::TxStats stats;
+    /** The profiled (transactional) run and its sequential baseline
+     *  (seq.cycles is 0 if the baseline was not measured). */
+    stamp::Speedup result;
 };
 
-/** Escape a string for embedding in a JSON string literal. */
-std::string jsonEscape(std::string_view text);
+/** Run-wide statistics as one object: commit and abort totals, the
+ *  paper's ratios, cycle attribution, hazards and abort causes. */
+void writeJson(JsonWriter& json, const htm::TxStats& stats);
 
-/** Write the aggregated profile as a JSON document. */
-void writeProfileJson(std::ostream& out, const RunInfo& info,
-                      const ProfileReport& report);
+/** A speed-up measurement as one object: the ratio, both runs' cycles,
+ *  verification and the transactional run's statistics. */
+void writeJson(JsonWriter& json, const stamp::Speedup& speedup);
+
+/** One transaction site's profile as one object. */
+void writeJson(JsonWriter& json, const SiteProfile& site);
+
+/** Write the profile as members of @p json's open root object: the
+ *  run, the capture counters, the sites and the conflict pairs. */
+void writeProfile(JsonWriter& json, const RunInfo& info,
+                  const ProfileReport& report);
 
 /**
- * Write the captured events as a Chrome trace_event JSON file:
- * one complete ("ph":"X") slice per committed / aborted / fallback
- * section and per lock wait/hold span, one instant event per conflict
- * resolution. Load the file in ui.perfetto.dev.
+ * Write the captured events as a Chrome trace_event document (its own
+ * root object, no envelope): one complete ("ph":"X") slice per
+ * committed / aborted / fallback section and per lock wait/hold span,
+ * one instant event per conflict resolution. Load the file in
+ * ui.perfetto.dev.
  */
-void writePerfettoTrace(std::ostream& out, const RunInfo& info,
+void writePerfettoTrace(JsonWriter& json, const RunInfo& info,
                         const TxProfiler& profiler);
 
 /** Print the human-readable per-site table and top conflict pairs. */

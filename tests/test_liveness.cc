@@ -156,6 +156,29 @@ TEST(RunLiveness, CatchesTheSeededStuckRetryLivelock)
     EXPECT_FALSE(outcome.traceTail.empty());
 }
 
+TEST(RunLiveness, RunsTheSelectedBackendAndHybridSettings)
+{
+    const WorkloadFactory* workload = findWorkload("hashtable");
+    ASSERT_NE(workload, nullptr);
+    CheckOptions options;
+    // The livelock configuration above, but on the hybrid backend's
+    // software path: an --stm-only hybrid never begins a hardware
+    // transaction, so the pinned hardware hazard has nothing to abort
+    // and every section commits in software.
+    options.fault = htm::CheckFault::stuckRetry;
+    options.hazard.enabled = true;
+    options.hazard.pinnedVictim = 0;
+    options.backend = htm::BackendKind::hybrid;
+    options.hybrid.stmOnly = true;
+
+    const RunOutcome outcome = runLiveness(
+        *workload, htm::MachineConfig::intelCore(), 1, options);
+    EXPECT_TRUE(outcome.ok) << outcome.reason << "\n"
+                            << outcome.traceTail;
+    EXPECT_EQ(outcome.commits,
+              std::uint64_t(options.threads) * options.opsPerThread);
+}
+
 TEST(RunDifferential, RingOverflowFailsLoudly)
 {
     const WorkloadFactory* workload = findWorkload("hashtable");

@@ -20,6 +20,7 @@
 #include <sstream>
 #include <vector>
 
+#include "bench/report.hh"
 #include "bench/suite.hh"
 #include "prof/profiler.hh"
 #include "prof/report.hh"
@@ -271,17 +272,25 @@ TEST(ProfExport, JsonAndPerfettoDocumentsAreWellFormed)
     info.backend = "htm";
     info.threads = 2;
     info.seed = 1;
-    info.tmCycles = 1000;
-    info.seqCycles = 2000;
-    info.speedup = 2.0;
-    info.stats = run.stats;
+    info.result.tm.cycles = 1000;
+    info.result.seq.cycles = 2000;
+    info.result.ratio = 2.0;
+    info.result.tm.stats = run.stats;
 
+    char tool[] = "build/examples/stamp_runner";
+    char* argv[] = {tool};
     std::ostringstream json;
-    prof::writeProfileJson(json, info, report);
+    {
+        prof::JsonWriter writer(json);
+        writer.beginObject();
+        bench::writeEnvelope(writer, 1, argv);
+        prof::writeProfile(writer, info, report);
+        writer.end();
+    }
     const std::string doc = json.str();
-    EXPECT_NE(doc.find("\"tool\": \"txprof\""), std::string::npos);
+    EXPECT_NE(doc.find("\"tool\": \"stamp_runner\""), std::string::npos);
     EXPECT_NE(doc.find("\"sites\""), std::string::npos);
-    EXPECT_NE(doc.find("\"conflictPairs\""), std::string::npos);
+    EXPECT_NE(doc.find("\"conflict_pairs\""), std::string::npos);
     EXPECT_NE(doc.find("test.writerAB"), std::string::npos);
     EXPECT_NE(doc.find("test.writerB"), std::string::npos);
     // Crude balance check (no quoting subtleties in our output).
@@ -291,7 +300,10 @@ TEST(ProfExport, JsonAndPerfettoDocumentsAreWellFormed)
               std::count(doc.begin(), doc.end(), ']'));
 
     std::ostringstream trace;
-    prof::writePerfettoTrace(trace, info, profiler);
+    {
+        prof::JsonWriter writer(trace);
+        prof::writePerfettoTrace(writer, info, profiler);
+    }
     const std::string tdoc = trace.str();
     EXPECT_NE(tdoc.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(tdoc.find("\"ph\": \"X\""), std::string::npos);
@@ -301,7 +313,9 @@ TEST(ProfExport, JsonAndPerfettoDocumentsAreWellFormed)
     EXPECT_EQ(std::count(tdoc.begin(), tdoc.end(), '['),
               std::count(tdoc.begin(), tdoc.end(), ']'));
 
-    EXPECT_EQ(prof::jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    std::ostringstream escaped;
+    prof::JsonWriter(escaped).value("a\"b\\c\nd");
+    EXPECT_EQ(escaped.str(), "\"a\\\"b\\\\c\\u000ad\"");
 }
 
 TEST(ProfCapture, OverflowDropsInsteadOfGrowing)
