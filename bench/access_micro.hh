@@ -15,8 +15,8 @@
  *    resolution, aborts and retries dominate. This bounds the fast
  *    path's worst case.
  *
- * Used by bench_access (standalone table) and bench_perf (numbers
- * recorded in BENCH_perf.json alongside the grid).
+ * Used by bench_perf, which prints the rows and records them in
+ * BENCH_perf.json alongside the grid.
  */
 
 #ifndef HTMSIM_BENCH_ACCESS_MICRO_HH
@@ -115,7 +115,7 @@ runAccessCell(const htm::RuntimeConfig& base_config, unsigned threads,
     return result;
 }
 
-/** The standard bench_access sweep: both patterns at 1/2/4 threads. */
+/** bench_perf's access sweep: both patterns at 1/2/4 threads. */
 inline std::vector<AccessResult>
 runAccessSweep(const htm::RuntimeConfig& config)
 {

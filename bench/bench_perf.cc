@@ -6,8 +6,9 @@
  * Runs the paper's STAMP x machine grid (the Figure 2 cells, full
  * retry-count tuning) and measures what the other benches do not:
  * host wall-clock per cell and simulated-commit throughput (committed
- * transactions per host second). Emits machine-readable
- * BENCH_perf.json so successive runs can compare.
+ * transactions per host second), the per-access rows, and the host
+ * cost of two layers: an empty commit and an abort round trip. Emits
+ * machine-readable BENCH_perf.json so successive runs can compare.
  *
  * Every run allocates its simulated state in the run's region
  * (sim/region.hh), so the per-candidate simulated metrics in the JSON
@@ -78,6 +79,47 @@ runCandidate(const std::string& bench,
     candidate.hostTmNs =
         std::uint64_t(double(candidate.hostNs) * tm_share);
     return candidate;
+}
+
+/** Timed batches per layer probe; each probe reports their minimum,
+ *  since interference from other tenants only ever slows a batch. */
+constexpr int layerBatches = 7;
+/** Untimed calls before each timed batch. */
+constexpr unsigned layerWarmCalls = 64;
+
+/**
+ * Host ns per call of @p op(runtime, ctx), the min over layerBatches
+ * batches, each timing @p calls calls in one fiber of a fresh
+ * one-thread Intel runtime after layerWarmCalls untimed ones (the
+ * definitions of perfbench's htm.* probes). @p ok is cleared unless
+ * every batch's statistics pass @p check(stats, calls made).
+ */
+template <typename Op, typename Check>
+double
+layerNs(bool batch_epoch, unsigned calls, Op&& op, Check&& check,
+        bool& ok)
+{
+    htm::RuntimeConfig config{htm::MachineConfig::intelCore()};
+    config.batchEpoch = batch_epoch;
+    double best = 0.0;
+    for (int batch = 0; batch < layerBatches; ++batch) {
+        sim::Scheduler scheduler(1);
+        htm::Runtime runtime(config, 1);
+        double ns = 0.0;
+        scheduler.spawn([&](sim::ThreadContext& ctx) {
+            for (unsigned i = 0; i < layerWarmCalls; ++i)
+                op(runtime, ctx);
+            const auto start = Clock::now();
+            for (unsigned i = 0; i < calls; ++i)
+                op(runtime, ctx);
+            ns = double(elapsedNs(start, Clock::now())) / double(calls);
+        });
+        scheduler.run();
+        ok = ok && check(runtime.stats(), layerWarmCalls + calls);
+        if (batch == 0 || ns < best)
+            best = ns;
+    }
+    return best;
 }
 
 struct CellResult
@@ -202,6 +244,40 @@ main(int argc, char** argv)
                     (unsigned long long)row.aborts);
     }
 
+    // Layer costs. CI bounds the abort round trip at 4 empty commits:
+    // unlike either number, their ratio does not depend on the
+    // runner's speed.
+    bool layers_ok = true;
+    const double empty_commit_ns = layerNs(
+        batch, 20000,
+        [](htm::Runtime& runtime, sim::ThreadContext& ctx) {
+            runtime.atomic(ctx, [](htm::Tx&) {});
+        },
+        [](const htm::TxStats& stats, unsigned calls) {
+            return stats.htmCommits == calls && stats.totalAborts() == 0;
+        },
+        layers_ok);
+    const double abort_round_trip_ns = layerNs(
+        batch, 4000,
+        [](htm::Runtime& runtime, sim::ThreadContext& ctx) {
+            htm::NoRetryPolicy policy;
+            runtime.tryAtomic(ctx, policy,
+                              [](htm::Tx& tx) { tx.abortTx(); });
+        },
+        [](const htm::TxStats& stats, unsigned calls) {
+            return stats.totalAborts() == calls;
+        },
+        layers_ok);
+    if (!layers_ok) {
+        std::fprintf(stderr, "bench_perf: a layer probe took the wrong "
+                             "path (commits/aborts off)\n");
+        return 1;
+    }
+    std::printf("\nlayers: empty commit %.1f ns, abort round trip %.1f "
+                "ns (%.2fx)\n",
+                empty_commit_ns, abort_round_trip_ns,
+                abort_round_trip_ns / empty_commit_ns);
+
     // Geomean of per-cell host times: the suite-level trajectory
     // metric (robust to one cell dominating).
     std::vector<double> cell_ns;
@@ -248,7 +324,12 @@ main(int argc, char** argv)
                     .field("aborts", row.aborts)
                     .end();
             }
-            json.end();
+            json.end()
+                .key("layers")
+                .beginObject()
+                .field("empty_commit_ns", empty_commit_ns)
+                .field("abort_round_trip_ns", abort_round_trip_ns)
+                .end();
         }))
         return 1;
 

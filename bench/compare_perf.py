@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Check that two bench_perf reports agree on every simulated field.
+
+Usage: python3 bench/compare_perf.py OLD.json NEW.json
+
+Every number is compared as its JSON text, so equal means
+byte-identical. Host-time fields (wall-clock nanoseconds, rates per
+host second, the layers block) and the provenance envelope may differ;
+every other value must be present in both reports with the same text.
+Prints how many simulated and host-time values were compared and exits
+1, listing the paths, if a simulated value differs or exists on one
+side only.
+"""
+
+import json
+import sys
+
+# Keys whose whole subtree is host time or build provenance.
+HOST_KEYS = {
+    "provenance",
+    "total_host_ns",
+    "wall_host_ns",
+    "geomean_cell_host_ns",
+    "host_ns",
+    "host_tm_ns",
+    "tx_per_sec",
+    "ns_per_access",
+    "layers",
+}
+
+
+def leaves(node, path, host, out):
+    """Collect (path -> (is_host, value text)) for every leaf."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            leaves(value, path + "." + key, host or key in HOST_KEYS, out)
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            leaves(value, "%s[%d]" % (path, index), host, out)
+    else:
+        out[path] = (host, json.dumps(node))
+    return out
+
+
+def load(path):
+    with open(path) as handle:
+        # Numbers stay strings: their text is what must match.
+        doc = json.load(handle, parse_float=str, parse_int=str)
+    if doc.get("tool") != "bench_perf":
+        sys.exit("%s is not a bench_perf report (tool %r)"
+                 % (path, doc.get("tool")))
+    return leaves(doc, "", False, {})
+
+
+def main():
+    if len(sys.argv) != 3:
+        sys.exit("usage: compare_perf.py OLD.json NEW.json")
+    old = load(sys.argv[1])
+    new = load(sys.argv[2])
+    sim_paths = sorted(p for p in old.keys() | new.keys()
+                       if not old.get(p, new.get(p))[0])
+    differ = [p for p in sim_paths if old.get(p) != new.get(p)]
+    host_old = {p for p, (host, _) in old.items() if host}
+    host_new = {p for p, (host, _) in new.items() if host}
+    changed = sum(1 for p in host_old & host_new if old[p] != new[p])
+    print("simulated values: %d compared, %d differ"
+          % (len(sim_paths), len(differ)))
+    print("host-time and provenance values: %d changed, %d added, "
+          "%d removed" % (changed, len(host_new - host_old),
+                          len(host_old - host_new)))
+    for path in differ[:20]:
+        print("  %s: %s -> %s" % (path, old.get(path, (0, "absent"))[1],
+                                 new.get(path, (0, "absent"))[1]))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

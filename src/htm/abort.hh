@@ -100,19 +100,6 @@ const char* abortCauseName(AbortCause cause);
 /** Human-readable category name. */
 const char* abortCategoryName(AbortCategory category);
 
-/**
- * Internal unwind signal thrown when a transaction must roll back from
- * inside its body (an access, abortTx(), a capacity overflow):
- * unwinding is what runs the body's destructors. Aborts decided at
- * begin or commit are returned as an AbortCause instead. Caught only
- * by the attempt drivers in Runtime; application code must let it
- * propagate.
- */
-struct TxAbortException
-{
-    AbortCause cause;
-};
-
 } // namespace htmsim::htm
 
 #endif // HTMSIM_HTM_ABORT_HH

@@ -91,7 +91,7 @@ struct TxEvent
  * winning side of the arbitration (whose access or line ownership
  * prevailed), the *victim* is the side whose transaction rolls back —
  * whichever way the configured ConflictPolicy decided. Emitted at
- * conflict-resolution time — before the victim unwinds — so both
+ * conflict-resolution time — before the victim rolls back — so both
  * parties' sites are still bound. This is the raw feed of the txprof
  * conflict matrix (which site pairs fight, and over which lines).
  */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <csetjmp>
 #include <stdexcept>
 
 namespace htmsim::htm
@@ -309,8 +310,8 @@ Runtime::txCommit(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
     }
     ctx.advance(end_cost);
     ctx.sync();
-    // The aborts decided from here on are returned, not thrown: the
-    // body has finished, so there is no frame left to unwind.
+    // The aborts decided from here on are returned: the body has
+    // finished and the attempt's checkpoint is already retired.
     if (tx.status_ == TxStatus::doomed)
         return tx.doomCause_;
 
@@ -456,27 +457,27 @@ Runtime::attempt(Tx& tx, sim::ThreadContext& ctx,
                  FunctionRef<void(Tx&)> body, bool lazy_subscribe,
                  bool record_stats)
 {
-    // Begin and commit return the aborts they decide; the body's
-    // accesses throw theirs. Both reach the one rollback path below.
-    AbortCause raised;
-    try {
-        raised = txBegin(tx, ctx, lazy_subscribe);
-        if (raised == AbortCause::none) {
+    // Begin and commit return the aborts they decide; an abort raised
+    // in the body restores this checkpoint with its cause in
+    // tx.raised_. Both reach the one rollback path below. The
+    // checkpoint precedes begin because eager subscription is a
+    // transactional load that can itself abort, and it is retired
+    // before commit, which returns its aborts.
+    if (setjmp(tx.checkpoint_) == 0) {
+        tx.checkpointLive_ = true;
+        tx.raised_ = txBegin(tx, ctx, lazy_subscribe);
+        if (tx.raised_ == AbortCause::none) {
             body(tx);
-            raised = txCommit(tx, ctx, lazy_subscribe);
-            if (raised == AbortCause::none)
+            tx.checkpointLive_ = false;
+            tx.raised_ = txCommit(tx, ctx, lazy_subscribe);
+            if (tx.raised_ == AbortCause::none)
                 return AbortCause::none;
         }
-    } catch (const TxAbortException& abort) {
-        // Copy the cause and leave the handler before anything can
-        // switch fibers: all fibers share the host thread's
-        // caught-exception stack, so a peer ending its own handler
-        // during the switch would destroy this one's exception.
-        raised = abort.cause;
+        tx.checkpointLive_ = false;
     }
     // Doom by a peer overrides the raised cause.
     const AbortCause cause =
-        tx.status_ == TxStatus::doomed ? tx.doomCause_ : raised;
+        tx.status_ == TxStatus::doomed ? tx.doomCause_ : tx.raised_;
     rollback(tx, ctx);
     if (record_stats)
         recordAbort(tx, cause);
@@ -713,14 +714,17 @@ Runtime::runRollbackOnly(sim::ThreadContext& ctx,
 
     Tx& tx = *txs_[ctx.id()];
     tx.ctx_ = &ctx;
-    AbortCause cause;
-    try {
+    // The same checkpoint protocol as attempt(); a ROT commit cannot
+    // abort, so only the body's aborts land below.
+    if (setjmp(tx.checkpoint_) == 0) {
+        tx.checkpointLive_ = true;
         tx.resetAttemptState();
         tx.attemptStart_ = ctx.now();
         ctx.advance(txBeginCost_);
         ctx.sync();
         tx.status_ = TxStatus::rollbackOnly;
         body(tx);
+        tx.checkpointLive_ = false;
 
         ctx.advance(txEndCost_);
         ctx.sync();
@@ -735,9 +739,6 @@ Runtime::runRollbackOnly(sim::ThreadContext& ctx,
         stats_[tx.tid_].committedTxCycles += ctx.now() - tx.attemptStart_;
         tx.status_ = TxStatus::inactive;
         return true;
-    } catch (const TxAbortException& abort) {
-        // Copy only: the rollback below switches fibers (attempt()).
-        cause = abort.cause;
     }
     for (const auto& record : tx.speculativeAllocs_)
         sim::regionFree(record.ptr, record.bytes);
@@ -745,7 +746,7 @@ Runtime::runRollbackOnly(sim::ThreadContext& ctx,
     ctx.advance(txAbortCost_);
     ctx.sync();
     stats_[tx.tid_].wastedTxCycles += ctx.now() - tx.attemptStart_;
-    recordAbort(tx, cause);
+    recordAbort(tx, tx.raised_);
     return false;
 }
 

@@ -637,8 +637,8 @@ class Runtime
 
     /** Begin an attempt. Returns the abort cause when the attempt
      *  dies at begin (lock held under eager subscription), else
-     *  AbortCause::none; aborts of the subscription load itself
-     *  still throw. */
+     *  AbortCause::none; an abort of the subscription load itself
+     *  restores the attempt's checkpoint like a body abort. */
     AbortCause txBegin(Tx& tx, sim::ThreadContext& ctx,
                        bool lazy_subscribe);
     /** Commit an attempt, or return the cause that kills it at tend

@@ -39,6 +39,7 @@
 
 #include "stm.hh"
 
+#include <csetjmp>
 #include <cstring>
 
 #include "runtime.hh"
@@ -80,10 +81,8 @@ Tx::stmLoadWord(const void* addr, std::size_t size)
     // No scheduling points from here to the return: the version check
     // and the memory read are atomic in virtual time (opacity).
     if (!writeBuffer_.empty()) {
-        if (const WriteEntry* buffered = writeBuffer_.find(uaddr)) {
-            assert(buffered->size == size);
+        if (const WriteEntry* buffered = findBuffered(uaddr, size))
             return buffered->value;
-        }
     }
 
     StmEngine& stm = runtime_->stm_;
@@ -174,7 +173,7 @@ Runtime::stmCommit(Tx& tx, sim::ThreadContext& ctx)
     // validation, write-back and publication are atomic in virtual
     // time — the commit event *is* the serialization point the
     // differential oracle replays by. The aborts decided here are
-    // returned, not thrown: no body frame is left to unwind.
+    // returned: the body has finished.
     if (*lockWord_ != 0) {
         // An irrevocable section owns memory outright; committing
         // around it would interleave with its direct stores. Aborting
@@ -269,19 +268,20 @@ AbortCause
 Runtime::stmAttempt(Tx& tx, sim::ThreadContext& ctx,
                     FunctionRef<void(Tx&)> body)
 {
-    AbortCause raised;
-    try {
+    // The checkpoint protocol of Runtime::attempt(): the body's aborts
+    // restore it, commit returns its own.
+    if (setjmp(tx.checkpoint_) == 0) {
+        tx.checkpointLive_ = true;
         stmBegin(tx, ctx);
         body(tx);
-        raised = stmCommit(tx, ctx);
-        if (raised == AbortCause::none)
+        tx.checkpointLive_ = false;
+        tx.raised_ = stmCommit(tx, ctx);
+        if (tx.raised_ == AbortCause::none)
             return AbortCause::none;
-    } catch (const TxAbortException& abort) {
-        // Copy only: stmRollback switches fibers (see attempt()).
-        raised = abort.cause;
     }
-    const AbortCause cause =
-        raised == AbortCause::none ? AbortCause::stmConflict : raised;
+    const AbortCause cause = tx.raised_ == AbortCause::none
+                                 ? AbortCause::stmConflict
+                                 : tx.raised_;
     stmRollback(tx, ctx, cause);
     return cause;
 }

@@ -1,5 +1,6 @@
 #include "tx.hh"
 
+#include <cstdio>
 #include <stdexcept>
 
 #include "runtime.hh"
@@ -24,19 +25,44 @@ writeMemory(void* addr, std::size_t size, std::uint64_t word)
     std::memcpy(addr, &word, size);
 }
 
+[[noreturn]] void
+throwMixedWidth(std::uintptr_t uaddr, std::size_t buffered,
+                std::size_t size)
+{
+    char text[128];
+    std::snprintf(text, sizeof text,
+                  "mixed-width access at %#llx: %zu-byte access to a "
+                  "word buffered as %zu bytes",
+                  (unsigned long long)uaddr, size, buffered);
+    throw std::logic_error(text);
+}
+
 } // namespace
 
 void
 Tx::checkDoom()
 {
     if (status_ == TxStatus::doomed)
-        throw TxAbortException{doomCause_};
+        selfAbort(doomCause_);
 }
 
 void
 Tx::selfAbort(AbortCause cause)
 {
-    throw TxAbortException{cause};
+    if (!checkpointLive_)
+        throw std::logic_error("transaction abort outside an attempt");
+    checkpointLive_ = false;
+    raised_ = cause;
+    std::longjmp(checkpoint_, 1);
+}
+
+const Tx::WriteEntry*
+Tx::findBuffered(std::uintptr_t uaddr, std::size_t size) const
+{
+    const WriteEntry* entry = writeBuffer_.find(uaddr);
+    if (entry != nullptr && entry->size != size)
+        throwMixedWidth(uaddr, entry->size, size);
+    return entry;
 }
 
 std::uint64_t
@@ -60,7 +86,7 @@ Tx::loadWord(const void* addr, std::size_t size)
         ctx_->advance(machine.nonTxLoadCost);
         ctx_->sync();
         runtime_->nonTxConflict(tid_, uaddr, false, ctx_->now());
-        if (const WriteEntry* entry = writeBuffer_.find(uaddr))
+        if (const WriteEntry* entry = findBuffered(uaddr, size))
             return entry->value;
         return readMemory(addr, size);
     }
@@ -69,7 +95,7 @@ Tx::loadWord(const void* addr, std::size_t size)
         // ROT loads are untracked: no conflict detection at all.
         ctx_->advance(machine.txLoadCost);
         ctx_->sync();
-        if (const WriteEntry* entry = writeBuffer_.find(uaddr))
+        if (const WriteEntry* entry = findBuffered(uaddr, size))
             return entry->value;
         return readMemory(addr, size);
     }
@@ -106,10 +132,8 @@ Tx::loadWord(const void* addr, std::size_t size)
     // Read-mostly transactions keep the write buffer empty: one size
     // check skips the guaranteed-miss hash probe.
     if (!writeBuffer_.empty()) {
-        if (const WriteEntry* buffered = writeBuffer_.find(uaddr)) {
-            assert(buffered->size == size);
+        if (const WriteEntry* buffered = findBuffered(uaddr, size))
             return buffered->value;
-        }
     }
 
     // Last-line memo: consecutive loads of a line whose read
@@ -229,6 +253,8 @@ Tx::bufferStore(std::uintptr_t uaddr, std::size_t size,
     WriteEntry& entry = writeBuffer_.insertOrFind(uaddr, &inserted);
     if (inserted)
         writeLog_.push_back(uaddr);
+    else if (entry.size != size)
+        throwMixedWidth(uaddr, entry.size, size);
     entry = WriteEntry{value, std::uint8_t(size)};
 }
 

@@ -16,6 +16,7 @@
 #define HTMSIM_HTM_TX_HH
 
 #include <cassert>
+#include <csetjmp>
 #include <cstdint>
 #include <cstring>
 #include <new>
@@ -38,7 +39,7 @@ enum class TxStatus : std::uint8_t
 {
     inactive,
     active,
-    doomed,       ///< aborted by a peer; unwinds at the next tx event
+    doomed,       ///< aborted by a peer; aborts at the next tx event
     irrevocable,  ///< running under the global lock
     rollbackOnly, ///< POWER8 ROT: buffering without conflict detection
     software,     ///< hybrid backend's STM slow path (stm.hh)
@@ -50,7 +51,17 @@ enum class TxStatus : std::uint8_t
  * Supported access types are trivially copyable and at most 8 bytes
  * (word-granular store buffering); every location must be accessed
  * with a single consistent type, which all library data structures
- * honor.
+ * honor. A buffered word re-accessed with another width throws
+ * std::logic_error.
+ *
+ * Aborts restore a checkpoint, as the hardware does: the attempt
+ * driver takes one before begin, and an abort raised inside the body
+ * jumps back to it, abandoning the body's frames without running
+ * their destructors (STAMP's TL2 TM_BEGIN is a sigsetjmp for the same
+ * reason). A body must therefore be restartable: it may hold no owning
+ * object (a container, a string, an RAII guard) across a Tx access or
+ * allocation. Keep such state in per-thread scratch owned outside the
+ * body and clear it at body start.
  */
 class Tx
 {
@@ -192,13 +203,21 @@ class Tx
     /// Enforce the constrained-transaction footprint limit.
     void checkConstraintFootprint();
 
-    /// Throw if a peer doomed this transaction.
+    /// Abort (selfAbort) with the peer's cause if a peer doomed this
+    /// transaction.
     void checkDoom();
 
-    /// Raise an abort originating from this transaction itself, from
-    /// inside an access or the body: only unwinding runs the body's
-    /// destructors. Begin and commit return their aborts instead.
+    /// Raise an abort from inside an access or the body: record
+    /// @p cause and restore the attempt driver's checkpoint. Begin and
+    /// commit return their aborts instead. Throws std::logic_error
+    /// when no attempt holds a live checkpoint.
     [[noreturn]] void selfAbort(AbortCause cause);
+
+    /// The buffered store to the word at @p uaddr, or nullptr. Throws
+    /// std::logic_error if it was stored with a width other than
+    /// @p size: the word-keyed buffer cannot merge mixed widths.
+    const WriteEntry* findBuffered(std::uintptr_t uaddr,
+                                   std::size_t size) const;
 
     /// Record a software-path orec access (stm.cc).
     void touchOrec(std::size_t index, std::uint8_t flag);
@@ -217,6 +236,13 @@ class Tx
 
     TxStatus status_ = TxStatus::inactive;
     AbortCause doomCause_ = AbortCause::none;
+    /// The running attempt's begin checkpoint, live from the driver's
+    /// setjmp until it commits or aborts. After selfAbort() jumps
+    /// back, the driver reads the cause from raised_: a local set
+    /// between setjmp and longjmp would be indeterminate.
+    std::jmp_buf checkpoint_;
+    bool checkpointLive_ = false;
+    AbortCause raised_ = AbortCause::none;
     bool suspended_ = false;
     bool constrained_ = false;
     bool unkillable_ = false;

@@ -20,6 +20,7 @@
 #ifndef HTMSIM_STAMP_BAYES_BAYES_HH
 #define HTMSIM_STAMP_BAYES_BAYES_HH
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -130,7 +131,8 @@ class BayesApp
             }
             // Acyclicity: reject if var reaches best_parent through
             // current edges (reads spread over the adjacency matrix).
-            if (reaches(c, var, unsigned(best_parent)))
+            if (reaches(c, var, unsigned(best_parent),
+                        reachScratch_[exec.tid()]))
                 return;
             c.store(&adjacency_[unsigned(best_parent) * stride_ + var],
                     std::uint64_t(1));
@@ -150,13 +152,27 @@ class BayesApp
         }
     }
 
+    /**
+     * One thread's reaches() containers. An abort abandons the search
+     * without running destructors (tx.hh), so the body owns no
+     * container: reaches() resets these first and reuses their
+     * capacity.
+     */
+    struct ReachScratch
+    {
+        std::vector<unsigned> stack;
+        std::vector<char> seen;
+    };
+
     /** DFS reachability over the live adjacency (transactional). */
     template <typename Ctx>
     bool
-    reaches(Ctx& c, unsigned from, unsigned to)
+    reaches(Ctx& c, unsigned from, unsigned to, ReachScratch& scratch)
     {
-        std::vector<unsigned> stack{from};
-        std::vector<char> seen(params_.numVars, 0);
+        std::vector<unsigned>& stack = scratch.stack;
+        std::vector<char>& seen = scratch.seen;
+        stack.assign(1, from);
+        seen.assign(params_.numVars, 0);
         seen[from] = 1;
         while (!stack.empty()) {
             const unsigned at = stack.back();
@@ -196,6 +212,7 @@ class BayesApp
     sim::Vector<std::uint64_t> parentCount_;
     sim::Ptr<tmds::TmList<>> taskList_;
     std::vector<double> totalGainShared_;
+    std::array<ReachScratch, 64> reachScratch_;
     double totalGain_ = 0.0;
 };
 

@@ -149,7 +149,8 @@ class YadaApp
                 inserted = false;
                 if (c.load(&target->alive) == 0)
                     return; // triangle died since it was queued
-                inserted = refine(c, target, created, cursor);
+                inserted = refine(c, target, created, cursor,
+                                  refineScratch_[exec.tid()]);
             });
             if (inserted)
                 ++cursor;
@@ -207,6 +208,53 @@ class YadaApp
         double py[3];
     };
 
+    /** A cavity boundary edge: directed, with its across-neighbour
+     *  outside the cavity (nullptr on the hull). */
+    struct BoundaryEdge
+    {
+        std::uint64_t a;
+        std::uint64_t b;
+        double ax, ay, bx, by;
+        YadaTriangle* outside;
+        int outsideEdge;
+    };
+
+    /** One new fan triangle (a, b, p) around the inserted point. */
+    struct FanEntry
+    {
+        YadaTriangle* triangle;
+        std::uint64_t a;
+        std::uint64_t b;
+    };
+
+    /**
+     * One thread's refinement containers. An abort abandons refine()'s
+     * frames without running their destructors (tx.hh), so the body
+     * owns no container: refine() clears these first and reuses their
+     * capacity. The hash containers only answer count/find, so a
+     * reused table gives the same results as a fresh one.
+     */
+    struct RefineScratch
+    {
+        /** Cavity triangles in BFS discovery order. */
+        std::vector<std::pair<YadaTriangle*, TriSnapshot>> cavity;
+        std::unordered_set<YadaTriangle*> inCavity;
+        std::vector<BoundaryEdge> boundary;
+        std::vector<FanEntry> fan;
+        /** Fan triangle by its first vertex. */
+        std::unordered_map<std::uint64_t, YadaTriangle*> byA;
+
+        void
+        clear()
+        {
+            cavity.clear();
+            inCavity.clear();
+            boundary.clear();
+            fan.clear();
+            byA.clear();
+        }
+    };
+
     template <typename Ctx>
     TriSnapshot
     snapshot(Ctx& c, YadaTriangle* triangle)
@@ -227,8 +275,14 @@ class YadaApp
     bool
     refine(Ctx& c, YadaTriangle* target,
            std::vector<YadaTriangle*>& created,
-           std::uint64_t point_index)
+           std::uint64_t point_index, RefineScratch& scratch)
     {
+        scratch.clear();
+        auto& cavity = scratch.cavity;
+        auto& in_cavity = scratch.inCavity;
+        auto& boundary = scratch.boundary;
+        auto& fan = scratch.fan;
+        auto& by_a = scratch.byA;
         TriSnapshot seed_snap = snapshot(c, target);
 
         // Insertion point: circumcenter when it is safely interior,
@@ -255,8 +309,6 @@ class YadaApp
         // Cavity: connected triangles whose circumcircle contains the
         // point. Kept in BFS discovery order so iteration (and hence
         // the whole simulation) is deterministic across runs.
-        std::vector<std::pair<YadaTriangle*, TriSnapshot>> cavity;
-        std::unordered_set<YadaTriangle*> in_cavity;
         cavity.emplace_back(seed, snapshot(c, seed));
         in_cavity.insert(seed);
         for (std::size_t at = 0; at < cavity.size(); ++at) {
@@ -278,15 +330,6 @@ class YadaApp
 
         // Cavity boundary: directed edges whose across-neighbour is
         // outside the cavity (or the hull).
-        struct BoundaryEdge
-        {
-            std::uint64_t a;
-            std::uint64_t b;
-            double ax, ay, bx, by;
-            YadaTriangle* outside;
-            int outsideEdge;
-        };
-        std::vector<BoundaryEdge> boundary;
         for (const auto& [triangle, snap] : cavity) {
             (void)triangle;
             for (int i = 0; i < 3; ++i) {
@@ -339,13 +382,6 @@ class YadaApp
         }
 
         // Build the fan: one triangle (a, b, p) per boundary edge.
-        struct FanEntry
-        {
-            YadaTriangle* triangle;
-            std::uint64_t a;
-            std::uint64_t b;
-        };
-        std::vector<FanEntry> fan;
         fan.reserve(boundary.size());
         for (const BoundaryEdge& edge : boundary) {
             const double badness = triangleBadness(
@@ -364,7 +400,6 @@ class YadaApp
 
         // Stitch fan neighbours: triangle with edge (b, p) pairs with
         // the fan triangle whose a == this b.
-        std::unordered_map<std::uint64_t, YadaTriangle*> by_a;
         for (const FanEntry& entry : fan)
             by_a[entry.a] = entry.triangle;
         for (const FanEntry& entry : fan) {
@@ -432,6 +467,7 @@ class YadaApp
 
     sim::Vector<YadaPoint> points_;
     std::array<std::uint64_t, 64> pointsUsed_{};
+    std::array<RefineScratch, 64> refineScratch_;
     std::vector<YadaTriangle*> allTriangles_;
     sim::Ptr<tmds::TmHeap<YadaBadnessCompare>> workHeap_;
 };

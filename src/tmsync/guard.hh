@@ -8,12 +8,13 @@
  * constructor runs the whole protocol (speculative attempt, fallback
  * acquisition, body, release) around a body callback. True RAII
  * (construct = lock, destruct = unlock, body between) is impossible
- * here because an elided attempt aborts by throwing TxAbortException
- * through the body back into Runtime's attempt machinery, and the
- * retry/fallback then needs to re-run the body from the top — the
- * body must therefore be a re-invocable callable, exactly like
- * Runtime::atomic() bodies. The object form still buys scoped naming,
- * the site id, and a place to ask which path committed (elided()).
+ * here because an elided attempt aborts by jumping back to the
+ * checkpoint Runtime's attempt driver took before begin, abandoning
+ * the body's frames, and the retry/fallback then needs to re-run the
+ * body from the top — the body must therefore be a re-invocable,
+ * restartable callable, exactly like Runtime::atomic() bodies (tx.hh).
+ * The object form still buys scoped naming, the site id, and a place
+ * to ask which path committed (elided()).
  *
  * Elision contract (per guard, SyncMode::elided):
  *   1. up to maxElisionAttempts transactional attempts; each first

@@ -1,16 +1,18 @@
 /**
  * @file
  * Tests for how attempts end: aborts decided at begin or commit are
- * returned as values and keep their attribution, no lifecycle event is
- * delivered from inside a C++ exception handler (fibers share the host
- * thread's caught-exception stack), and directory cleanup walks the
- * per-Tx first-touch log, prefetched neighbours included.
+ * returned as values and keep their attribution; aborts raised inside
+ * an attempt restore the begin checkpoint of each of the three attempt
+ * drivers, free the attempt's allocations and leave the Tx reusable,
+ * while programming errors still propagate as exceptions; and
+ * directory cleanup walks the per-Tx first-touch log, prefetched
+ * neighbours included.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <exception>
+#include <stdexcept>
 #include <vector>
 
 #include "check/trace.hh"
@@ -200,101 +202,342 @@ TEST(ReturnedAborts, BgqLongRunningCommitUnderLockIsALockConflict)
 }
 
 // ------------------------------------------------------------------
-// No event from inside an exception handler
+// Aborts restore the attempt's begin checkpoint
 // ------------------------------------------------------------------
 
-/** Counts events delivered while an exception is being handled. */
-class HandlerProbe final : public TxObserver
+/** The three attempt drivers: Runtime::attempt, Runtime::stmAttempt
+ *  and Runtime::runRollbackOnly. */
+enum class Driver
+{
+    hardware,
+    software,
+    rollbackOnly,
+};
+
+constexpr Driver allDrivers[] = {Driver::hardware, Driver::software,
+                                 Driver::rollbackOnly};
+
+const char*
+driverName(Driver driver)
+{
+    switch (driver) {
+      case Driver::hardware: return "hardware attempt";
+      case Driver::software: return "software attempt";
+      case Driver::rollbackOnly: return "rollback-only transaction";
+    }
+    return "?";
+}
+
+/** POWER8 has every driver; the software one needs an STM-only
+ *  hybrid runtime. */
+RuntimeConfig
+configFor(Driver driver)
+{
+    RuntimeConfig config = quietConfig(MachineConfig::power8());
+    if (driver == Driver::software) {
+        config.backend = BackendKind::hybrid;
+        config.hybrid.stmOnly = true;
+    }
+    return config;
+}
+
+/**
+ * One section through @p driver: one hardware attempt (tryOnce), a
+ * section on the STM-only runtime (an aborted software attempt is
+ * retried in software), or one rollback-only transaction.
+ */
+void
+runOn(Driver driver, Runtime& runtime, sim::ThreadContext& ctx,
+      FunctionRef<void(Tx&)> body)
+{
+    switch (driver) {
+      case Driver::hardware:
+        (void)runtime.tryOnce(ctx, body);
+        break;
+      case Driver::software:
+        runtime.atomic(ctx, body);
+        break;
+      case Driver::rollbackOnly:
+        (void)runtime.rollbackOnly(ctx, body);
+        break;
+    }
+}
+
+/** Records the cause of every abort event. */
+class AbortLog final : public TxObserver
 {
   public:
     void
     onEvent(const TxEvent& event) override
     {
         if (event.kind == TxEventKind::abort)
-            ++aborts;
-        if (std::current_exception() != nullptr)
-            ++insideHandler;
+            causes.push_back(event.cause);
     }
 
-    void
-    onConflict(const TxConflictEvent&) override
-    {
-        if (std::current_exception() != nullptr)
-            ++insideHandler;
-    }
-
-    unsigned aborts = 0;
-    unsigned insideHandler = 0;
+    std::vector<AbortCause> causes;
 };
 
-/** Four threads incrementing one counter: aborts on every path. */
-void
-runContendedCounter(RuntimeConfig config, HandlerProbe& probe)
+/** A trivially destructible transactional allocation. */
+struct Node
 {
-    config.observer = &probe;
-    sim::Scheduler scheduler;
-    Runtime runtime(config, 4);
-    std::uint64_t counter = 0;
-    for (unsigned t = 0; t < 4; ++t) {
-        scheduler.spawn([&](sim::ThreadContext& ctx) {
-            for (int i = 0; i < 20; ++i) {
-                runtime.atomic(ctx, [&](Tx& tx) {
-                    const auto value = tx.load(&counter);
-                    tx.work(50);
-                    tx.store(&counter, value + 1);
-                });
-            }
-        });
-    }
-    scheduler.run();
-    EXPECT_EQ(counter, 80u);
+    std::uint64_t value;
+};
+
+/** Returns through atDepth() frames; an abort abandons them. */
+unsigned framesReturned = 0;
+
+/** Runs @p bottom @p depth frames down. Counting the return after the
+ *  call keeps every frame on the stack (no tail call). */
+[[gnu::noinline]] void
+atDepth(unsigned depth, FunctionRef<void()> bottom)
+{
+    if (depth == 0)
+        bottom();
+    else
+        atDepth(depth - 1, bottom);
+    ++framesReturned;
 }
 
-TEST(AbortHandling, NoEventIsDeliveredInsideAHandler)
+TEST(AbortCheckpoint, EveryDriverResumesAtItsCheckpoint)
 {
-    {
-        SCOPED_TRACE("hardware attempts");
-        HandlerProbe probe;
-        runContendedCounter(quietConfig(MachineConfig::intelCore()),
-                            probe);
-        EXPECT_GT(probe.aborts, 0u);
-        EXPECT_EQ(probe.insideHandler, 0u);
+    for (const Driver driver : allDrivers) {
+        SCOPED_TRACE(driverName(driver));
+        for (const unsigned depth : {0u, 64u}) {
+            SCOPED_TRACE(depth);
+            RuntimeConfig config = configFor(driver);
+            AbortLog log;
+            config.observer = &log;
+            sim::Scheduler scheduler;
+            Runtime runtime(config, 1);
+            alignas(256) std::uint64_t word = 0;
+            Node* aborted = nullptr;
+            Node* reused = nullptr;
+            bool first_run = true;
+            std::uint64_t after_abort = ~std::uint64_t(0);
+            scheduler.spawn([&](sim::ThreadContext& ctx) {
+                runOn(driver, runtime, ctx, [&](Tx& tx) {
+                    if (!first_run)
+                        return; // the software driver's retry
+                    first_run = false;
+                    aborted = tx.create<Node>(Node{1});
+                    atDepth(depth, [&] {
+                        tx.store(&word, std::uint64_t(1));
+                        tx.abortTx();
+                    });
+                    ADD_FAILURE() << "the abort returned into the body";
+                });
+                after_abort = word;
+                // The next section on the same Tx commits normally,
+                // and the aborted attempt's allocation went back to
+                // the region: the same-size allocation reuses it.
+                runOn(driver, runtime, ctx, [&](Tx& tx) {
+                    reused = tx.create<Node>(Node{2});
+                    tx.store(&word, std::uint64_t(7));
+                });
+            });
+            framesReturned = 0;
+            scheduler.run();
+
+            EXPECT_EQ(framesReturned, 0u);
+            EXPECT_EQ(log.causes,
+                      std::vector<AbortCause>{AbortCause::explicitAbort});
+            EXPECT_EQ(after_abort, 0u);
+            EXPECT_EQ(word, 7u);
+            ASSERT_NE(aborted, nullptr);
+            EXPECT_EQ(reused, aborted);
+            EXPECT_EQ(reused->value, 2u);
+            const TxStats stats = runtime.stats();
+            // The software driver's section retried and committed.
+            EXPECT_EQ(stats.htmCommits + stats.stmCommits,
+                      driver == Driver::software ? 2u : 1u);
+            EXPECT_EQ(runtime.txOf(0).status(), TxStatus::inactive);
+        }
     }
+}
+
+TEST(AbortCheckpoint, DoomSeenAtAnAccessResumesAtTheCheckpoint)
+{
+    // Thread 0 reads `a`, allocates, then works while thread 1 writes
+    // `a`: the hardware attempt is doomed and acts on it at its next
+    // load or store; the software attempt's next load of `a` fails
+    // orec validation. Either way the access never completes.
+    struct Case
     {
-        SCOPED_TRACE("software attempts");
-        RuntimeConfig config = quietConfig(MachineConfig::intelCore());
-        config.backend = BackendKind::hybrid;
-        config.hybrid.stmOnly = true;
-        HandlerProbe probe;
-        runContendedCounter(config, probe);
-        EXPECT_GT(probe.aborts, 0u);
-        EXPECT_EQ(probe.insideHandler, 0u);
-    }
-    {
-        SCOPED_TRACE("rollback-only transactions");
-        RuntimeConfig config = quietConfig(MachineConfig::power8());
-        HandlerProbe probe;
-        config.observer = &probe;
+        const char* name;
+        Driver driver;
+        bool store;
+        AbortCause cause;
+    };
+    const Case cases[] = {
+        {"hardware load", Driver::hardware, false,
+         AbortCause::dataConflict},
+        {"hardware store", Driver::hardware, true,
+         AbortCause::dataConflict},
+        {"software load", Driver::software, false,
+         AbortCause::stmConflict},
+    };
+    for (const Case& test : cases) {
+        SCOPED_TRACE(test.name);
+        RuntimeConfig config = configFor(test.driver);
+        AbortLog log;
+        config.observer = &log;
         sim::Scheduler scheduler;
         Runtime runtime(config, 2);
-        std::uint64_t value = 0;
-        for (unsigned t = 0; t < 2; ++t) {
-            scheduler.spawn([&](sim::ThreadContext& ctx) {
-                for (int i = 0; i < 3; ++i) {
-                    EXPECT_FALSE(runtime.rollbackOnly(ctx, [&](Tx& tx) {
-                        tx.store(&value, std::uint64_t(1));
-                        tx.abortTx();
-                    }));
-                }
+        alignas(256) std::uint64_t a = 0;
+        alignas(256) std::uint64_t b = 0;
+        Node* aborted = nullptr;
+        Node* reused = nullptr;
+        bool read_a = false;
+        bool access_done = false;
+        scheduler.spawn([&](sim::ThreadContext& ctx) {
+            runOn(test.driver, runtime, ctx, [&](Tx& tx) {
+                if (read_a)
+                    return; // the software driver's retry
+                (void)tx.load(&a);
+                aborted = tx.create<Node>(Node{1});
+                read_a = true;
+                tx.work(5000);
+                if (test.store)
+                    tx.store(&b, std::uint64_t(1));
+                else
+                    (void)tx.load(&a);
+                access_done = true;
             });
-        }
+            runOn(test.driver, runtime, ctx, [&](Tx& tx) {
+                reused = tx.create<Node>(Node{2});
+                tx.store(&b, std::uint64_t(2));
+            });
+        });
+        scheduler.spawn([&](sim::ThreadContext& ctx) {
+            ctx.spinUntil([&] { return read_a; }, 10);
+            runtime.atomic(ctx, [&](Tx& tx) {
+                tx.store(&a, std::uint64_t(5));
+            });
+        });
         scheduler.run();
-        EXPECT_EQ(value, 0u);
-        EXPECT_EQ(probe.aborts, 6u);
-        EXPECT_EQ(probe.insideHandler, 0u);
-        EXPECT_EQ(trueCause(runtime.stats(), AbortCause::explicitAbort),
-                  6u);
+
+        EXPECT_FALSE(access_done);
+        EXPECT_EQ(log.causes, std::vector<AbortCause>{test.cause});
+        EXPECT_EQ(a, 5u);
+        EXPECT_EQ(b, 2u);
+        ASSERT_NE(aborted, nullptr);
+        EXPECT_EQ(reused, aborted);
     }
+}
+
+TEST(AbortCheckpoint, SubscriptionLoadAbortResumesAtTheCheckpoint)
+{
+    // The checkpoint is taken before begin: txBegin's lock
+    // subscription is a transactional load, and an interrupt due by
+    // then aborts it before the body runs. The injected interrupt
+    // process fires once the thread's clock passes its first
+    // deadline, 0.5-1.5 interval lengths after the first attempt.
+    RuntimeConfig config = quietConfig(MachineConfig::intelCore());
+    config.hazard.enabled = true;
+    config.hazard.interruptRate = 1e-6;
+    sim::Scheduler scheduler;
+    Runtime runtime(config, 1);
+    alignas(64) std::uint64_t word = 0;
+    unsigned body_runs = 0;
+    AbortCause first = AbortCause::none;
+    AbortCause subscribed = AbortCause::none;
+    AbortCause next = AbortCause::none;
+    scheduler.spawn([&](sim::ThreadContext& ctx) {
+        const auto body = [&](Tx& tx) {
+            ++body_runs;
+            tx.store(&word, tx.load(&word) + 1);
+        };
+        first = runtime.tryOnce(ctx, body);
+        ctx.step(2'000'000);
+        subscribed = runtime.tryOnce(ctx, body);
+        next = runtime.tryOnce(ctx, body);
+    });
+    scheduler.run();
+
+    EXPECT_EQ(first, AbortCause::none);
+    EXPECT_EQ(subscribed, AbortCause::interrupt);
+    EXPECT_EQ(next, AbortCause::none);
+    EXPECT_EQ(body_runs, 2u);
+    EXPECT_EQ(word, 2u);
+}
+
+TEST(AbortCheckpoint, BodyLogicErrorsStillReachTheCaller)
+{
+    // Programming errors are not aborts: they leave the body as
+    // exceptions through every driver.
+    for (const Driver driver : allDrivers) {
+        SCOPED_TRACE(driverName(driver));
+        sim::Scheduler scheduler;
+        Runtime runtime(configFor(driver), 1);
+        alignas(64) std::uint64_t word = 0;
+        scheduler.spawn([&](sim::ThreadContext& ctx) {
+            EXPECT_THROW(runOn(driver, runtime, ctx,
+                               [&](Tx& tx) {
+                                   tx.store(&word, std::uint64_t(1));
+                                   throw std::logic_error("body bug");
+                               }),
+                         std::logic_error);
+        });
+        scheduler.run();
+        EXPECT_EQ(word, 0u);
+        EXPECT_EQ(runtime.stats().totalAborts(), 0u);
+    }
+    // An abort with no attempt to resume is one too.
+    sim::Scheduler scheduler;
+    Runtime runtime(quietConfig(MachineConfig::intelCore()), 1);
+    scheduler.spawn([&](sim::ThreadContext&) {
+        EXPECT_THROW(runtime.txOf(0).abortTx(), std::logic_error);
+    });
+    scheduler.run();
+}
+
+TEST(AbortCheckpoint, MixedWidthAccessToABufferedWordThrows)
+{
+    // The write buffer holds whole words keyed by address, so it
+    // cannot merge two widths at one address. Release builds used to
+    // lose an 8-byte store under a later 1-byte one (committing
+    // 0x11111111111111bb) and to answer an 8-byte load over a 1-byte
+    // store with 0x00000000000000cc. Every path that consults the
+    // buffer throws instead, and memory keeps its old value.
+    using Sequence = void (*)(Tx&, std::uint64_t*);
+    const Sequence wide_then_narrow_store = [](Tx& tx,
+                                               std::uint64_t* word) {
+        tx.store(word, std::uint64_t(0xaaaaaaaaaaaaaaaa));
+        tx.store(reinterpret_cast<std::uint8_t*>(word),
+                 std::uint8_t(0xbb));
+    };
+    const Sequence narrow_store_wide_load = [](Tx& tx,
+                                               std::uint64_t* word) {
+        tx.store(reinterpret_cast<std::uint8_t*>(word),
+                 std::uint8_t(0xcc));
+        (void)tx.load(word);
+    };
+    const Sequence suspended_wide_load = [](Tx& tx,
+                                            std::uint64_t* word) {
+        tx.store(reinterpret_cast<std::uint8_t*>(word),
+                 std::uint8_t(0xcc));
+        tx.suspend();
+        (void)tx.load(word);
+    };
+    const auto expectThrows = [](Driver driver, Sequence sequence) {
+        sim::Scheduler scheduler;
+        Runtime runtime(configFor(driver), 1);
+        alignas(64) std::uint64_t word = 0x1111111111111111;
+        scheduler.spawn([&](sim::ThreadContext& ctx) {
+            EXPECT_THROW(runOn(driver, runtime, ctx,
+                               [&](Tx& tx) { sequence(tx, &word); }),
+                         std::logic_error);
+        });
+        scheduler.run();
+        EXPECT_EQ(word, 0x1111111111111111u);
+    };
+    for (const Driver driver : allDrivers) {
+        SCOPED_TRACE(driverName(driver));
+        expectThrows(driver, wide_then_narrow_store);
+        expectThrows(driver, narrow_store_wide_load);
+    }
+    SCOPED_TRACE("suspended load");
+    expectThrows(Driver::hardware, suspended_wide_load);
 }
 
 // ------------------------------------------------------------------
