@@ -7,8 +7,10 @@
  * retry-count tuning) and measures what the other benches do not:
  * host wall-clock per cell and simulated-commit throughput (committed
  * transactions per host second), the per-access rows, and the host
- * cost of two layers: an empty commit and an abort round trip. Emits
- * machine-readable BENCH_perf.json so successive runs can compare.
+ * cost of four layers: an empty commit, an abort round trip, a load
+ * that hits the last-line memo and a load of a line new to the
+ * transaction. Emits machine-readable BENCH_perf.json so successive
+ * runs can compare.
  *
  * Every run allocates its simulated state in the run's region
  * (sim/region.hh), so the per-candidate simulated metrics in the JSON
@@ -80,6 +82,15 @@ runCandidate(const std::string& bench,
         std::uint64_t(double(candidate.hostNs) * tm_share);
     return candidate;
 }
+
+/** A line padded past every machine's conflict and capacity line. */
+struct alignas(256) PaddedLine
+{
+    std::uint64_t word = 1;
+};
+
+/** Loads per transaction in the access layer probes. */
+constexpr unsigned accessesPerTx = 256;
 
 /** Timed batches per layer probe; each probe reports their minimum,
  *  since interference from other tenants only ever slows a batch. */
@@ -244,8 +255,8 @@ main(int argc, char** argv)
                     (unsigned long long)row.aborts);
     }
 
-    // Layer costs. CI bounds the abort round trip at 4 empty commits:
-    // unlike either number, their ratio does not depend on the
+    // Layer costs. CI bounds each layer as a ratio to the empty
+    // commit: unlike either number, their ratio does not depend on the
     // runner's speed.
     bool layers_ok = true;
     const double empty_commit_ns = layerNs(
@@ -268,15 +279,56 @@ main(int argc, char** argv)
             return stats.totalAborts() == calls;
         },
         layers_ok);
+    // The access layers take perfbench's probe shapes (256 loads of
+    // one line, and of 256 distinct lines, per transaction), on lines
+    // and runtimes built in one run of the region, so they time the
+    // conflict directory's shadow rather than its fallback table.
+    double access_memo_hit_ns = 0.0;
+    double access_new_line_ns = 0.0;
+    {
+        sim::RunScope run;
+        sim::Vector<PaddedLine> lines(accessesPerTx);
+        std::uint64_t sink = 0;
+        const auto all_committed = [](const htm::TxStats& stats,
+                                      unsigned calls) {
+            return stats.htmCommits == calls && stats.totalAborts() == 0;
+        };
+        access_memo_hit_ns =
+            layerNs(
+                batch, 1000,
+                [&](htm::Runtime& runtime, sim::ThreadContext& ctx) {
+                    runtime.atomic(ctx, [&](htm::Tx& tx) {
+                        for (unsigned a = 0; a < accessesPerTx; ++a)
+                            sink += tx.load(&lines[0].word);
+                    });
+                },
+                all_committed, layers_ok) /
+            accessesPerTx;
+        access_new_line_ns =
+            layerNs(
+                batch, 500,
+                [&](htm::Runtime& runtime, sim::ThreadContext& ctx) {
+                    runtime.atomic(ctx, [&](htm::Tx& tx) {
+                        for (const PaddedLine& line : lines)
+                            sink += tx.load(&line.word);
+                    });
+                },
+                all_committed, layers_ok) /
+            accessesPerTx;
+        layers_ok = layers_ok && sink != 0;
+    }
     if (!layers_ok) {
         std::fprintf(stderr, "bench_perf: a layer probe took the wrong "
                              "path (commits/aborts off)\n");
         return 1;
     }
     std::printf("\nlayers: empty commit %.1f ns, abort round trip %.1f "
-                "ns (%.2fx)\n",
+                "ns (%.2fx),\n        memo-hit access %.2f ns (%.3fx), "
+                "new-line access %.2f ns (%.3fx)\n",
                 empty_commit_ns, abort_round_trip_ns,
-                abort_round_trip_ns / empty_commit_ns);
+                abort_round_trip_ns / empty_commit_ns, access_memo_hit_ns,
+                access_memo_hit_ns / empty_commit_ns, access_new_line_ns,
+                access_new_line_ns / empty_commit_ns);
 
     // Geomean of per-cell host times: the suite-level trajectory
     // metric (robust to one cell dominating).
@@ -329,6 +381,8 @@ main(int argc, char** argv)
                 .beginObject()
                 .field("empty_commit_ns", empty_commit_ns)
                 .field("abort_round_trip_ns", abort_round_trip_ns)
+                .field("access_memo_hit_ns", access_memo_hit_ns)
+                .field("access_new_line_ns", access_new_line_ns)
                 .end();
         }))
         return 1;

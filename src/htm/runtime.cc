@@ -56,6 +56,7 @@ Runtime::Runtime(RuntimeConfig config, unsigned num_threads)
         granularity = config_.bgq.mode == BgqMode::shortRunning ? 8 : 64;
     conflictShift_ = log2Exact(granularity);
     capacityShift_ = log2Exact(machine.capacityLineBytes);
+    directory_.attach(num_threads, conflictShift_);
 
     // Resolve the effective machine parameters once. Blue Gene/Q folds
     // its mode-dependent extras in here (the long-running L1
@@ -126,7 +127,34 @@ Runtime::Runtime(RuntimeConfig config, unsigned num_threads)
     }
 }
 
-Runtime::~Runtime() = default;
+Runtime::~Runtime()
+{
+    for (const auto& tx : txs_) {
+        if (tx->logsConflictLines())
+            clearDirectoryMarks(*tx);
+    }
+    assert(trackedConflictLines() == 0);
+}
+
+std::size_t
+Runtime::trackedConflictLines() const
+{
+    // Every shadow mark was made by an attempt that logged its line,
+    // and a log lives until the thread's next attempt begins.
+    std::vector<std::uintptr_t> marked;
+    for (const auto& tx : txs_) {
+        if (!tx->logsConflictLines())
+            continue;
+        for (const std::uintptr_t line_number : tx->touchLog_) {
+            if (directory_.markedInShadow(line_number))
+                marked.push_back(line_number);
+        }
+    }
+    std::sort(marked.begin(), marked.end());
+    const auto distinct = std::unique(marked.begin(), marked.end());
+    return std::size_t(distinct - marked.begin()) +
+           directory_.markedFallbackLines();
+}
 
 TxStats
 Runtime::stats() const
@@ -226,21 +254,19 @@ Runtime::nonTxConflict(unsigned tid, std::uintptr_t addr, bool is_write,
     }
 
     const std::uintptr_t line_number = conflictLineOf(addr);
-    ConflictLineState* line = findDirectoryLine(line_number);
-    if (line == nullptr)
-        return;
+    const ConflictCell line = directory_.cell(line_number);
 
     // A non-transactional access wins against any transaction holding
-    // the line (strong isolation via cache coherence, Section 2).
-    if (line->writer >= 0 && line->writer != int(tid)) {
-        if (doomTx(unsigned(line->writer), AbortCause::dataConflict))
-            emitConflict(tid, unsigned(line->writer), true,
-                         line_number, now);
+    // the line (strong isolation via cache coherence, Section 2). A
+    // doom only sets the victim's status: its marks stay until its
+    // own rollback clears them.
+    const int writer = line.owner();
+    if (writer >= 0 && writer != int(tid)) {
+        if (doomTx(unsigned(writer), AbortCause::dataConflict))
+            emitConflict(tid, unsigned(writer), true, line_number, now);
     }
     if (is_write) {
-        // Walk a copy: dooming a reader clears its directory marks.
-        const ReaderSet readers = line->readers;
-        readers.forEachExcept(tid, [&](unsigned reader) {
+        line.forEachReaderExcept(tid, [&](unsigned reader) {
             if (doomTx(reader, AbortCause::dataConflict))
                 emitConflict(tid, reader, true, line_number, now);
         });
@@ -359,7 +385,7 @@ Runtime::txCommit(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
         // channel (the Hybrid-NOrec serialize-everything trap).
         const std::uint64_t wv = stm_.advanceClock();
         for (const std::uintptr_t line_number : tx.touchLog_) {
-            if (*tx.conflictLines_.find(line_number) & Tx::lineWritten)
+            if (directory_.cell(line_number).ownedBy(tx.tid_))
                 stm_.bumpOrec(stm_.indexOfLine(line_number), wv);
         }
     }
@@ -399,31 +425,31 @@ Runtime::clearDirectoryMarks(const Tx& tx)
     // Clearing both kinds is idempotent: a mark the line never had
     // stays absent, and a writer mark already taken over by a peer
     // stays the peer's.
-    for (const std::uintptr_t line_number : tx.touchLog_) {
-        ConflictLineState* line = directory_.find(line_number);
-        if (line == nullptr)
-            continue;
-        line->readers.clear(tx.tid_);
-        if (line->writer == int(tx.tid_))
-            line->writer = -1;
+    for (const std::uintptr_t line_number : tx.touchLog_)
+        directory_.cell(line_number).clear(tx.tid_);
+}
+
+void
+Runtime::discardAttempt(Tx& tx)
+{
+    // Only a hardware attempt marks lines and holds a core slot; the
+    // software path's log holds orec indices.
+    if (tx.status_ == TxStatus::active ||
+        tx.status_ == TxStatus::doomed) {
+        clearDirectoryMarks(tx);
+        --activePerCore_[config_.machine.coreOf(tx.tid_)];
     }
+    releaseSpecId(tx);
+    for (const auto& record : tx.speculativeAllocs_)
+        sim::regionFree(record.ptr, record.bytes);
+    tx.status_ = TxStatus::inactive;
+    tx.suspended_ = false;
 }
 
 void
 Runtime::rollback(Tx& tx, sim::ThreadContext& ctx)
 {
-    clearDirectoryMarks(tx);
-    for (const auto& record : tx.speculativeAllocs_)
-        sim::regionFree(record.ptr, record.bytes);
-
-    if (tx.status_ == TxStatus::active ||
-        tx.status_ == TxStatus::doomed) {
-        --activePerCore_[config_.machine.coreOf(tx.tid_)];
-    }
-    releaseSpecId(tx);
-    tx.status_ = TxStatus::inactive;
-    tx.suspended_ = false;
-
+    discardAttempt(tx);
     ctx.advance(txAbortCost_);
     ctx.sync();
     stats_[tx.tid_].wastedTxCycles += ctx.now() - tx.attemptStart_;
@@ -462,7 +488,9 @@ Runtime::attempt(Tx& tx, sim::ThreadContext& ctx,
     // tx.raised_. Both reach the one rollback path below. The
     // checkpoint precedes begin because eager subscription is a
     // transactional load that can itself abort, and it is retired
-    // before commit, which returns its aborts.
+    // before commit, which returns its aborts. An exception leaving
+    // begin or the body discards the attempt on its way out.
+    const DiscardOnThrow discard(*this, tx);
     if (setjmp(tx.checkpoint_) == 0) {
         tx.checkpointLive_ = true;
         tx.raised_ = txBegin(tx, ctx, lazy_subscribe);
@@ -678,7 +706,33 @@ Runtime::runConstrained(sim::ThreadContext& ctx,
     }
 
     Tx& tx = *txs_[ctx.id()];
-    tx.constrained_ = true;
+    // Constrained mode and escalated priority last for the section,
+    // also when a limit violation throws out of it.
+    class ConstrainedScope
+    {
+      public:
+        ConstrainedScope(Runtime& runtime, Tx& tx)
+            : runtime_(runtime), tx_(tx)
+        {
+            tx_.constrained_ = true;
+        }
+
+        ~ConstrainedScope()
+        {
+            if (runtime_.constrainedOwner_ == int(tx_.tid_))
+                runtime_.constrainedOwner_ = -1;
+            tx_.unkillable_ = false;
+            tx_.constrained_ = false;
+        }
+
+        ConstrainedScope(const ConstrainedScope&) = delete;
+        ConstrainedScope& operator=(const ConstrainedScope&) = delete;
+
+      private:
+        Runtime& runtime_;
+        Tx& tx_;
+    };
+    const ConstrainedScope scope(*this, tx);
     unsigned attempts = 0;
 
     for (;;) {
@@ -696,11 +750,6 @@ Runtime::runConstrained(sim::ThreadContext& ctx,
         }
         backoff(ctx, attempts);
     }
-
-    if (constrainedOwner_ == int(ctx.id()))
-        constrainedOwner_ = -1;
-    tx.unkillable_ = false;
-    tx.constrained_ = false;
 }
 
 bool
@@ -716,6 +765,7 @@ Runtime::runRollbackOnly(sim::ThreadContext& ctx,
     tx.ctx_ = &ctx;
     // The same checkpoint protocol as attempt(); a ROT commit cannot
     // abort, so only the body's aborts land below.
+    const DiscardOnThrow discard(*this, tx);
     if (setjmp(tx.checkpoint_) == 0) {
         tx.checkpointLive_ = true;
         tx.resetAttemptState();
@@ -723,6 +773,8 @@ Runtime::runRollbackOnly(sim::ThreadContext& ctx,
         ctx.advance(txBeginCost_);
         ctx.sync();
         tx.status_ = TxStatus::rollbackOnly;
+        emitEvent(TxEventKind::begin, tx.tid_, tx.site_, ctx.now(),
+                  tx.attemptStart_);
         body(tx);
         tx.checkpointLive_ = false;
 
@@ -738,11 +790,11 @@ Runtime::runRollbackOnly(sim::ThreadContext& ctx,
         ++stats_[tx.tid_].htmCommits;
         stats_[tx.tid_].committedTxCycles += ctx.now() - tx.attemptStart_;
         tx.status_ = TxStatus::inactive;
+        emitEvent(TxEventKind::commit, tx.tid_, tx.site_, ctx.now(),
+                  tx.attemptStart_);
         return true;
     }
-    for (const auto& record : tx.speculativeAllocs_)
-        sim::regionFree(record.ptr, record.bytes);
-    tx.status_ = TxStatus::inactive;
+    discardAttempt(tx);
     ctx.advance(txAbortCost_);
     ctx.sync();
     stats_[tx.tid_].wastedTxCycles += ctx.now() - tx.attemptStart_;

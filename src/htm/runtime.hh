@@ -32,7 +32,7 @@
 #include "abort.hh"
 #include "backend.hh"
 #include "capacity_model.hh"
-#include "flat_table.hh"
+#include "conflict_directory.hh"
 #include "function_ref.hh"
 #include "hazard.hh"
 #include "machine.hh"
@@ -47,91 +47,6 @@
 
 namespace htmsim::htm
 {
-
-/**
- * Ceiling on simulated threads per Runtime. Sized for the server
- * scenario's 256 clients; the conflict directory's reader sets are
- * fixed-width multiword bitmasks of exactly this many bits, so raising
- * it costs directory memory and a word per reader-walk, nothing else.
- */
-inline constexpr unsigned kMaxTxThreads = 256;
-
-/**
- * Fixed-width set of reader thread ids. A drop-in widening of the old
- * single-uint64 mask: the hot paths still set/clear one bit with two
- * shifts, and walks visit only non-zero words with ctz scans.
- */
-struct ReaderSet
-{
-    static constexpr unsigned kWords = kMaxTxThreads / 64;
-
-    std::uint64_t words[kWords] = {};
-
-    void
-    set(unsigned tid)
-    {
-        words[tid >> 6] |= std::uint64_t(1) << (tid & 63);
-    }
-
-    void
-    clear(unsigned tid)
-    {
-        words[tid >> 6] &= ~(std::uint64_t(1) << (tid & 63));
-    }
-
-    bool
-    any() const
-    {
-        std::uint64_t all = 0;
-        for (const std::uint64_t word : words)
-            all |= word;
-        return all != 0;
-    }
-
-    /**
-     * Invoke @p fn(tid) for every member except @p self. Callers that
-     * mutate the underlying line during the walk (dooming a reader
-     * clears its marks) must iterate a by-value copy, exactly as the
-     * old code copied the uint64 mask.
-     */
-    template <typename Fn>
-    void
-    forEachExcept(unsigned self, Fn&& fn) const
-    {
-        for (unsigned w = 0; w < kWords; ++w) {
-            std::uint64_t bits = words[w];
-            if (w == (self >> 6))
-                bits &= ~(std::uint64_t(1) << (self & 63));
-            while (bits != 0) {
-                fn(w * 64 + unsigned(__builtin_ctzll(bits)));
-                bits &= bits - 1;
-            }
-        }
-    }
-};
-
-/**
- * Tracking state of one conflict-granularity line: the
- * cache-coherence-based access marks all four machines keep (writer id
- * plus a reader set, Section 2). The directory lives directly in the
- * Runtime as a FlatTable keyed by line number (address >> granularity
- * log2); entries are never erased — clearing a mark empties the state
- * and the slot is reused on the next touch, trading a bounded
- * footprint (distinct lines ever touched) for erase-free probing.
- */
-struct ConflictLineState
-{
-    /** Writing transaction's thread id, or -1. */
-    int writer = -1;
-    /** Reader thread ids (up to kMaxTxThreads). */
-    ReaderSet readers;
-
-    bool
-    empty() const
-    {
-        return writer < 0 && !readers.any();
-    }
-};
 
 /** Who survives when two transactions collide on a line. */
 enum class ConflictPolicy : std::uint8_t
@@ -275,6 +190,9 @@ class Runtime
      *        std::invalid_argument outside 1..kMaxTxThreads
      */
     Runtime(RuntimeConfig config, unsigned num_threads);
+    /** Clears the marks of attempts still in flight (a run that ended
+     *  in an exception), so the directory's shadow mapping goes back
+     *  to the pool clean. */
     ~Runtime();
 
     Runtime(const Runtime&) = delete;
@@ -586,18 +504,10 @@ class Runtime
     /** Whether the global fallback lock is currently held. */
     bool globalLockHeld() const { return *lockWord_ != 0; }
 
-    /** Number of lines with live marks in the conflict directory. */
-    std::size_t
-    trackedConflictLines() const
-    {
-        std::size_t count = 0;
-        directory_.forEach(
-            [&count](std::uintptr_t, const ConflictLineState& line) {
-                if (!line.empty())
-                    ++count;
-            });
-        return count;
-    }
+    /** Number of lines with live marks in the conflict directory:
+     *  the marked lines the threads' touch logs name, plus the marked
+     *  fallback lines. */
+    std::size_t trackedConflictLines() const;
 
     /** Cycles charged per probe when spinning on the global lock. */
     static constexpr Cycles lockPollCost = 30;
@@ -646,9 +556,44 @@ class Runtime
     AbortCause txCommit(Tx& tx, sim::ThreadContext& ctx,
                         bool lazy_subscribe);
     void rollback(Tx& tx, sim::ThreadContext& ctx);
+    /** Undo an attempt of any driver without charging time: clear its
+     *  marks, free its allocations, release its core slot and
+     *  speculation id. Rollback's first half, and all an exception
+     *  leaving the attempt gets before it is rethrown. */
+    void discardAttempt(Tx& tx);
     /** Clear @p tx's reader and writer marks from the directory. */
     void clearDirectoryMarks(const Tx& tx);
     void recordAbort(Tx& tx, AbortCause cause);
+
+    /**
+     * Held by each attempt driver: if an exception (a body's
+     * logic_error, an observer's LivenessViolation) leaves the driver
+     * while the attempt's checkpoint is live, the attempt is discarded
+     * before the exception reaches the caller.
+     */
+    class DiscardOnThrow
+    {
+      public:
+        DiscardOnThrow(Runtime& runtime, Tx& tx)
+            : runtime_(runtime), tx_(tx)
+        {
+        }
+
+        ~DiscardOnThrow()
+        {
+            if (tx_.checkpointLive_) {
+                tx_.checkpointLive_ = false;
+                runtime_.discardAttempt(tx_);
+            }
+        }
+
+        DiscardOnThrow(const DiscardOnThrow&) = delete;
+        DiscardOnThrow& operator=(const DiscardOnThrow&) = delete;
+
+      private:
+        Runtime& runtime_;
+        Tx& tx_;
+    };
 
     // --- Software slow path (hybrid backend; stm.cc) ------------------
 
@@ -689,25 +634,10 @@ class Runtime
     void nonTxConflict(unsigned tid, std::uintptr_t addr, bool is_write,
                        Cycles now);
 
-    // --- Conflict directory (line -> writer/readers marks) -----------
-
     /** Conflict-granularity line number covering @p addr. */
     std::uintptr_t conflictLineOf(std::uintptr_t addr) const
     {
         return addr >> conflictShift_;
-    }
-
-    /** Find-or-create the tracking state for a line. */
-    ConflictLineState& directoryLine(std::uintptr_t line_number)
-    {
-        return directory_.insertOrFind(line_number);
-    }
-
-    /** Find the tracking state for a line, or nullptr. The returned
-     *  state may be empty (marks already cleared; slots persist). */
-    ConflictLineState* findDirectoryLine(std::uintptr_t line_number)
-    {
-        return directory_.find(line_number);
     }
 
     /** Deliver one lifecycle event to the registered observer. */
@@ -763,8 +693,8 @@ class Runtime
     /** Resolved subscription mode (eager = clock-cell load at begin). */
     bool stmEagerSub_ = false;
 
-    /** The conflict directory (see ConflictLineState). */
-    FlatTable<ConflictLineState, 64> directory_;
+    /** Every line's writer and reader marks (conflict_directory.hh). */
+    ConflictDirectory directory_;
     std::unique_ptr<CapacityModel> capacityModel_;
     /** Per-thread tier decisions for runSection (policies carry
      *  cross-section state, so one per thread). */

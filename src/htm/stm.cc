@@ -246,11 +246,7 @@ Runtime::stmRollback(Tx& tx, sim::ThreadContext& ctx, AbortCause cause)
     // Nothing was written and nothing marked in the directory: discard
     // the speculative allocations and the buffers die with the next
     // resetAttemptState.
-    for (const auto& record : tx.speculativeAllocs_)
-        sim::regionFree(record.ptr, record.bytes);
-    tx.status_ = TxStatus::inactive;
-    tx.suspended_ = false;
-
+    discardAttempt(tx);
     ctx.advance(config_.hybrid.stmAbortCost);
     ctx.sync();
 
@@ -269,7 +265,8 @@ Runtime::stmAttempt(Tx& tx, sim::ThreadContext& ctx,
                     FunctionRef<void(Tx&)> body)
 {
     // The checkpoint protocol of Runtime::attempt(): the body's aborts
-    // restore it, commit returns its own.
+    // restore it, commit returns its own, an exception discards it.
+    const DiscardOnThrow discard(*this, tx);
     if (setjmp(tx.checkpoint_) == 0) {
         tx.checkpointLive_ = true;
         stmBegin(tx, ctx);

@@ -262,48 +262,33 @@ void
 Tx::touchConflictLine(std::uintptr_t addr, bool is_write)
 {
     const std::uintptr_t line_number = runtime_->conflictLineOf(addr);
-    bool inserted = false;
-    std::uint8_t& flags =
-        conflictLines_.insertOrFind(line_number, &inserted);
-    if (inserted)
+    ConflictCell line = runtime_->directory_.cell(line_number);
+    const bool read = line.hasReader(tid_);
+    if (line.ownedBy(tid_) || (read && !is_write))
+        return;
+    if (!read)
         touchLog_.push_back(line_number);
 
-    if (is_write) {
-        if (flags & lineWritten)
-            return;
-        ConflictLineState& line = runtime_->directoryLine(line_number);
-        if (line.writer >= 0 && line.writer != int(tid_)) {
-            runtime_->resolveConflict(*this, unsigned(line.writer),
-                                      AbortCause::dataConflict,
-                                      line_number);
-        }
-        // simcheck self-test fault: skip the reader-doom walk, letting
-        // a concurrent reader commit a stale snapshot (runtime.hh,
-        // CheckFault::missReaderConflict). Off in all experiments.
-        if (runtime_->config_.checkFault !=
-            CheckFault::missReaderConflict) {
-            // Walk a copy: dooming a reader clears its directory marks.
-            const ReaderSet readers = line.readers;
-            readers.forEachExcept(tid_, [&](unsigned reader) {
-                runtime_->resolveConflict(*this, reader,
-                                          AbortCause::dataConflict,
-                                          line_number);
-            });
-        }
-        line.writer = int(tid_);
-        flags |= lineWritten;
-    } else {
-        if (flags & (lineRead | lineWritten))
-            return;
-        ConflictLineState& line = runtime_->directoryLine(line_number);
-        if (line.writer >= 0 && line.writer != int(tid_)) {
-            runtime_->resolveConflict(*this, unsigned(line.writer),
-                                      AbortCause::dataConflict,
-                                      line_number);
-        }
-        line.readers.set(tid_);
-        flags |= lineRead;
+    const int writer = line.owner();
+    if (writer >= 0) {
+        runtime_->resolveConflict(*this, unsigned(writer),
+                                  AbortCause::dataConflict, line_number);
     }
+    if (!is_write) {
+        line.addReader(tid_);
+        return;
+    }
+    // simcheck self-test fault: skip the reader-doom walk, letting a
+    // concurrent reader commit a stale snapshot (runtime.hh,
+    // CheckFault::missReaderConflict). Off in all experiments.
+    if (runtime_->config_.checkFault != CheckFault::missReaderConflict) {
+        line.forEachReaderExcept(tid_, [&](unsigned reader) {
+            runtime_->resolveConflict(*this, reader,
+                                      AbortCause::dataConflict,
+                                      line_number);
+        });
+    }
+    line.setOwner(tid_);
 }
 
 void
@@ -326,16 +311,13 @@ Tx::maybePrefetch(std::uintptr_t addr)
     // leak conflicts across their boundaries (kmeans' 192-byte
     // clusters).
     const std::uintptr_t neighbour = runtime_->conflictLineOf(addr) ^ 1;
-    ConflictLineState& line = runtime_->directoryLine(neighbour);
-    if (line.writer >= 0 && line.writer != int(tid_))
+    ConflictCell line = runtime_->directory_.cell(neighbour);
+    const int writer = line.owner();
+    if (writer >= 0 && writer != int(tid_))
         return; // owned elsewhere: the prefetch is dropped
-    line.readers.set(tid_);
-    bool inserted = false;
-    std::uint8_t& flags =
-        conflictLines_.insertOrFind(neighbour, &inserted);
-    if (inserted)
+    if (writer < 0 && !line.hasReader(tid_))
         touchLog_.push_back(neighbour);
-    flags |= lineRead;
+    line.addReader(tid_);
 }
 
 void
@@ -499,7 +481,6 @@ Tx::resetAttemptState()
     // aborts on high-retry workloads cost nothing in tracking state.
     writeBuffer_.clear();
     writeLog_.clear();
-    conflictLines_.clear();
     touchLog_.clear();
     capacityLines_.clear();
     storeSetLines_.clear();

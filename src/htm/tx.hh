@@ -175,7 +175,7 @@ class Tx
         std::size_t bytes;
     };
 
-    /// Flag bits used in the line maps.
+    /// Flag bits of the capacity-line and orec maps.
     static constexpr std::uint8_t lineRead = 1;
     static constexpr std::uint8_t lineWritten = 2;
 
@@ -222,13 +222,20 @@ class Tx
     /// Record a software-path orec access (stm.cc).
     void touchOrec(std::size_t index, std::uint8_t flag);
 
-    /// Register a line in the conflict directory (read or write).
+    /// Mark a line in the conflict directory (read or write). This
+    /// attempt's read flag for the line is "tid is among its readers",
+    /// its write flag "tid owns it": no peer can clear either while
+    /// the attempt is live, since taking a line over dooms it first.
     void touchConflictLine(std::uintptr_t addr, bool is_write);
     /// Account a line against the capacity budgets.
     void touchCapacityLine(std::uintptr_t addr, bool is_write);
 
     /// Reset all per-attempt state (buffers, sets, counters).
     void resetAttemptState();
+
+    /// Whether touchLog_ holds conflict lines: true unless the last
+    /// attempt ran on the software path and logged orec indices.
+    bool logsConflictLines() const { return stmOrecs_.empty(); }
 
     Runtime* runtime_ = nullptr;
     sim::ThreadContext* ctx_ = nullptr;
@@ -263,14 +270,14 @@ class Tx
     /// Buffered store addresses in first-store order: commit walks
     /// this log (O(touched words)) instead of iterating the table.
     std::vector<std::uintptr_t> writeLog_;
-    /// Conflict-granularity lines touched: bit0 = read, bit1 = write.
-    FlatTable<std::uint8_t> conflictLines_;
     /// First-touch log of the attempt's tracked keys: conflict lines
     /// (prefetched neighbours included) on the hardware path, orec
     /// indices on the software path, which never marks the directory.
     /// Directory cleanup, the hybrid orec bump and software validation
     /// walk it, so they cost this attempt's footprint, not the
-    /// tables' high water.
+    /// tables' high water. It outlives the attempt until the next one
+    /// begins: the Runtime's destructor and trackedConflictLines()
+    /// read the lines a thread may still have marked from it.
     std::vector<std::uintptr_t> touchLog_;
     /// Capacity-granularity lines touched: bit0 = read, bit1 = write.
     FlatTable<std::uint8_t> capacityLines_;

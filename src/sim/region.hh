@@ -93,6 +93,10 @@ class Region
     /** Whether @p addr belongs to a finished run. */
     bool stale(const void* addr) const { return !active() && inRun(addr); }
 
+    /** End of the current or last run's allocations: every address it
+     *  was handed lies below. */
+    std::uintptr_t runHighWater() const { return std::uintptr_t(run_.next); }
+
   private:
     friend class RunScope;
 

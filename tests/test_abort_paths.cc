@@ -4,9 +4,10 @@
  * returned as values and keep their attribution; aborts raised inside
  * an attempt restore the begin checkpoint of each of the three attempt
  * drivers, free the attempt's allocations and leave the Tx reusable,
- * while programming errors still propagate as exceptions; and
- * directory cleanup walks the per-Tx first-touch log, prefetched
- * neighbours included.
+ * while programming errors still propagate as exceptions, after the
+ * attempt is discarded; and directory cleanup walks the per-Tx
+ * first-touch log, prefetched neighbours included, on both lookup
+ * paths of the directory.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +16,10 @@
 #include <stdexcept>
 #include <vector>
 
+#include "check/liveness.hh"
 #include "check/trace.hh"
 #include "htm/runtime.hh"
+#include "lookup_paths.hh"
 #include "sim/sim.hh"
 
 namespace
@@ -491,6 +494,173 @@ TEST(AbortCheckpoint, BodyLogicErrorsStillReachTheCaller)
     scheduler.run();
 }
 
+/** Throws a liveness verdict at its first begin event, as the
+ *  liveness oracle does from inside a run. */
+class ThrowAtFirstBegin final : public TxObserver
+{
+  public:
+    void
+    onEvent(const TxEvent& event) override
+    {
+        if (event.kind == TxEventKind::begin && !fired_) {
+            fired_ = true;
+            throw check::LivenessViolation("watchdog verdict");
+        }
+    }
+
+  private:
+    bool fired_ = false;
+};
+
+TEST(AbortCheckpoint, EscapingExceptionsDiscardTheAttempt)
+{
+    // An exception leaving an attempt is no abort, but the attempt is
+    // over: it is discarded (marks, allocations, core slot,
+    // speculation id) before the exception reaches the caller, so the
+    // thread's next section runs on a clean Tx.
+    for (const Driver driver : allDrivers) {
+        SCOPED_TRACE(driverName(driver));
+        for (const bool from_observer : {false, true}) {
+            SCOPED_TRACE(from_observer ? "observer's LivenessViolation"
+                                       : "body's logic_error");
+            RuntimeConfig config = configFor(driver);
+            ThrowAtFirstBegin observer;
+            if (from_observer)
+                config.observer = &observer;
+            sim::Scheduler scheduler;
+            Runtime runtime(config, 1);
+            alignas(256) std::uint64_t word = 0;
+            alignas(256) std::uint64_t other = 0;
+            Node* discarded = nullptr;
+            Node* reused = nullptr;
+            bool threw = false;
+            std::size_t tracked = ~std::size_t(0);
+            TxStatus status = TxStatus::active;
+            scheduler.spawn([&](sim::ThreadContext& ctx) {
+                try {
+                    runOn(driver, runtime, ctx, [&](Tx& tx) {
+                        (void)tx.load(&other);
+                        discarded = tx.create<Node>(Node{1});
+                        tx.store(&word, std::uint64_t(1));
+                        throw std::logic_error("body bug");
+                    });
+                } catch (const std::exception&) {
+                    threw = true;
+                }
+                tracked = runtime.trackedConflictLines();
+                status = runtime.txOf(0).status();
+                runOn(driver, runtime, ctx, [&](Tx& tx) {
+                    reused = tx.create<Node>(Node{2});
+                    tx.store(&word, tx.load(&word) + 2);
+                });
+            });
+            scheduler.run();
+
+            EXPECT_TRUE(threw);
+            EXPECT_EQ(tracked, 0u);
+            EXPECT_EQ(status, TxStatus::inactive);
+            EXPECT_EQ(word, 2u) << "the next section commits";
+            const TxStats stats = runtime.stats();
+            EXPECT_EQ(stats.htmCommits + stats.stmCommits, 1u);
+            EXPECT_EQ(stats.totalAborts(), 0u);
+            if (!from_observer) {
+                ASSERT_NE(discarded, nullptr);
+                EXPECT_EQ(reused, discarded)
+                    << "the discarded allocation went back to the region";
+            }
+            EXPECT_EQ(runtime.trackedConflictLines(), 0u);
+        }
+    }
+}
+
+TEST(AbortCheckpoint, EscapingExceptionsReleaseTheSpeculationId)
+{
+    // Blue Gene/Q hands out speculation ids at begin. A body that
+    // throws with its id still held would starve the pool; discarding
+    // the attempt retires the id like a rollback.
+    MachineConfig machine = MachineConfig::blueGeneQ();
+    machine.speculationIds = 1;
+    sim::Scheduler scheduler;
+    Runtime runtime(quietConfig(machine), 1);
+    alignas(256) std::uint64_t word = 0;
+    scheduler.spawn([&](sim::ThreadContext& ctx) {
+        EXPECT_THROW(runtime.tryOnce(ctx,
+                                     [&](Tx& tx) {
+                                         tx.store(&word, std::uint64_t(1));
+                                         throw std::logic_error("bug");
+                                     }),
+                     std::logic_error);
+        EXPECT_EQ(runtime.tryOnce(ctx,
+                                  [&](Tx& tx) {
+                                      tx.store(&word, std::uint64_t(3));
+                                  }),
+                  AbortCause::none);
+    });
+    scheduler.run();
+    EXPECT_EQ(word, 3u);
+    EXPECT_EQ(runtime.stats().specIdReclaims, 1u);
+}
+
+TEST(AbortCheckpoint, ConstrainedModeEndsWithAThrowingSection)
+{
+    // A constrained-transaction limit violation throws out of the
+    // section; the next plain section must not inherit the
+    // constrained limit of 32 operations.
+    constexpr std::size_t ops = 40;
+    sim::Scheduler scheduler;
+    Runtime runtime(quietConfig(MachineConfig::zEC12()), 1);
+    alignas(256) std::uint64_t words[ops] = {};
+    const auto storeAll = [&](Tx& tx) {
+        for (std::size_t i = 0; i < ops; ++i)
+            tx.store(&words[i], std::uint64_t(i + 1));
+    };
+    scheduler.spawn([&](sim::ThreadContext& ctx) {
+        EXPECT_THROW(runtime.constrainedAtomic(ctx, storeAll),
+                     std::logic_error);
+        runtime.atomic(ctx, storeAll);
+    });
+    scheduler.run();
+    EXPECT_EQ(words[ops - 1], ops);
+    const TxStats stats = runtime.stats();
+    EXPECT_EQ(stats.htmCommits, 1u);
+    EXPECT_EQ(stats.constrainedCommits, 0u);
+    EXPECT_EQ(runtime.txOf(0).status(), TxStatus::inactive);
+}
+
+TEST(AbortCheckpoint, RollbackOnlyTracesPassTheChecker)
+{
+    // A POWER8 rollback-only transaction reports its begin, and its
+    // commit or abort, like any attempt.
+    RuntimeConfig config = configFor(Driver::rollbackOnly);
+    check::EventRing ring(64);
+    config.observer = &ring;
+    sim::Scheduler scheduler;
+    Runtime runtime(config, 1);
+    alignas(256) std::uint64_t word = 0;
+    bool committed = false;
+    bool aborted_committed = true;
+    scheduler.spawn([&](sim::ThreadContext& ctx) {
+        committed = runtime.rollbackOnly(ctx, [&](Tx& tx) {
+            tx.store(&word, std::uint64_t(1));
+        });
+        aborted_committed = runtime.rollbackOnly(ctx, [&](Tx& tx) {
+            tx.store(&word, std::uint64_t(2));
+            tx.abortTx();
+        });
+    });
+    scheduler.run();
+
+    EXPECT_TRUE(committed);
+    EXPECT_FALSE(aborted_committed);
+    EXPECT_EQ(word, 1u);
+    ASSERT_EQ(ring.dropped(), 0u);
+    EXPECT_EQ(check::checkTraceInvariants(ring.history(), 1), "");
+    EXPECT_EQ(kindsOf(ring.history(), 0),
+              (std::vector<TxEventKind>{
+                  TxEventKind::begin, TxEventKind::commit,
+                  TxEventKind::begin, TxEventKind::abort}));
+}
+
 TEST(AbortCheckpoint, MixedWidthAccessToABufferedWordThrows)
 {
     // The write buffer holds whole words keyed by address, so it
@@ -548,52 +718,62 @@ TEST(DirectoryCleanup, SpilledTablesLeaveNoMarks)
 {
     // Every new line also pulls its buddy line in as transactionally
     // read, so each attempt below logs 2 x 128 conflict lines: far past
-    // the per-Tx tables' 16 inline slots.
-    MachineConfig machine = MachineConfig::intelCore();
-    machine.cacheFetchAbortProb = 0.0;
-    machine.prefetchConflictProb = 1.0;
-    sim::Scheduler scheduler;
-    Runtime runtime(RuntimeConfig(machine), 1);
+    // the fallback table's 16 inline slots on host memory, and 256
+    // shadow cells on region memory.
     constexpr std::size_t lines = 128;
-    alignas(128) static std::uint64_t data[lines * 16];
-    const auto touchAll = [&](Tx& tx) {
-        for (std::size_t i = 0; i < lines; ++i) {
-            const auto value = tx.load(&data[i * 16]);
-            if (i % 4 == 0)
-                tx.store(&data[i * 16], value + 1);
-        }
-    };
-    std::size_t after_commit = ~std::size_t(0);
-    std::size_t after_rollback = ~std::size_t(0);
-    std::size_t after_small_commit = ~std::size_t(0);
-    scheduler.spawn([&](sim::ThreadContext& ctx) {
-        NoRetryPolicy policy;
-        EXPECT_EQ(runtime.tryAtomic(ctx, policy, touchAll),
-                  AbortCause::none);
-        after_commit = runtime.trackedConflictLines();
+    test::onHostAndRegionMemory(lines * 16, [](std::uint64_t* data) {
+        MachineConfig machine = MachineConfig::intelCore();
+        machine.cacheFetchAbortProb = 0.0;
+        machine.prefetchConflictProb = 1.0;
+        sim::Scheduler scheduler;
+        Runtime runtime(RuntimeConfig(machine), 1);
+        const auto touchAll = [&](Tx& tx) {
+            for (std::size_t i = 0; i < lines; ++i) {
+                const auto value = tx.load(&data[i * 16]);
+                if (i % 4 == 0)
+                    tx.store(&data[i * 16], value + 1);
+            }
+        };
+        std::size_t during = 0;
+        std::size_t after_commit = ~std::size_t(0);
+        std::size_t after_rollback = ~std::size_t(0);
+        std::size_t after_small_commit = ~std::size_t(0);
+        scheduler.spawn([&](sim::ThreadContext& ctx) {
+            NoRetryPolicy policy;
+            EXPECT_EQ(runtime.tryAtomic(ctx, policy,
+                                        [&](Tx& tx) {
+                                            touchAll(tx);
+                                            during = runtime
+                                                .trackedConflictLines();
+                                        }),
+                      AbortCause::none);
+            after_commit = runtime.trackedConflictLines();
 
-        EXPECT_EQ(runtime.tryAtomic(ctx, policy,
-                                    [&](Tx& tx) {
-                                        touchAll(tx);
-                                        tx.abortTx();
-                                    }),
-                  AbortCause::explicitAbort);
-        after_rollback = runtime.trackedConflictLines();
+            EXPECT_EQ(runtime.tryAtomic(ctx, policy,
+                                        [&](Tx& tx) {
+                                            touchAll(tx);
+                                            tx.abortTx();
+                                        }),
+                      AbortCause::explicitAbort);
+            after_rollback = runtime.trackedConflictLines();
 
-        EXPECT_EQ(runtime.tryAtomic(ctx, policy,
-                                    [&](Tx& tx) {
-                                        tx.store(&data[0],
-                                                 std::uint64_t(9));
-                                    }),
-                  AbortCause::none);
-        after_small_commit = runtime.trackedConflictLines();
+            EXPECT_EQ(runtime.tryAtomic(ctx, policy,
+                                        [&](Tx& tx) {
+                                            tx.store(&data[0],
+                                                     std::uint64_t(9));
+                                        }),
+                      AbortCause::none);
+            after_small_commit = runtime.trackedConflictLines();
+        });
+        scheduler.run();
+        // Each line and its buddy, and the subscribed lock word's.
+        EXPECT_EQ(during, 2 * lines + 2);
+        EXPECT_EQ(after_commit, 0u);
+        EXPECT_EQ(after_rollback, 0u);
+        EXPECT_EQ(after_small_commit, 0u);
+        EXPECT_EQ(data[0], 9u);
+        EXPECT_EQ(data[4 * 16], 1u);
     });
-    scheduler.run();
-    EXPECT_EQ(after_commit, 0u);
-    EXPECT_EQ(after_rollback, 0u);
-    EXPECT_EQ(after_small_commit, 0u);
-    EXPECT_EQ(data[0], 9u);
-    EXPECT_EQ(data[4 * 16], 1u);
 }
 
 } // namespace

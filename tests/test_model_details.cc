@@ -14,6 +14,7 @@
 
 #include "htm/context.hh"
 #include "htm/runtime.hh"
+#include "lookup_paths.hh"
 #include "sim/region.hh"
 #include "sim/sim.hh"
 #include "tmds/tm_hashtable.hh"
@@ -34,58 +35,64 @@ quiet(MachineConfig machine)
 
 TEST(ConflictPolicy, AttackerLosesAbortsTheAttacker)
 {
-    RuntimeConfig config = quiet(MachineConfig::intelCore());
-    config.policy = ConflictPolicy::attackerLoses;
-    sim::Scheduler scheduler;
-    Runtime runtime(config, 2);
-    alignas(64) std::uint64_t x = 0;
-    unsigned reader_attempts = 0;
-    unsigned writer_attempts = 0;
-    scheduler.spawn([&](sim::ThreadContext& ctx) {
-        runtime.atomic(ctx, [&](Tx& tx) {
-            ++reader_attempts;
-            (void)tx.load(&x);
-            tx.work(4000);
+    test::onHostAndRegionMemory(1, [](std::uint64_t* words) {
+        RuntimeConfig config = quiet(MachineConfig::intelCore());
+        config.policy = ConflictPolicy::attackerLoses;
+        sim::Scheduler scheduler;
+        Runtime runtime(config, 2);
+        std::uint64_t& x = words[0];
+        unsigned reader_attempts = 0;
+        unsigned writer_attempts = 0;
+        scheduler.spawn([&](sim::ThreadContext& ctx) {
+            runtime.atomic(ctx, [&](Tx& tx) {
+                ++reader_attempts;
+                (void)tx.load(&x);
+                tx.work(4000);
+            });
         });
-    });
-    scheduler.spawn([&](sim::ThreadContext& ctx) {
-        ctx.step(500);
-        runtime.atomic(ctx, [&](Tx& tx) {
-            ++writer_attempts;
-            tx.store(&x, std::uint64_t(1));
+        scheduler.spawn([&](sim::ThreadContext& ctx) {
+            ctx.step(500);
+            runtime.atomic(ctx, [&](Tx& tx) {
+                ++writer_attempts;
+                tx.store(&x, std::uint64_t(1));
+            });
         });
+        scheduler.run();
+        // The writer (attacker) must retry; the reader stays untouched.
+        EXPECT_EQ(reader_attempts, 1u);
+        EXPECT_GE(writer_attempts, 2u);
+        EXPECT_EQ(x, 1u);
+        EXPECT_EQ(runtime.trackedConflictLines(), 0u);
     });
-    scheduler.run();
-    // The writer (attacker) must retry; the reader stays untouched.
-    EXPECT_EQ(reader_attempts, 1u);
-    EXPECT_GE(writer_attempts, 2u);
-    EXPECT_EQ(x, 1u);
 }
 
 TEST(ConflictPolicy, OlderWinsProtectsTheElder)
 {
-    RuntimeConfig config = quiet(MachineConfig::intelCore());
-    config.policy = ConflictPolicy::olderWins;
-    sim::Scheduler scheduler;
-    Runtime runtime(config, 2);
-    alignas(64) std::uint64_t x = 0;
-    unsigned first_attempts = 0;
-    scheduler.spawn([&](sim::ThreadContext& ctx) {
-        runtime.atomic(ctx, [&](Tx& tx) {
-            ++first_attempts;
-            tx.store(&x, tx.load(&x) + 1);
-            tx.work(4000);
+    test::onHostAndRegionMemory(1, [](std::uint64_t* words) {
+        RuntimeConfig config = quiet(MachineConfig::intelCore());
+        config.policy = ConflictPolicy::olderWins;
+        sim::Scheduler scheduler;
+        Runtime runtime(config, 2);
+        std::uint64_t& x = words[0];
+        unsigned first_attempts = 0;
+        scheduler.spawn([&](sim::ThreadContext& ctx) {
+            runtime.atomic(ctx, [&](Tx& tx) {
+                ++first_attempts;
+                tx.store(&x, tx.load(&x) + 1);
+                tx.work(4000);
+            });
         });
-    });
-    scheduler.spawn([&](sim::ThreadContext& ctx) {
-        ctx.step(500);
-        runtime.atomic(ctx, [&](Tx& tx) {
-            tx.store(&x, tx.load(&x) + 1);
+        scheduler.spawn([&](sim::ThreadContext& ctx) {
+            ctx.step(500);
+            runtime.atomic(ctx, [&](Tx& tx) {
+                tx.store(&x, tx.load(&x) + 1);
+            });
         });
+        scheduler.run();
+        EXPECT_EQ(first_attempts, 1u) << "the older tx must not abort";
+        EXPECT_EQ(x, 2u);
+        EXPECT_EQ(runtime.trackedConflictLines(), 0u);
     });
-    scheduler.run();
-    EXPECT_EQ(first_attempts, 1u) << "the older tx must not abort";
-    EXPECT_EQ(x, 2u);
 }
 
 TEST(NonTxCas, SucceedsOnceUnderContention)
@@ -408,24 +415,28 @@ TEST(Stats, AbortRatioExcludesIrrevocable)
 
 TEST(Runtime, ConflictDirectoryDrainsAfterRuns)
 {
-    sim::Scheduler scheduler;
-    Runtime runtime(quiet(MachineConfig::power8()), 4);
-    static std::vector<std::uint64_t> cells(256, 0);
-    cells.assign(256, 0);
-    for (unsigned t = 0; t < 4; ++t) {
-        scheduler.spawn([&](sim::ThreadContext& ctx) {
-            for (int i = 0; i < 100; ++i) {
-                const auto index = ctx.rng().nextRange(16) * 16;
-                runtime.atomic(ctx, [&](Tx& tx) {
-                    tx.store(&cells[index],
-                             tx.load(&cells[index]) + 1);
-                });
-            }
-        });
-    }
-    scheduler.run();
-    EXPECT_EQ(runtime.trackedConflictLines(), 0u)
-        << "all reader/writer marks must be cleaned up";
+    test::onHostAndRegionMemory(256, [](std::uint64_t* cells) {
+        sim::Scheduler scheduler;
+        Runtime runtime(quiet(MachineConfig::power8()), 4);
+        for (unsigned t = 0; t < 4; ++t) {
+            scheduler.spawn([&](sim::ThreadContext& ctx) {
+                for (int i = 0; i < 100; ++i) {
+                    const auto index = ctx.rng().nextRange(16) * 16;
+                    runtime.atomic(ctx, [&](Tx& tx) {
+                        tx.store(&cells[index],
+                                 tx.load(&cells[index]) + 1);
+                    });
+                }
+            });
+        }
+        scheduler.run();
+        EXPECT_EQ(runtime.trackedConflictLines(), 0u)
+            << "all reader/writer marks must be cleaned up";
+        std::uint64_t total = 0;
+        for (unsigned line = 0; line < 16; ++line)
+            total += cells[line * 16];
+        EXPECT_EQ(total, 400u);
+    });
 }
 
 TEST(RollbackOnly, CapacityBoundStillApplies)
