@@ -7,10 +7,10 @@
  * retry-count tuning) and measures what the other benches do not:
  * host wall-clock per cell and simulated-commit throughput (committed
  * transactions per host second), the per-access rows, and the host
- * cost of four layers: an empty commit, an abort round trip, a load
- * that hits the last-line memo and a load of a line new to the
- * transaction. Emits machine-readable BENCH_perf.json so successive
- * runs can compare.
+ * cost of six layers: an empty commit, an abort round trip, a load
+ * that hits the last-line memo, a load of a line new to the
+ * transaction, a run's set-up per fiber and a fiber switch. Emits
+ * machine-readable BENCH_perf.json so successive runs can compare.
  *
  * Every run allocates its simulated state in the run's region
  * (sim/region.hh), so the per-candidate simulated metrics in the JSON
@@ -98,6 +98,21 @@ constexpr int layerBatches = 7;
 /** Untimed calls before each timed batch. */
 constexpr unsigned layerWarmCalls = 64;
 
+/** The min over layerBatches calls of @p batch(), each of which
+ *  times one batch and returns its cost per operation. */
+template <typename Batch>
+double
+bestBatch(Batch&& batch)
+{
+    double best = 0.0;
+    for (int i = 0; i < layerBatches; ++i) {
+        const double cost = batch();
+        if (i == 0 || cost < best)
+            best = cost;
+    }
+    return best;
+}
+
 /**
  * Host ns per call of @p op(runtime, ctx), the min over layerBatches
  * batches, each timing @p calls calls in one fiber of a fresh
@@ -112,8 +127,7 @@ layerNs(bool batch_epoch, unsigned calls, Op&& op, Check&& check,
 {
     htm::RuntimeConfig config{htm::MachineConfig::intelCore()};
     config.batchEpoch = batch_epoch;
-    double best = 0.0;
-    for (int batch = 0; batch < layerBatches; ++batch) {
+    return bestBatch([&] {
         sim::Scheduler scheduler(1);
         htm::Runtime runtime(config, 1);
         double ns = 0.0;
@@ -127,10 +141,58 @@ layerNs(bool batch_epoch, unsigned calls, Op&& op, Check&& check,
         });
         scheduler.run();
         ok = ok && check(runtime.stats(), layerWarmCalls + calls);
-        if (batch == 0 || ns < best)
-            best = ns;
-    }
-    return best;
+        return ns;
+    });
+}
+
+/** Fibers per scheduler in the run set-up layer: the oracle's shape. */
+constexpr unsigned setupFibers = 4;
+
+/** Schedulers per run set-up batch, after layerWarmCalls untimed
+ *  ones that leave their slots warm. */
+constexpr unsigned setupSchedulers = 2000;
+
+/** Host us to spawn and run one empty fiber, setupFibers fibers per
+ *  scheduler. */
+double
+runSetupUs()
+{
+    const auto run_one = [] {
+        sim::Scheduler scheduler(1);
+        for (unsigned f = 0; f < setupFibers; ++f)
+            scheduler.spawn([](sim::ThreadContext&) {});
+        scheduler.run();
+    };
+    return bestBatch([&] {
+        for (unsigned i = 0; i < layerWarmCalls; ++i)
+            run_one();
+        const auto start = Clock::now();
+        for (unsigned i = 0; i < setupSchedulers; ++i)
+            run_one();
+        return double(elapsedNs(start, Clock::now())) / 1e3 /
+               double(setupSchedulers * setupFibers);
+    });
+}
+
+/** Host ns per switch of two fibers ping-ponging through yieldNow(). */
+double
+fiberSwitchNs()
+{
+    constexpr unsigned yields = 50000;
+    return bestBatch([] {
+        sim::Scheduler scheduler(1);
+        for (int f = 0; f < 2; ++f) {
+            scheduler.spawn([](sim::ThreadContext& ctx) {
+                for (unsigned i = 0; i < yields; ++i) {
+                    ctx.advance(1);
+                    ctx.yieldNow();
+                }
+            });
+        }
+        const auto start = Clock::now();
+        scheduler.run();
+        return double(elapsedNs(start, Clock::now())) / (2.0 * yields);
+    });
 }
 
 struct CellResult
@@ -322,13 +384,19 @@ main(int argc, char** argv)
                              "path (commits/aborts off)\n");
         return 1;
     }
+    const double run_setup_us = runSetupUs();
+    const double fiber_switch_ns = fiberSwitchNs();
     std::printf("\nlayers: empty commit %.1f ns, abort round trip %.1f "
                 "ns (%.2fx),\n        memo-hit access %.2f ns (%.3fx), "
-                "new-line access %.2f ns (%.3fx)\n",
+                "new-line access %.2f ns (%.3fx),\n        run set-up "
+                "%.3f us per fiber (%.2fx), fiber switch %.1f ns "
+                "(%.2fx)\n",
                 empty_commit_ns, abort_round_trip_ns,
                 abort_round_trip_ns / empty_commit_ns, access_memo_hit_ns,
                 access_memo_hit_ns / empty_commit_ns, access_new_line_ns,
-                access_new_line_ns / empty_commit_ns);
+                access_new_line_ns / empty_commit_ns, run_setup_us,
+                run_setup_us * 1e3 / empty_commit_ns, fiber_switch_ns,
+                fiber_switch_ns / empty_commit_ns);
 
     // Geomean of per-cell host times: the suite-level trajectory
     // metric (robust to one cell dominating).
@@ -383,6 +451,8 @@ main(int argc, char** argv)
                 .field("abort_round_trip_ns", abort_round_trip_ns)
                 .field("access_memo_hit_ns", access_memo_hit_ns)
                 .field("access_new_line_ns", access_new_line_ns)
+                .field("run_setup_us", run_setup_us)
+                .field("fiber_switch_ns", fiber_switch_ns)
                 .end();
         }))
         return 1;

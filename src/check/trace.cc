@@ -16,12 +16,13 @@ describe(const TxEvent& event)
 {
     char buffer[128];
     std::snprintf(buffer, sizeof(buffer),
-                  "t%u %s%s%s @%llu", unsigned(event.tid),
+                  "t%u %s%s%s%s @%llu", unsigned(event.tid),
                   htm::txEventKindName(event.kind),
                   event.kind == TxEventKind::abort ? " " : "",
                   event.kind == TxEventKind::abort
                       ? htm::abortCauseName(event.cause)
                       : "",
+                  event.rollbackOnly ? " (rollback-only)" : "",
                   (unsigned long long) event.cycles);
     return buffer;
 }
@@ -71,7 +72,9 @@ checkTraceInvariants(const std::vector<TxEvent>& events,
           case TxEventKind::commit:
             if (!active[tid])
                 return at(i, "commit without an active attempt");
-            if (lockHolder >= 0)
+            // A rollback-only transaction does not subscribe to the
+            // lock, so only its commit may land inside a lock hold.
+            if (lockHolder >= 0 && !event.rollbackOnly)
                 return at(i, "transactional commit while " + holder() +
                                  " holds the fallback lock");
             active[tid] = false;

@@ -22,7 +22,8 @@
  *  - no transactional commit while any thread holds the fallback lock
  *    (eager subscription aborts at begin, lazy subscription at
  *    commit — either way a commit under a held lock means the
- *    single-lock fallback protocol is broken);
+ *    single-lock fallback protocol is broken), except a rollback-only
+ *    commit (TxEvent::rollbackOnly): ROTs do not subscribe to the lock;
  *  - event virtual times are non-decreasing per thread.
  */
 

@@ -67,6 +67,9 @@ struct TxEvent
     std::uint16_t tid;
     /** Static site of the surrounding atomic section (0 = unknown). */
     TxSiteId site = unknownTxSite;
+    /** Set on the begin and commit of a POWER8 rollback-only
+     *  transaction, which does not subscribe to the fallback lock. */
+    bool rollbackOnly = false;
     /** The thread's virtual clock when the event occurred. */
     sim::Cycles cycles;
     /**
@@ -85,6 +88,9 @@ struct TxEvent
      */
     sim::Cycles sectionStart = 0;
 };
+
+// The flag fills padding: observers copy events into rings by value.
+static_assert(sizeof(TxEvent) == 24, "TxEvent grew past 24 bytes");
 
 /**
  * One conflict-caused doom/abort decision. The *attacker* is the

@@ -774,7 +774,7 @@ Runtime::runRollbackOnly(sim::ThreadContext& ctx,
         ctx.sync();
         tx.status_ = TxStatus::rollbackOnly;
         emitEvent(TxEventKind::begin, tx.tid_, tx.site_, ctx.now(),
-                  tx.attemptStart_);
+                  tx.attemptStart_, AbortCause::none, true);
         body(tx);
         tx.checkpointLive_ = false;
 
@@ -791,7 +791,7 @@ Runtime::runRollbackOnly(sim::ThreadContext& ctx,
         stats_[tx.tid_].committedTxCycles += ctx.now() - tx.attemptStart_;
         tx.status_ = TxStatus::inactive;
         emitEvent(TxEventKind::commit, tx.tid_, tx.site_, ctx.now(),
-                  tx.attemptStart_);
+                  tx.attemptStart_, AbortCause::none, true);
         return true;
     }
     discardAttempt(tx);

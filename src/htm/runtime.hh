@@ -644,11 +644,13 @@ class Runtime
     void
     emitEvent(TxEventKind kind, unsigned tid, TxSiteId site,
               Cycles cycles, Cycles section_start,
-              AbortCause cause = AbortCause::none)
+              AbortCause cause = AbortCause::none,
+              bool rollback_only = false)
     {
         if (observer_ != nullptr) {
             observer_->onEvent(TxEvent{kind, cause, std::uint16_t(tid),
-                                       site, cycles, section_start});
+                                       site, rollback_only, cycles,
+                                       section_start});
         }
     }
 

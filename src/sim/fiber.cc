@@ -79,8 +79,9 @@ extern "C" {
 void htmsim_context_switch(void** save_sp, void* to_sp);
 /// First-activation entry: runs on the fiber stack, built by
 /// initFastStack() so that Fiber::run() is entered at the exact stack
-/// pointer glibc makecontext would have produced (simulated results
-/// are sensitive to host frame addresses).
+/// pointer glibc makecontext would have produced: both backends give
+/// run() the same stack alignment. (Simulated results depend only on
+/// region addresses, never on host frame addresses.)
 void htmsim_fiber_thunk();
 }
 
@@ -177,7 +178,8 @@ Fiber::attachStack(StackSpan span)
     stack_ = span;
 #if HTMSIM_ASAN_FIBERS
     // A pooled slot keeps the shadow poison of its previous fiber's
-    // frames; the new fiber starts on a clean stack.
+    // frames (a warm slot keeps their bytes too); the new fiber starts
+    // on a clean stack.
     __asan_unpoison_memory_region(stack_.base, stack_.size);
 #endif
 #if HTMSIM_FAST_FIBERS

@@ -80,8 +80,8 @@ class Fiber
 
     /**
      * Create a fiber with no stack. The owner (the scheduler) attaches
-     * one via attachStack() before the first resume()/switchTo() —
-     * lazily, at first dispatch, on the pooled path.
+     * one via attachStack() before the first resume()/switchTo(), when
+     * its run starts.
      */
     Fiber(DeferStack, std::function<void()> body);
 
@@ -92,8 +92,9 @@ class Fiber
     /**
      * Attach the stack this fiber will run on. Must happen exactly
      * once, before the fiber first gains control. The span stays owned
-     * by the caller (the scheduler decommits it when the fiber
-     * finishes).
+     * by the caller (the scheduler retires its slot when the fiber
+     * finishes). The stack's old contents are never read: the fiber
+     * writes its entry frame before it first runs.
      */
     void attachStack(StackSpan span);
 

@@ -86,7 +86,6 @@ ThreadContext::syncSlow()
             ? leaseBound(std::min(std::min(second, now_),
                                   best_time + s.epochCycles_))
             : 0;
-    s.ensureStack(best);
     Fiber::switchTo(*s.threads_[best]->fiber);
 }
 
@@ -122,8 +121,8 @@ Scheduler::Scheduler(std::uint64_t seed) : seed_(seed) {}
 Scheduler::~Scheduler()
 {
     // Fibers first (their stacks must not outlive the slots), then the
-    // whole slot range back to the pool — including slots still
-    // committed when a run ended early (deadlock) or eagerly.
+    // whole slot range back to the pool, which retires the slots of
+    // fibers that never finished (a run ended by deadlock or error).
     threads_.clear();
     if (rangeBase_ != kNone)
         StackPool::instance().releaseRange(rangeBase_,
@@ -142,9 +141,8 @@ Scheduler::spawn(std::function<void(ThreadContext&)> body)
     thread->context.rng_ = Rng(seed_, tid);
     ThreadContext* context = &thread->context;
     auto wrapped = [body = std::move(body), context] { body(*context); };
-    // Deferred stack: the Fiber object exists from spawn, but the
-    // stack slot is committed per the policy — up front or at first
-    // dispatch.
+    // Deferred stack: the slot range is reserved, and every stack
+    // attached, when run() starts and the thread count is final.
     thread->fiber =
         std::make_unique<Fiber>(Fiber::DeferStack{}, std::move(wrapped));
     threads_.push_back(std::move(thread));
@@ -154,32 +152,22 @@ Scheduler::spawn(std::function<void(ThreadContext&)> body)
 }
 
 void
-Scheduler::provisionStacks()
+Scheduler::attachStacks()
 {
     if (rangeBase_ != kNone || threads_.empty())
         return;
-    rangeBase_ =
-        StackPool::instance().reserveRange(unsigned(threads_.size()));
-    if (stackPolicy_ == StackPolicy::eager) {
-        for (unsigned tid = 0; tid < unsigned(threads_.size()); ++tid)
-            ensureStack(tid);
+    StackPool& pool = StackPool::instance();
+    rangeBase_ = pool.reserveRange(unsigned(threads_.size()));
+    for (unsigned tid = 0; tid < unsigned(threads_.size()); ++tid) {
+        threads_[tid]->fiber->attachStack(
+            pool.commit(rangeBase_ + tid, stackBytes_));
     }
-}
-
-void
-Scheduler::ensureStack(unsigned tid)
-{
-    Fiber& fiber = *threads_[tid]->fiber;
-    if (fiber.hasStack()) [[likely]]
-        return;
-    fiber.attachStack(
-        StackPool::instance().commit(rangeBase_ + tid, stackBytes_));
 }
 
 void
 Scheduler::run()
 {
-    provisionStacks();
+    attachStacks();
     running_ = true;
     for (;;) {
         Cycles min_other;
@@ -196,10 +184,9 @@ Scheduler::run()
             last.fiber->rethrowPending();
             last.state = State::finished;
             last.finishTime = last.context.now();
-            // Pooled stacks go back to the kernel as soon as their
-            // fiber is done — peak residency tracks *live* fibers.
-            if (stackPolicy_ == StackPolicy::pooled)
-                StackPool::instance().decommit(rangeBase_ + runningTid_);
+            // A cold slot's stack goes back to the kernel now; a warm
+            // one stays committed for the next run (stack_pool.hh).
+            StackPool::instance().retire(rangeBase_ + runningTid_);
         }
     }
     running_ = false;
@@ -297,7 +284,6 @@ Scheduler::dispatch(unsigned tid, Cycles min_other)
     dequeue(tid); // leave the run queue while running
     runningTid_ = tid;
     renewLease(tid, min_other);
-    ensureStack(tid);
 }
 
 void

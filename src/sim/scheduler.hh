@@ -183,26 +183,14 @@ class ThreadContext
 };
 
 /**
- * How a scheduler provisions its fibers' stacks (all from the
- * process-wide StackPool; the mode only decides *when* a slot is
- * committed, never *where* a stack lives, and stacks hold no
- * simulated state, so the two modes are bit-identical — proven by an
- * A/B test).
- */
-enum class StackPolicy
-{
-    /** Commit a fiber's stack at first dispatch and decommit it when
-     *  the fiber finishes: resident memory tracks live fibers. The
-     *  default. */
-    pooled,
-    /** Commit every fiber's stack up front at run() and keep them
-     *  until the scheduler dies (the historical behaviour). */
-    eager,
-};
-
-/**
  * Owns the simulated threads and runs them to completion in
  * earliest-virtual-time-first order.
+ *
+ * Fiber stacks come from the process-wide StackPool: run() reserves
+ * one contiguous slot range and attaches every fiber's stack before
+ * the first dispatch, so neither a dispatch nor a switch ever touches
+ * the pool. A finished fiber's slot is retired at once — decommitted,
+ * or kept committed for the next run if it is warm (stack_pool.hh).
  */
 class Scheduler
 {
@@ -220,7 +208,8 @@ class Scheduler
      */
     unsigned spawn(std::function<void(ThreadContext&)> body);
 
-    /** Run until every spawned thread finishes. Rethrows body errors. */
+    /** Attach every thread's stack, then run until every spawned
+     *  thread finishes. Rethrows body errors. */
     void run();
 
     /** Make a blocked thread runnable; clock pulled up to @p at_least. */
@@ -270,37 +259,12 @@ class Scheduler
     /** Default per-dispatch lease bound (virtual cycles). */
     static constexpr Cycles defaultEpochCycles = Cycles(1) << 20;
 
-    /** Select this scheduler's stack provisioning mode (before run()). */
-    void
-    setStackPolicy(StackPolicy policy)
-    {
-        stackPolicy_ = policy;
-    }
-
-    StackPolicy stackPolicy() const { return stackPolicy_; }
-
     /** Per-fiber stack size (before run()); capped by the pool's slot
      *  capacity. Raise it for workloads with deep recursion. */
     void
     setStackBytes(std::size_t bytes)
     {
         stackBytes_ = std::min(bytes, StackPool::maxStackBytes);
-    }
-
-    /**
-     * Process-wide default stack policy new schedulers start from.
-     * Exists so A/B tests (and tools) can flip schedulers constructed
-     * deep inside harness code; analogous to the --no-batch switch.
-     */
-    static void
-    setDefaultStackPolicy(StackPolicy policy)
-    {
-        defaultStackPolicy_ = policy;
-    }
-
-    static StackPolicy defaultStackPolicy()
-    {
-        return defaultStackPolicy_;
     }
 
     /**
@@ -378,20 +342,15 @@ class Scheduler
     /** Take @p tid off the run queue (running/blocked/finished). */
     void dequeue(unsigned tid);
 
-    /** Reserve this run's contiguous pool slot range; under the eager
-     *  policy also commit and attach every fiber's stack now. */
-    void provisionStacks();
-
-    /** Commit slot rangeBase_ + tid and attach it — the pooled path's
-     *  lazy fiber activation, called at first dispatch. */
-    void ensureStack(unsigned tid);
+    /** Reserve this run's contiguous pool slot range and attach every
+     *  fiber's stack (slot rangeBase_ + tid). */
+    void attachStacks();
 
     std::uint64_t seed_;
     SchedulePerturber* perturber_ = nullptr;
     std::uint64_t orderCounter_ = 0;
     bool batching_ = true;
     Cycles epochCycles_ = defaultEpochCycles;
-    StackPolicy stackPolicy_ = defaultStackPolicy_;
     std::size_t stackBytes_ = Fiber::defaultStackBytes;
     unsigned rangeBase_ = kNone;
     std::vector<std::unique_ptr<Thread>> threads_;
@@ -399,8 +358,6 @@ class Scheduler
     std::vector<unsigned> runnable_;
     unsigned runningTid_ = 0;
     bool running_ = false;
-
-    static inline StackPolicy defaultStackPolicy_ = StackPolicy::pooled;
 };
 
 inline void

@@ -26,6 +26,15 @@ roundUpToPage(std::size_t bytes)
     const std::size_t page = pageSize();
     return (bytes + page - 1) & ~(page - 1);
 }
+
+/// Drop the resident pages of [@p base, @p base + @p bytes) and make
+/// the range PROT_NONE guard again.
+void
+returnPages(char* base, std::size_t bytes)
+{
+    madvise(base, bytes, MADV_DONTNEED);
+    mprotect(base, bytes, PROT_NONE);
+}
 } // namespace
 
 StackPool&
@@ -76,8 +85,7 @@ StackPool::releaseRange(unsigned base, unsigned count)
 {
     for (unsigned slot = base; slot < base + count; ++slot) {
         assert(used_[slot] && "releasing a slot that was never reserved");
-        if (committed(slot))
-            decommit(slot);
+        retire(slot);
         used_[slot] = false;
     }
 }
@@ -88,35 +96,39 @@ StackPool::commit(unsigned slot, std::size_t stack_bytes)
     assert(slot < maxSlots && used_[slot]);
     assert(stack_bytes > 0 && stack_bytes <= maxStackBytes);
     const std::size_t bytes = roundUpToPage(stack_bytes);
-    if (committedBytes_[slot] != 0) {
-        assert(committedBytes_[slot] == bytes &&
-               "slot recommitted with a different stack size");
-        return StackSpan{slotTop(slot) - bytes, bytes};
+    const std::size_t held = committedBytes_[slot];
+    char* const top = slotTop(slot);
+    if (bytes > held) {
+        // The pages below what the slot holds (all of them on a fresh
+        // slot) become RW.
+        if (mprotect(top - bytes, bytes - held,
+                     PROT_READ | PROT_WRITE) != 0)
+            throw std::runtime_error("StackPool: mprotect(RW) failed");
+        ++commitCount_;
+    } else if (bytes < held) {
+        returnPages(top - held, held - bytes);
     }
-    char* base = slotTop(slot) - bytes;
-    if (mprotect(base, bytes, PROT_READ | PROT_WRITE) != 0)
-        throw std::runtime_error("StackPool: mprotect(RW) failed");
-    committedBytes_[slot] = bytes;
-    totalCommitted_ += bytes;
-    peakCommitted_ = std::max(peakCommitted_, totalCommitted_);
-    ++commitCount_;
-    return StackSpan{base, bytes};
+    setCommitted(slot, bytes);
+    return StackSpan{top - bytes, bytes};
 }
 
 void
-StackPool::decommit(unsigned slot)
+StackPool::retire(unsigned slot)
 {
     assert(slot < maxSlots);
     const std::size_t bytes = committedBytes_[slot];
-    if (bytes == 0)
+    if (slot < warmSlots || bytes == 0)
         return;
-    char* base = slotTop(slot) - bytes;
-    // DONTNEED drops the resident pages now; flipping back to
-    // PROT_NONE restores the full-slot guard for the next tenant.
-    madvise(base, bytes, MADV_DONTNEED);
-    mprotect(base, bytes, PROT_NONE);
-    committedBytes_[slot] = 0;
-    totalCommitted_ -= bytes;
+    returnPages(slotTop(slot) - bytes, bytes);
+    setCommitted(slot, 0);
+}
+
+void
+StackPool::setCommitted(unsigned slot, std::size_t bytes)
+{
+    totalCommitted_ = totalCommitted_ - committedBytes_[slot] + bytes;
+    committedBytes_[slot] = bytes;
+    peakCommitted_ = std::max(peakCommitted_, totalCommitted_);
 }
 
 } // namespace htmsim::sim

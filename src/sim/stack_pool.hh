@@ -8,18 +8,28 @@
  * first instruction runs).
  *
  * The pool avoids that. One mmap reserves a PROT_NONE arena of
- * fixed-stride slots up front; a slot's stack is committed (mprotect
- * RW) only when a fiber is first dispatched and decommitted
- * (madvise MADV_DONTNEED) when it finishes, so resident memory tracks
- * the *live* fibers' touched pages, not the spawn count. Stacks grow
- * downward from the top of their slot, and everything below the
- * committed region stays PROT_NONE — an overflow lands on a guard of
- * at least 64 KB instead of silently corrupting a neighbour.
+ * fixed-stride slots up front, and each scheduler reserves a
+ * contiguous slot range. A slot's stack is committed (made RW) when
+ * its scheduler's run starts. Stacks grow downward from the top of
+ * their slot, and everything below the committed stack stays
+ * PROT_NONE: an overflow lands on a guard of at least 64 KB instead of
+ * silently corrupting a neighbour.
+ *
+ * Warm slots. When a fiber finishes, a slot among the first warmSlots
+ * of the arena keeps its stack committed and resident, so the next
+ * run that reserves it pays no syscall and no page fault; a slot at or
+ * above warmSlots is decommitted (its pages returned to the kernel,
+ * the slot back to PROT_NONE). Schedulers take first-fit ranges, so
+ * the short runs that dominate sweeps (the oracle's 4 + 1 fibers,
+ * STAMP's 1 + 4, a 16-thread figure run) land on warm slots every
+ * time. Residency contract: committed stack bytes are the live
+ * fibers' stacks plus at most warmSlots finished ones, each keeping
+ * the pages its deepest fiber touched.
  *
  * Stacks hold no simulated state (that lives in the run's region,
- * region.hh), so where and when a stack is committed is invisible to
- * the models: the pooled/lazy path is bit-identical to eager
- * per-fiber stacks.
+ * region.hh), so where a stack lives and what an earlier tenant left
+ * in it are invisible to the models: a run on warm, dirty slots is
+ * bit-identical to one on fresh slots.
  *
  * The pool is a process-wide singleton (the simulator is single-host-
  * threaded) and released slot ranges are recycled across scheduler
@@ -65,6 +75,10 @@ class StackPool
      *  resident until committed and touched. */
     static constexpr unsigned maxSlots = 1024;
 
+    /** Slots below this index stay committed when their fiber
+     *  finishes (see the file comment). 16 covers a 16-thread run. */
+    static constexpr unsigned warmSlots = 16;
+
     /**
      * Reserve @p count consecutive slots (deterministic first-fit) and
      * return the base slot index. Throws std::runtime_error when no
@@ -72,20 +86,25 @@ class StackPool
      */
     unsigned reserveRange(unsigned count);
 
-    /** Return a range to the free map, decommitting any slots still
-     *  committed. Recycled ranges are what later schedulers get. */
+    /** Return a range to the free map, retiring every slot in it.
+     *  Recycled ranges are what later schedulers get. */
     void releaseRange(unsigned base, unsigned count);
 
     /**
      * Commit @p stack_bytes (rounded up to whole pages) at the top of
-     * @p slot and return the usable span. Idempotent per slot while
-     * committed (returns the existing span).
+     * @p slot and return the usable span. A slot still committed (a
+     * warm slot's earlier tenant) is reused: as is when the size
+     * matches, else only the difference is re-protected — the extra
+     * pages made RW to grow, the excess returned and made PROT_NONE to
+     * shrink — so the RW window is exactly the stack and the guard
+     * lies directly below it.
      */
     StackSpan commit(unsigned slot, std::size_t stack_bytes);
 
-    /** Decommit a slot's stack: the pages are returned to the kernel
-     *  and the whole slot reverts to PROT_NONE. */
-    void decommit(unsigned slot);
+    /** The fiber on @p slot finished: a slot at or above warmSlots is
+     *  decommitted (pages returned, PROT_NONE); a warm slot keeps its
+     *  stack for the next tenant. */
+    void retire(unsigned slot);
 
     bool committed(unsigned slot) const
     {
@@ -99,7 +118,8 @@ class StackPool
      *  the stress tests assert against. */
     std::size_t peakCommittedBytes() const { return peakCommitted_; }
 
-    /** Lifetime commit operations (visibility into slot recycling). */
+    /** Lifetime commits that made pages RW (a first commit or a
+     *  growth); a run on warm slots of its stack size makes none. */
     std::uint64_t commitCount() const { return commitCount_; }
 
     StackPool(const StackPool&) = delete;
@@ -112,6 +132,9 @@ class StackPool
     {
         return arena_ + std::size_t(slot + 1) * slotStrideBytes;
     }
+
+    /** Record @p slot's committed size, keeping the totals. */
+    void setCommitted(unsigned slot, std::size_t bytes);
 
     char* arena_ = nullptr;
     std::vector<bool> used_;

@@ -661,6 +661,47 @@ TEST(AbortCheckpoint, RollbackOnlyTracesPassTheChecker)
                   TxEventKind::begin, TxEventKind::abort}));
 }
 
+TEST(AbortCheckpoint, RollbackOnlyCommitDuringALockHoldPassesTheChecker)
+{
+    // A ROT does not subscribe to the fallback lock, so it may commit
+    // while a peer holds it; its events carry the rollback-only flag
+    // that exempts that commit from the checker's lock rule.
+    RuntimeConfig config = configFor(Driver::rollbackOnly);
+    check::EventRing ring(64);
+    config.observer = &ring;
+    sim::Scheduler scheduler;
+    Runtime runtime(config, 2);
+    alignas(256) std::uint64_t word = 0;
+    bool lock_held_at_commit = false;
+    bool committed = false;
+    scheduler.spawn([&](sim::ThreadContext& ctx) {
+        runtime.runLocked(ctx, [](Tx& tx) { tx.work(10000); });
+    });
+    scheduler.spawn([&](sim::ThreadContext& ctx) {
+        ctx.step(500);
+        committed = runtime.rollbackOnly(ctx, [&](Tx& tx) {
+            tx.store(&word, std::uint64_t(1));
+        });
+        lock_held_at_commit = runtime.globalLockHeld();
+    });
+    scheduler.run();
+
+    EXPECT_TRUE(committed);
+    EXPECT_TRUE(lock_held_at_commit);
+    EXPECT_EQ(word, 1u);
+    ASSERT_EQ(ring.dropped(), 0u);
+    EXPECT_EQ(check::checkTraceInvariants(ring.history(), 2), "");
+    unsigned flagged = 0;
+    for (const TxEvent& event : ring.history()) {
+        if (event.tid == 1 && (event.kind == TxEventKind::begin ||
+                               event.kind == TxEventKind::commit))
+            flagged += event.rollbackOnly ? 1 : 0;
+        else
+            EXPECT_FALSE(event.rollbackOnly);
+    }
+    EXPECT_EQ(flagged, 2u);
+}
+
 TEST(AbortCheckpoint, MixedWidthAccessToABufferedWordThrows)
 {
     // The write buffer holds whole words keyed by address, so it

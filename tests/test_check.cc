@@ -135,7 +135,7 @@ htm::TxEvent
 event(htm::TxEventKind kind, unsigned tid, sim::Cycles cycles,
       htm::AbortCause cause = htm::AbortCause::none)
 {
-    return {kind, cause, std::uint16_t(tid), htm::unknownTxSite,
+    return {kind, cause, std::uint16_t(tid), htm::unknownTxSite, false,
             cycles, 0};
 }
 
@@ -181,6 +181,27 @@ TEST(TraceInvariants, AcceptsWellFormedHistories)
         event(K::begin, 0, 50),
         event(K::commit, 0, 60),
     };
+    EXPECT_EQ(checkTraceInvariants(events, 2), "");
+}
+
+TEST(TraceInvariants, OnlyRollbackOnlyCommitsMayLandInALockHold)
+{
+    // t1's attempt commits while t0 holds the fallback lock: broken
+    // subscription for an ordinary transaction, but a rollback-only
+    // one never subscribes.
+    std::vector<htm::TxEvent> events = {
+        event(K::lockAcquired, 0, 1), event(K::begin, 1, 2),
+        event(K::commit, 1, 3),       event(K::fallbackCommit, 0, 4),
+        event(K::lockReleased, 0, 5),
+    };
+    const std::string error = checkTraceInvariants(events, 2);
+    EXPECT_NE(error.find("transactional commit while t0 holds the "
+                         "fallback lock (event #2: t1 commit @3)"),
+              std::string::npos)
+        << error;
+
+    events[1].rollbackOnly = true;
+    events[2].rollbackOnly = true;
     EXPECT_EQ(checkTraceInvariants(events, 2), "");
 }
 

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "run_metrics.hh"
 #include "server/server.hh"
 #include "sim/scheduler.hh"
+#include "sim/stack_pool.hh"
 #include "tmsync/scenarios.hh"
 
 namespace
@@ -38,15 +41,11 @@ constexpr std::uint64_t kSeed = 1;
 
 /// Run the full tuning grid for one cell. @p batch selects the
 /// epoch-batched sync() fast path or the `--no-batch` slow path;
-/// @p policy selects how schedulers provision fiber stacks (lazily
-/// from the pool or eagerly up front). Either way the results must be
-/// bit-identical (DESIGN.md Sections 5 and 9).
+/// either way the results must be bit-identical (DESIGN.md Section 5c).
 std::vector<RunMetrics>
 runGrid(const std::string& bench, const htm::MachineConfig& machine,
-        bool batch = true,
-        sim::StackPolicy policy = sim::StackPolicy::pooled)
+        bool batch = true)
 {
-    sim::Scheduler::setDefaultStackPolicy(policy);
     const bench::SuiteRunner runner(false);
     std::vector<RunMetrics> grid;
     for (htm::RuntimeConfig config :
@@ -55,7 +54,6 @@ runGrid(const std::string& bench, const htm::MachineConfig& machine,
         grid.push_back(RunMetrics::of(runner.run(
             bench, config, machine, kThreads, true, kSeed)));
     }
-    sim::Scheduler::setDefaultStackPolicy(sim::StackPolicy::pooled);
     return grid;
 }
 
@@ -108,20 +106,42 @@ TEST(Determinism, BatchedAndUnbatchedRunsAreBitIdentical)
     expectSameGrid(batched, unbatched);
 }
 
-// Stack pooling (DESIGN.md Section 9) commits a fiber's stack lazily
-// at first dispatch; the eager policy commits every stack up front.
-// Stacks hold no simulated state, so commit timing must be invisible
-// to the simulated machine models. This is the contract that lets the
-// scheduler scale to 256+ fibers without perturbing any result.
-TEST(Determinism, PooledAndEagerStacksAreBitIdentical)
+// Warm stack slots (DESIGN.md Section 9b) keep a finished fiber's
+// stack committed, with whatever its frames left there, for the next
+// run. Stacks hold no simulated state, so a grid run on slots a
+// scheduler has just filled with junk must match the same grid run
+// before it byte for byte; a difference would be a read of an
+// uninitialised stack word.
+TEST(Determinism, WarmDirtyStacksAreBitIdentical)
 {
     const htm::MachineConfig machine = htm::MachineConfig::all()[2];
     ASSERT_EQ(machine.name, "Intel Core i7-4770");
-    const std::vector<RunMetrics> pooled =
-        runGrid("intruder", machine, true, sim::StackPolicy::pooled);
-    const std::vector<RunMetrics> eager =
-        runGrid("intruder", machine, true, sim::StackPolicy::eager);
-    expectSameGrid(pooled, eager);
+    const std::vector<RunMetrics> first = runGrid("intruder", machine);
+
+    // Fill every warm slot's stack with a non-zero pattern, at the
+    // default stack size the grid's schedulers use. The scheduler must
+    // be gone before the second grid, or it would still hold the slots.
+    {
+        sim::Scheduler dirty(kSeed);
+        for (unsigned f = 0; f < sim::StackPool::warmSlots; ++f) {
+            dirty.spawn([](sim::ThreadContext& ctx) {
+                std::array<unsigned char, 128 * 1024> junk;
+                std::memset(junk.data(), 0xa5 ^ ctx.id(), junk.size());
+                // Keep the fill: the array escapes to an opaque asm.
+                __asm__ volatile("" : : "r"(junk.data()) : "memory");
+                ctx.step(1);
+            });
+        }
+        dirty.run();
+    }
+
+    const std::uint64_t commits_before =
+        sim::StackPool::instance().commitCount();
+    const std::vector<RunMetrics> second = runGrid("intruder", machine);
+    EXPECT_EQ(sim::StackPool::instance().commitCount(), commits_before)
+        << "the second grid should run on warm slots";
+    EXPECT_EQ(first, second);
+    expectSameGrid(first, second);
 }
 
 /// One STAMP cell at its machine's first tuning candidate: under

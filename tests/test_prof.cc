@@ -325,6 +325,7 @@ TEST(ProfCapture, OverflowDropsInsteadOfGrowing)
                              htm::AbortCause::none,
                              0,
                              htm::unknownTxSite,
+                             false,
                              10,
                              0};
     for (int i = 0; i < 10; ++i)

@@ -1,12 +1,17 @@
 /**
  * @file
  * Unit tests for the simulation substrate: fibers, scheduler ordering,
- * virtual time, barriers, spin locks, and determinism.
+ * virtual time, barriers, spin locks, determinism, and the stack
+ * pool's warm slots.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -362,6 +367,126 @@ TEST(RunThreads, HelperReturnsMakespan)
     const Cycles makespan = runThreads(
         3, 1, [](ThreadContext& ctx) { ctx.step(100 * (ctx.id() + 1)); });
     EXPECT_EQ(makespan, 300u);
+}
+
+// --- Stack pool: warm slots ------------------------------------------
+
+/// Base slot of the range the next scheduler of @p fibers fibers gets:
+/// ranges are first-fit, so reserving and releasing one shows it.
+unsigned
+nextRangeBase(unsigned fibers)
+{
+    StackPool& pool = StackPool::instance();
+    const unsigned base = pool.reserveRange(fibers);
+    pool.releaseRange(base, fibers);
+    return base;
+}
+
+/// Permissions ("rw-p", "---p", ...) of the mapping holding @p addr,
+/// as /proc/self/maps lists them; empty if no mapping does.
+std::string
+mappingPermissions(const void* addr)
+{
+    const auto target = reinterpret_cast<std::uintptr_t>(addr);
+    std::ifstream maps("/proc/self/maps");
+    std::string line;
+    while (std::getline(maps, line)) {
+        unsigned long start = 0;
+        unsigned long end = 0;
+        char perms[5] = {};
+        if (std::sscanf(line.c_str(), "%lx-%lx %4s", &start, &end,
+                        perms) == 3 &&
+            start <= target && target < end)
+            return perms;
+    }
+    return "";
+}
+
+void
+runEmptyFibers(unsigned fibers)
+{
+    Scheduler scheduler;
+    for (unsigned f = 0; f < fibers; ++f)
+        scheduler.spawn([](ThreadContext& ctx) { ctx.step(1); });
+    scheduler.run();
+}
+
+TEST(StackPool, SecondShortRunMakesNoCommit)
+{
+    StackPool& pool = StackPool::instance();
+    ASSERT_LE(nextRangeBase(4) + 4, StackPool::warmSlots);
+    runEmptyFibers(4);
+    const std::uint64_t commits = pool.commitCount();
+    const std::size_t committed = pool.committedStackBytes();
+    runEmptyFibers(4);
+    EXPECT_EQ(pool.commitCount(), commits);
+    EXPECT_EQ(pool.committedStackBytes(), committed);
+}
+
+TEST(StackPool, SlotsAtOrAboveTheWarmCapDecommitWhenTheirFiberEnds)
+{
+    constexpr unsigned kFibers = StackPool::warmSlots + 4;
+    StackPool& pool = StackPool::instance();
+    const unsigned base = nextRangeBase(kFibers);
+    ASSERT_LT(base, StackPool::warmSlots);
+    // Every fiber but the last finishes at cycle 1; the last one runs
+    // on to cycle 100 and records which of their slots still hold a
+    // stack.
+    std::vector<int> committed(kFibers, -1);
+    Scheduler scheduler;
+    for (unsigned f = 0; f + 1 < kFibers; ++f)
+        scheduler.spawn([](ThreadContext& ctx) { ctx.step(1); });
+    scheduler.spawn([&](ThreadContext& ctx) {
+        ctx.step(100);
+        for (unsigned f = 0; f < kFibers; ++f)
+            committed[f] = pool.committed(base + f) ? 1 : 0;
+    });
+    scheduler.run();
+
+    for (unsigned f = 0; f + 1 < kFibers; ++f) {
+        EXPECT_EQ(committed[f], base + f < StackPool::warmSlots ? 1 : 0)
+            << "slot " << base + f;
+    }
+    EXPECT_EQ(committed[kFibers - 1], 1) << "a live fiber's own slot";
+    EXPECT_FALSE(pool.committed(base + kFibers - 1))
+        << "the last fiber's cold slot once it finished";
+}
+
+TEST(StackPool, WarmSlotShrinksAndGrowsInPlace)
+{
+    constexpr std::size_t kBig = 256 * 1024;
+    constexpr std::size_t kSmall = 64 * 1024;
+    StackPool& pool = StackPool::instance();
+    const unsigned slot = pool.reserveRange(1);
+    ASSERT_LT(slot, StackPool::warmSlots);
+    const StackSpan big = pool.commit(slot, kBig);
+    char* const top = big.base + big.size;
+    ASSERT_EQ(big.base, top - kBig);
+    big.base[0] = 1; // dirty the bottom page, which the shrink returns
+    pool.retire(slot);
+    ASSERT_TRUE(pool.committed(slot)) << "a warm slot keeps its stack";
+
+    // Shrinking returns the bottom 192 KiB: the span is the top 64 KiB
+    // and the guard starts directly below it.
+    const std::uint64_t commits = pool.commitCount();
+    const StackSpan small = pool.commit(slot, kSmall);
+    EXPECT_EQ(small.base, top - kSmall);
+    EXPECT_EQ(small.size, kSmall);
+    EXPECT_EQ(pool.commitCount(), commits);
+    EXPECT_EQ(mappingPermissions(small.base), "rw-p");
+    EXPECT_EQ(mappingPermissions(top - 1), "rw-p");
+    EXPECT_EQ(mappingPermissions(small.base - 1), "---p");
+    EXPECT_EQ(mappingPermissions(top - kBig), "---p");
+
+    // Growing back makes the missing pages RW again, zero-filled.
+    const StackSpan grown = pool.commit(slot, kBig);
+    EXPECT_EQ(grown.base, top - kBig);
+    EXPECT_EQ(grown.size, kBig);
+    EXPECT_EQ(pool.commitCount(), commits + 1);
+    EXPECT_EQ(mappingPermissions(grown.base), "rw-p");
+    EXPECT_EQ(mappingPermissions(grown.base - 1), "---p");
+    EXPECT_EQ(grown.base[0], 0);
+    pool.releaseRange(slot, 1);
 }
 
 } // namespace
