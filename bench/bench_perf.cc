@@ -7,9 +7,10 @@
  * retry-count tuning) and measures what the other benches do not:
  * host wall-clock per cell and simulated-commit throughput (committed
  * transactions per host second), the per-access rows, and the host
- * cost of six layers: an empty commit, an abort round trip, a load
+ * cost of nine layers: an empty commit, an abort round trip, a load
  * that hits the last-line memo, a load of a line new to the
- * transaction, a run's set-up per fiber and a fiber switch. Emits
+ * transaction, a software-path load and commit, a rollback-only
+ * commit, a run's set-up per fiber and a fiber switch. Emits
  * machine-readable BENCH_perf.json so successive runs can compare.
  *
  * Every run allocates its simulated state in the run's region
@@ -23,7 +24,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "access_micro.hh"
@@ -91,6 +94,8 @@ struct alignas(256) PaddedLine
 
 /** Loads per transaction in the access layer probes. */
 constexpr unsigned accessesPerTx = 256;
+/** Loads per transaction in the software-path load probe. */
+constexpr unsigned stmLoadsPerTx = 64;
 
 /** Timed batches per layer probe; each probe reports their minimum,
  *  since interference from other tenants only ever slows a batch. */
@@ -98,51 +103,74 @@ constexpr int layerBatches = 7;
 /** Untimed calls before each timed batch. */
 constexpr unsigned layerWarmCalls = 64;
 
-/** The min over layerBatches calls of @p batch(), each of which
- *  times one batch and returns its cost per operation. */
-template <typename Batch>
-double
-bestBatch(Batch&& batch)
+/** One layer probe: batch() times one batch and returns its cost per
+ *  operation; best is the minimum over the batches run so far. */
+struct Layer
 {
+    const char* name;
+    std::function<double()> batch;
     double best = 0.0;
+};
+
+/**
+ * Run layerBatches batches of every layer round-robin, batch i of each
+ * layer before batch i+1 of any, and keep each layer's minimum. The
+ * layers are reported as ratios to the empty commit, and a busy
+ * stretch of a shared host then slows one batch of every layer
+ * instead of all the batches of one.
+ */
+void
+timeLayers(std::vector<Layer>& layers)
+{
     for (int i = 0; i < layerBatches; ++i) {
-        const double cost = batch();
-        if (i == 0 || cost < best)
-            best = cost;
+        for (Layer& layer : layers) {
+            const double cost = layer.batch();
+            if (i == 0 || cost < layer.best)
+                layer.best = cost;
+        }
     }
-    return best;
 }
 
 /**
- * Host ns per call of @p op(runtime, ctx), the min over layerBatches
- * batches, each timing @p calls calls in one fiber of a fresh
- * one-thread Intel runtime after layerWarmCalls untimed ones (the
- * definitions of perfbench's htm.* probes). @p ok is cleared unless
- * every batch's statistics pass @p check(stats, calls made).
+ * Host ns per call of @p op(runtime, ctx) in one batch: @p calls calls
+ * in one fiber of a fresh one-thread runtime of @p config after
+ * layerWarmCalls untimed ones (the definitions of perfbench's htm.*
+ * probes). @p ok is cleared unless the batch's statistics pass
+ * @p check(stats, calls made).
  */
 template <typename Op, typename Check>
 double
-layerNs(bool batch_epoch, unsigned calls, Op&& op, Check&& check,
-        bool& ok)
+layerBatch(const htm::RuntimeConfig& config, unsigned calls, Op&& op,
+           Check&& check, bool& ok)
 {
-    htm::RuntimeConfig config{htm::MachineConfig::intelCore()};
-    config.batchEpoch = batch_epoch;
-    return bestBatch([&] {
-        sim::Scheduler scheduler(1);
-        htm::Runtime runtime(config, 1);
-        double ns = 0.0;
-        scheduler.spawn([&](sim::ThreadContext& ctx) {
-            for (unsigned i = 0; i < layerWarmCalls; ++i)
-                op(runtime, ctx);
-            const auto start = Clock::now();
-            for (unsigned i = 0; i < calls; ++i)
-                op(runtime, ctx);
-            ns = double(elapsedNs(start, Clock::now())) / double(calls);
-        });
-        scheduler.run();
-        ok = ok && check(runtime.stats(), layerWarmCalls + calls);
-        return ns;
+    sim::Scheduler scheduler(1);
+    htm::Runtime runtime(config, 1);
+    double ns = 0.0;
+    scheduler.spawn([&](sim::ThreadContext& ctx) {
+        for (unsigned i = 0; i < layerWarmCalls; ++i)
+            op(runtime, ctx);
+        const auto start = Clock::now();
+        for (unsigned i = 0; i < calls; ++i)
+            op(runtime, ctx);
+        ns = double(elapsedNs(start, Clock::now())) / double(calls);
     });
+    scheduler.run();
+    ok = ok && check(runtime.stats(), layerWarmCalls + calls);
+    return ns;
+}
+
+/** Every call committed once in hardware, none aborted. */
+bool
+allHtmCommits(const htm::TxStats& stats, unsigned calls)
+{
+    return stats.htmCommits == calls && stats.totalAborts() == 0;
+}
+
+/** Every call committed once in software, none aborted. */
+bool
+allStmCommits(const htm::TxStats& stats, unsigned calls)
+{
+    return stats.stmCommits == calls && stats.totalAborts() == 0;
 }
 
 /** Fibers per scheduler in the run set-up layer: the oracle's shape. */
@@ -153,7 +181,7 @@ constexpr unsigned setupFibers = 4;
 constexpr unsigned setupSchedulers = 2000;
 
 /** Host us to spawn and run one empty fiber, setupFibers fibers per
- *  scheduler. */
+ *  scheduler: one batch. */
 double
 runSetupUs()
 {
@@ -163,36 +191,33 @@ runSetupUs()
             scheduler.spawn([](sim::ThreadContext&) {});
         scheduler.run();
     };
-    return bestBatch([&] {
-        for (unsigned i = 0; i < layerWarmCalls; ++i)
-            run_one();
-        const auto start = Clock::now();
-        for (unsigned i = 0; i < setupSchedulers; ++i)
-            run_one();
-        return double(elapsedNs(start, Clock::now())) / 1e3 /
-               double(setupSchedulers * setupFibers);
-    });
+    for (unsigned i = 0; i < layerWarmCalls; ++i)
+        run_one();
+    const auto start = Clock::now();
+    for (unsigned i = 0; i < setupSchedulers; ++i)
+        run_one();
+    return double(elapsedNs(start, Clock::now())) / 1e3 /
+           double(setupSchedulers * setupFibers);
 }
 
-/** Host ns per switch of two fibers ping-ponging through yieldNow(). */
+/** Host ns per switch of two fibers ping-ponging through yieldNow():
+ *  one batch. */
 double
 fiberSwitchNs()
 {
     constexpr unsigned yields = 50000;
-    return bestBatch([] {
-        sim::Scheduler scheduler(1);
-        for (int f = 0; f < 2; ++f) {
-            scheduler.spawn([](sim::ThreadContext& ctx) {
-                for (unsigned i = 0; i < yields; ++i) {
-                    ctx.advance(1);
-                    ctx.yieldNow();
-                }
-            });
-        }
-        const auto start = Clock::now();
-        scheduler.run();
-        return double(elapsedNs(start, Clock::now())) / (2.0 * yields);
-    });
+    sim::Scheduler scheduler(1);
+    for (int f = 0; f < 2; ++f) {
+        scheduler.spawn([](sim::ThreadContext& ctx) {
+            for (unsigned i = 0; i < yields; ++i) {
+                ctx.advance(1);
+                ctx.yieldNow();
+            }
+        });
+    }
+    const auto start = Clock::now();
+    scheduler.run();
+    return double(elapsedNs(start, Clock::now())) / (2.0 * yields);
 }
 
 struct CellResult
@@ -320,83 +345,140 @@ main(int argc, char** argv)
     // Layer costs. CI bounds each layer as a ratio to the empty
     // commit: unlike either number, their ratio does not depend on the
     // runner's speed.
+    htm::RuntimeConfig intel{htm::MachineConfig::intelCore()};
+    intel.batchEpoch = batch;
+    htm::RuntimeConfig stm_only = intel;
+    stm_only.backend = htm::BackendKind::hybrid;
+    stm_only.hybrid.stmOnly = true;
+    htm::RuntimeConfig power8{htm::MachineConfig::power8()};
+    power8.batchEpoch = batch;
     bool layers_ok = true;
-    const double empty_commit_ns = layerNs(
-        batch, 20000,
-        [](htm::Runtime& runtime, sim::ThreadContext& ctx) {
-            runtime.atomic(ctx, [](htm::Tx&) {});
-        },
-        [](const htm::TxStats& stats, unsigned calls) {
-            return stats.htmCommits == calls && stats.totalAborts() == 0;
-        },
-        layers_ok);
-    const double abort_round_trip_ns = layerNs(
-        batch, 4000,
-        [](htm::Runtime& runtime, sim::ThreadContext& ctx) {
-            htm::NoRetryPolicy policy;
-            runtime.tryAtomic(ctx, policy,
-                              [](htm::Tx& tx) { tx.abortTx(); });
-        },
-        [](const htm::TxStats& stats, unsigned calls) {
-            return stats.totalAborts() == calls;
-        },
-        layers_ok);
-    // The access layers take perfbench's probe shapes (256 loads of
-    // one line, and of 256 distinct lines, per transaction), on lines
-    // and runtimes built in one run of the region, so they time the
+    std::uint64_t sink = 0;
+    // The access, software-path and rollback-only layers take
+    // perfbench's probe shapes, on words and runtimes built in one run
+    // of the region, so their commits and directory probes reach the
     // conflict directory's shadow rather than its fallback table.
-    double access_memo_hit_ns = 0.0;
-    double access_new_line_ns = 0.0;
-    {
-        sim::RunScope run;
-        sim::Vector<PaddedLine> lines(accessesPerTx);
-        std::uint64_t sink = 0;
-        const auto all_committed = [](const htm::TxStats& stats,
-                                      unsigned calls) {
-            return stats.htmCommits == calls && stats.totalAborts() == 0;
-        };
-        access_memo_hit_ns =
-            layerNs(
-                batch, 1000,
-                [&](htm::Runtime& runtime, sim::ThreadContext& ctx) {
-                    runtime.atomic(ctx, [&](htm::Tx& tx) {
-                        for (unsigned a = 0; a < accessesPerTx; ++a)
-                            sink += tx.load(&lines[0].word);
-                    });
-                },
-                all_committed, layers_ok) /
-            accessesPerTx;
-        access_new_line_ns =
-            layerNs(
-                batch, 500,
-                [&](htm::Runtime& runtime, sim::ThreadContext& ctx) {
-                    runtime.atomic(ctx, [&](htm::Tx& tx) {
-                        for (const PaddedLine& line : lines)
-                            sink += tx.load(&line.word);
-                    });
-                },
-                all_committed, layers_ok) /
-            accessesPerTx;
-        layers_ok = layers_ok && sink != 0;
-    }
-    if (!layers_ok) {
+    std::vector<Layer> layers = {
+        {"empty_commit_ns",
+         [&] {
+             return layerBatch(
+                 intel, 20000,
+                 [](htm::Runtime& runtime, sim::ThreadContext& ctx) {
+                     runtime.atomic(ctx, [](htm::Tx&) {});
+                 },
+                 allHtmCommits, layers_ok);
+         }},
+        {"abort_round_trip_ns",
+         [&] {
+             return layerBatch(
+                 intel, 4000,
+                 [](htm::Runtime& runtime, sim::ThreadContext& ctx) {
+                     htm::NoRetryPolicy policy;
+                     runtime.tryAtomic(ctx, policy,
+                                       [](htm::Tx& tx) { tx.abortTx(); });
+                 },
+                 [](const htm::TxStats& stats, unsigned calls) {
+                     return stats.totalAborts() == calls;
+                 },
+                 layers_ok);
+         }},
+        {"access_memo_hit_ns",
+         [&] {
+             // 256 loads of one line per transaction.
+             sim::RunScope run;
+             sim::Vector<PaddedLine> lines(1);
+             return layerBatch(
+                        intel, 1000,
+                        [&](htm::Runtime& runtime,
+                            sim::ThreadContext& ctx) {
+                            runtime.atomic(ctx, [&](htm::Tx& tx) {
+                                for (unsigned a = 0; a < accessesPerTx;
+                                     ++a)
+                                    sink += tx.load(&lines[0].word);
+                            });
+                        },
+                        allHtmCommits, layers_ok) /
+                    accessesPerTx;
+         }},
+        {"access_new_line_ns",
+         [&] {
+             // Loads of 256 distinct lines per transaction.
+             sim::RunScope run;
+             sim::Vector<PaddedLine> lines(accessesPerTx);
+             return layerBatch(
+                        intel, 500,
+                        [&](htm::Runtime& runtime,
+                            sim::ThreadContext& ctx) {
+                            runtime.atomic(ctx, [&](htm::Tx& tx) {
+                                for (const PaddedLine& line : lines)
+                                    sink += tx.load(&line.word);
+                            });
+                        },
+                        allHtmCommits, layers_ok) /
+                    accessesPerTx;
+         }},
+        {"stm_load_ns",
+         [&] {
+             // 64 loads of adjacent words per software transaction.
+             sim::RunScope run;
+             sim::Vector<std::uint64_t> words(stmLoadsPerTx, 1);
+             return layerBatch(
+                        stm_only, 1000,
+                        [&](htm::Runtime& runtime,
+                            sim::ThreadContext& ctx) {
+                            runtime.atomic(ctx, [&](htm::Tx& tx) {
+                                for (const std::uint64_t& word : words)
+                                    sink += tx.load(&word);
+                            });
+                        },
+                        allStmCommits, layers_ok) /
+                    stmLoadsPerTx;
+         }},
+        {"stm_commit_ns",
+         [&] {
+             // One store per software transaction.
+             sim::RunScope run;
+             sim::Vector<std::uint64_t> words(1, 1);
+             return layerBatch(
+                 stm_only, 20000,
+                 [&](htm::Runtime& runtime, sim::ThreadContext& ctx) {
+                     runtime.atomic(ctx, [&](htm::Tx& tx) {
+                         tx.store(&words[0], std::uint64_t(7));
+                     });
+                 },
+                 allStmCommits, layers_ok);
+         }},
+        {"rot_commit_ns",
+         [&] {
+             // One store per POWER8 rollback-only transaction.
+             sim::RunScope run;
+             sim::Vector<std::uint64_t> words(1, 1);
+             return layerBatch(
+                 power8, 20000,
+                 [&](htm::Runtime& runtime, sim::ThreadContext& ctx) {
+                     runtime.rollbackOnly(ctx, [&](htm::Tx& tx) {
+                         tx.store(&words[0], std::uint64_t(7));
+                     });
+                 },
+                 allHtmCommits, layers_ok);
+         }},
+        {"run_setup_us", runSetupUs},
+        {"fiber_switch_ns", fiberSwitchNs},
+    };
+    timeLayers(layers);
+    if (!layers_ok || sink == 0) {
         std::fprintf(stderr, "bench_perf: a layer probe took the wrong "
                              "path (commits/aborts off)\n");
         return 1;
     }
-    const double run_setup_us = runSetupUs();
-    const double fiber_switch_ns = fiberSwitchNs();
-    std::printf("\nlayers: empty commit %.1f ns, abort round trip %.1f "
-                "ns (%.2fx),\n        memo-hit access %.2f ns (%.3fx), "
-                "new-line access %.2f ns (%.3fx),\n        run set-up "
-                "%.3f us per fiber (%.2fx), fiber switch %.1f ns "
-                "(%.2fx)\n",
-                empty_commit_ns, abort_round_trip_ns,
-                abort_round_trip_ns / empty_commit_ns, access_memo_hit_ns,
-                access_memo_hit_ns / empty_commit_ns, access_new_line_ns,
-                access_new_line_ns / empty_commit_ns, run_setup_us,
-                run_setup_us * 1e3 / empty_commit_ns, fiber_switch_ns,
-                fiber_switch_ns / empty_commit_ns);
+    const double empty_commit_ns = layers[0].best;
+    std::printf("\nlayers (ratio to the empty commit):\n");
+    for (const Layer& layer : layers) {
+        const bool us = std::string_view(layer.name).ends_with("_us");
+        std::printf("  %-20s %9.3f %s %7.3fx\n", layer.name, layer.best,
+                    us ? "us" : "ns",
+                    layer.best * (us ? 1e3 : 1.0) / empty_commit_ns);
+    }
 
     // Geomean of per-cell host times: the suite-level trajectory
     // metric (robust to one cell dominating).
@@ -446,14 +528,10 @@ main(int argc, char** argv)
             }
             json.end()
                 .key("layers")
-                .beginObject()
-                .field("empty_commit_ns", empty_commit_ns)
-                .field("abort_round_trip_ns", abort_round_trip_ns)
-                .field("access_memo_hit_ns", access_memo_hit_ns)
-                .field("access_new_line_ns", access_new_line_ns)
-                .field("run_setup_us", run_setup_us)
-                .field("fiber_switch_ns", fiber_switch_ns)
-                .end();
+                .beginObject();
+            for (const Layer& layer : layers)
+                json.field(layer.name, layer.best);
+            json.end();
         }))
         return 1;
 

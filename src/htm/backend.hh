@@ -23,8 +23,7 @@
  *    hardware fast path, then the lock — the design point the hybrid-TM
  *    bounds literature analyzes ("Inherent Limitations of Hybrid
  *    Transactional Memory"; "On the Cost of Concurrency in Hybrid
- *    Transactional Memory", PAPERS.md). With hybrid.stmEnabled=false
- *    it is bit-identical to htm (tests/test_hybrid.cc).
+ *    Transactional Memory", PAPERS.md).
  *
  * This header also holds the tools' one name table for backends and
  * retry-policy kinds.

@@ -95,7 +95,7 @@ class HazardInjector
 
     bool enabled() const { return config_.enabled; }
 
-    /** Draw this attempt's hazards (called from Runtime::txBegin). */
+    /** Draw this attempt's hazards (called from Runtime::beginAttempt). */
     void onAttemptStart(unsigned tid, sim::Cycles now);
 
     /** Hazard due at a transactional access, or none. */

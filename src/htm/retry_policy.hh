@@ -105,7 +105,7 @@ class RetryPolicy
      * fallback lock was observed held after the abort (the Figure 1
      * driver inspects the lock to classify, so a conflict whose lock
      * was already released again is misattributed — see
-     * Runtime::recordAbort).
+     * Runtime::reportedCategory).
      * @return true to retry transactionally, false to stop.
      */
     virtual bool onAbort(AbortCause cause, bool lock_held) = 0;
@@ -374,7 +374,8 @@ enum class Tier : std::uint8_t
 class TierPolicy
 {
   public:
-    /** Resolved software-tier knobs (from RuntimeConfig::hybrid). */
+    /** Resolved software-tier knobs (from RuntimeConfig::hybrid;
+     *  stmEnabled is whether the backend is hybrid). */
     struct Tuning
     {
         bool stmEnabled = true;

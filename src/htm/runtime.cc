@@ -90,11 +90,9 @@ Runtime::Runtime(RuntimeConfig config, unsigned num_threads)
     }
 
     // Hybrid-backend flags, resolved once: every software-TM hook on
-    // the shared hot paths gates on stmEnabled_, so other backends —
-    // and hybrid with the software path switched off — execute the
-    // unmodified instruction stream (the A/B bit-identity contract).
-    stmEnabled_ = config_.backend == BackendKind::hybrid &&
-                  config_.hybrid.stmEnabled;
+    // the shared hot paths gates on stmEnabled_, so other backends
+    // execute the unmodified instruction stream.
+    stmEnabled_ = config_.backend == BackendKind::hybrid;
     stmEagerSub_ = config_.hybrid.subscription ==
                    HybridRuntimeConfig::Subscription::eager;
 
@@ -245,11 +243,11 @@ Runtime::nonTxConflict(unsigned tid, std::uintptr_t addr, bool is_write,
     if (stmEnabled_ && is_write) {
         // Hybrid instrumentation gate: every direct store — from
         // irrevocable sections, suspended mode, non-transactional
-        // accessors, the lock words, or a software commit's write-back
-        // — stamps the address's orec, so concurrent software
-        // validation observes it. Before the directory early-return:
-        // the orec must be stamped even when no hardware transaction
-        // is tracking the line.
+        // accessors, the lock words, or a software commit's
+        // publication — stamps the address's orec, so concurrent
+        // software validation observes it. Before the directory
+        // early-return: the orec must be stamped even when no hardware
+        // transaction is tracking the line.
         stm_.onDirectStore(addr);
     }
 
@@ -274,39 +272,133 @@ Runtime::nonTxConflict(unsigned tid, std::uintptr_t addr, bool is_write,
 }
 
 // --------------------------------------------------------------------
-// Begin / commit / rollback
+// The attempt driver
 // --------------------------------------------------------------------
 
+template <TxStatus kind>
 AbortCause
-Runtime::txBegin(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
+Runtime::attempt(Tx& tx, sim::ThreadContext& ctx,
+                 FunctionRef<void(Tx&)> body)
+{
+    // Begin and the commit point return the aborts they decide; an
+    // abort raised in the body restores this checkpoint with its cause
+    // in tx.raised_. Both reach the one rollback tail below. The
+    // checkpoint precedes begin because eager subscription is a
+    // transactional load that can itself abort, and it is retired
+    // before the commit point, which returns its aborts. An exception
+    // leaving any step before the attempt is over discards it on its
+    // way out.
+    constexpr bool software = kind == TxStatus::software;
+    const DiscardOnThrow discard(*this, tx);
+    if (setjmp(tx.checkpoint_) == 0) {
+        tx.checkpointLive_ = true;
+        tx.raised_ = beginAttempt(tx, ctx, kind);
+        if (tx.raised_ == AbortCause::none) {
+            body(tx);
+            tx.checkpointLive_ = false;
+            tx.raised_ = software ? softwareCommitPoint(tx, ctx)
+                                  : hardwareCommitPoint(tx, ctx);
+        }
+        tx.checkpointLive_ = false;
+    }
+    TxStats& stats = stats_[tx.tid_];
+    if (tx.raised_ == AbortCause::none) {
+        // Commit tail. Past the commit point there is no scheduling
+        // point, so all of it is atomic in virtual time. The
+        // write-back follows the append-only log: its order matters
+        // for overlapping stores.
+        for (const std::uintptr_t addr : tx.writeLog_) {
+            const Tx::WriteEntry* entry = tx.writeBuffer_.find(addr);
+            std::memcpy(reinterpret_cast<void*>(addr), &entry->value,
+                        entry->size);
+        }
+        if (kind == TxStatus::active)
+            releaseTracking(tx);
+        for (const auto& record : tx.deferredFrees_) {
+            stmOnFree(record.ptr, record.bytes);
+            sim::regionFree(record.ptr, record.bytes);
+        }
+        if (config_.collectTrace)
+            trace_.record(tx.loadLines_, tx.storeLines_);
+        const Cycles cycles = ctx.now() - tx.attemptStart_;
+        if (software) {
+            ++stats.stmCommits;
+            stats.committedStmCycles += cycles;
+        } else {
+            ++(tx.constrained_ ? stats.constrainedCommits
+                               : stats.htmCommits);
+            stats.committedTxCycles += cycles;
+        }
+        tx.status_ = TxStatus::inactive;
+        // Emitted after the write-back: the event marks the point at
+        // which the transaction's stores became globally visible.
+        emitEvent(TxEventKind::commit, tx.tid_, tx.site_, ctx.now(),
+                  tx.attemptStart_, AbortCause::none,
+                  kind == TxStatus::rollbackOnly);
+        return AbortCause::none;
+    }
+
+    // Rollback tail. A doom by a peer overrides the raised cause (only
+    // a hardware attempt can be doomed).
+    const AbortCause cause =
+        tx.status_ == TxStatus::doomed ? tx.doomCause_ : tx.raised_;
+    assert(cause != AbortCause::none);
+    discardAttempt(tx);
+    ctx.advance(software ? config_.hybrid.stmAbortCost : txAbortCost_);
+    ctx.sync();
+    (software ? stats.wastedStmCycles : stats.wastedTxCycles) +=
+        ctx.now() - tx.attemptStart_;
+    ++stats.trueCauseAborts[std::size_t(cause)];
+    ++stats.reportedAborts[std::size_t(reportedCategory(cause, kind))];
+    emitEvent(TxEventKind::abort, tx.tid_, tx.site_, ctx.now(),
+              tx.attemptStart_, cause);
+    return cause;
+}
+
+AbortCause
+Runtime::beginAttempt(Tx& tx, sim::ThreadContext& ctx, TxStatus kind)
 {
     tx.ctx_ = &ctx;
     tx.resetAttemptState();
     tx.attemptStart_ = ctx.now();
+    // Only a hardware attempt takes the hardware tracking resources
+    // (speculation id, core slot, directory marks): a software attempt
+    // exists to do without them, and a rollback-only one tracks no
+    // conflicts.
+    const bool hardware = kind == TxStatus::active;
+    if (hardware) {
+        if (hazard_.enabled())
+            hazard_.onAttemptStart(tx.tid_, ctx.now());
+        acquireSpecId(tx, ctx);
+    }
 
-    if (hazard_.enabled())
-        hazard_.onAttemptStart(tx.tid_, ctx.now());
-
-    acquireSpecId(tx, ctx);
-
-    ctx.advance(txBeginCost_);
+    ctx.advance(kind == TxStatus::software ? config_.hybrid.stmBeginCost
+                                           : txBeginCost_);
     ctx.sync();
 
-    tx.status_ = TxStatus::active;
-    tx.startOrder_ = ++startCounter_;
-    ++activePerCore_[config_.machine.coreOf(tx.tid_)];
+    tx.status_ = kind;
+    if (hardware) {
+        tx.startOrder_ = ++startCounter_;
+        ++activePerCore_[config_.machine.coreOf(tx.tid_)];
+    } else if (kind == TxStatus::software) {
+        tx.stmEpoch_ = stm_.epoch();
+        tx.stmRv_ = stm_.clock();
+    }
     emitEvent(TxEventKind::begin, tx.tid_, tx.site_, ctx.now(),
-              tx.attemptStart_);
-
-    if (!lazy_subscribe && !tx.constrained_) {
+              tx.attemptStart_, AbortCause::none,
+              kind == TxStatus::rollbackOnly);
+    // Constrained transactions, like BG/Q's long-running mode, check
+    // the lock only at tend.
+    if (!hardware || tx.constrained_)
+        return AbortCause::none;
+    if (!lazySubscription_) {
         // Figure 1, lines 13/26: read the lock word transactionally so
         // a later acquisition aborts us; abort at once if it is held.
         const auto lock = tx.load(lockWord_.get());
         if (lock != 0)
             return AbortCause::lockConflict;
     }
-
-    if (stmEnabled_ && !tx.constrained_) {
+    if (stmEnabled_) {
         if (stmEagerSub_) {
             // Eager subscription: the clock cell joins the read set
             // like the lock word above, so a software commit's
@@ -321,8 +413,15 @@ Runtime::txBegin(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
 }
 
 AbortCause
-Runtime::txCommit(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
+Runtime::hardwareCommitPoint(Tx& tx, sim::ThreadContext& ctx)
 {
+    if (tx.status_ == TxStatus::rollbackOnly) {
+        // A rollback-only transaction detects no conflicts, so nothing
+        // can kill it at tend.
+        ctx.advance(txEndCost_);
+        ctx.sync();
+        return AbortCause::none;
+    }
     Cycles end_cost = txEndCost_;
     if (stmEnabled_) {
         // The hybrid fast path is instrumented: a committing hardware
@@ -336,8 +435,6 @@ Runtime::txCommit(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
     }
     ctx.advance(end_cost);
     ctx.sync();
-    // The aborts decided from here on are returned: the body has
-    // finished and the attempt's checkpoint is already retired.
     if (tx.status_ == TxStatus::doomed)
         return tx.doomCause_;
 
@@ -351,9 +448,10 @@ Runtime::txCommit(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
             return hazard;
     }
 
-    if (lazy_subscribe && *lockWord_ != 0) {
-        // Blue Gene/Q long-running mode: lazy subscription checks the
-        // lock at the end of the transaction [12].
+    if ((lazySubscription_ || tx.constrained_) && *lockWord_ != 0) {
+        // Blue Gene/Q long-running mode and constrained transactions
+        // subscribe lazily: the lock is checked at the end of the
+        // transaction [12].
         return AbortCause::lockConflict;
     }
 
@@ -361,58 +459,29 @@ Runtime::txCommit(Tx& tx, sim::ThreadContext& ctx, bool lazy_subscribe)
         stm_.clockCell() != tx.stmClockSnap_) {
         // Lazy subscription: a software transaction committed since
         // begin. Any true overlap already doomed us per address during
-        // its write-back; the clock compare is the conservative
+        // its publication; the clock compare is the conservative
         // NOrec-style belt-and-braces the mode models.
         return AbortCause::stmConflict;
     }
 
-    // Commit point: no scheduling points below, so write-back and
-    // directory cleanup are atomic in virtual time. The write-back
-    // follows the append-only log (its order matters for overlapping
-    // stores); orec bumps and directory cleanup are per-line
-    // idempotent, so their first-touch order is as good as any.
-    for (const std::uintptr_t addr : tx.writeLog_) {
-        const Tx::WriteEntry* entry = tx.writeBuffer_.find(addr);
-        std::memcpy(reinterpret_cast<void*>(addr), &entry->value,
-                    entry->size);
-    }
+    // Commit point: no scheduling points from here to the commit event,
+    // so publication, write-back and directory cleanup are atomic in
+    // virtual time.
     if (stmEnabled_ && !tx.writeLog_.empty()) {
         // Hybrid instrumentation: publish this commit's writes to the
         // software validation state (one clock tick, all written
         // lines' orecs). The clock *cell* is left alone — only
         // software commits store to it, so hardware commits never doom
         // fellow hardware transactions through the subscription
-        // channel (the Hybrid-NOrec serialize-everything trap).
+        // channel (the Hybrid-NOrec serialize-everything trap). The
+        // touch log's first-touch order is as good as any: the bumps
+        // are per-line idempotent.
         const std::uint64_t wv = stm_.advanceClock();
         for (const std::uintptr_t line_number : tx.touchLog_) {
             if (directory_.cell(line_number).ownedBy(tx.tid_))
                 stm_.bumpOrec(stm_.indexOfLine(line_number), wv);
         }
     }
-    clearDirectoryMarks(tx);
-    for (const auto& record : tx.deferredFrees_) {
-        stmOnFree(record.ptr, record.bytes);
-        sim::regionFree(record.ptr, record.bytes);
-    }
-
-    if (config_.collectTrace)
-        trace_.record(tx.loadLines_, tx.storeLines_);
-
-    TxStats& stats = stats_[tx.tid_];
-    if (tx.constrained_)
-        ++stats.constrainedCommits;
-    else
-        ++stats.htmCommits;
-    stats.committedTxCycles += ctx.now() - tx.attemptStart_;
-
-    if (tx.status_ == TxStatus::active)
-        --activePerCore_[config_.machine.coreOf(tx.tid_)];
-    releaseSpecId(tx);
-    tx.status_ = TxStatus::inactive;
-    // Emitted after the write-back walk: the event marks the point at
-    // which the transaction's stores became globally visible.
-    emitEvent(TxEventKind::commit, tx.tid_, tx.site_, ctx.now(),
-              tx.attemptStart_);
     return AbortCause::none;
 }
 
@@ -430,90 +499,47 @@ Runtime::clearDirectoryMarks(const Tx& tx)
 }
 
 void
-Runtime::discardAttempt(Tx& tx)
+Runtime::releaseTracking(Tx& tx)
 {
-    // Only a hardware attempt marks lines and holds a core slot; the
-    // software path's log holds orec indices.
+    // The software path's touch log holds orec indices, not lines.
     if (tx.status_ == TxStatus::active ||
         tx.status_ == TxStatus::doomed) {
         clearDirectoryMarks(tx);
         --activePerCore_[config_.machine.coreOf(tx.tid_)];
     }
     releaseSpecId(tx);
+}
+
+void
+Runtime::discardAttempt(Tx& tx)
+{
+    releaseTracking(tx);
     for (const auto& record : tx.speculativeAllocs_)
         sim::regionFree(record.ptr, record.bytes);
     tx.status_ = TxStatus::inactive;
     tx.suspended_ = false;
 }
 
-void
-Runtime::rollback(Tx& tx, sim::ThreadContext& ctx)
+AbortCategory
+Runtime::reportedCategory(AbortCause cause, TxStatus kind) const
 {
-    discardAttempt(tx);
-    ctx.advance(txAbortCost_);
-    ctx.sync();
-    stats_[tx.tid_].wastedTxCycles += ctx.now() - tx.attemptStart_;
-}
-
-void
-Runtime::recordAbort(Tx& tx, AbortCause cause)
-{
-    emitEvent(TxEventKind::abort, tx.tid_, tx.site_, tx.ctx_->now(),
-              tx.attemptStart_, cause);
-    TxStats& stats = stats_[tx.tid_];
-    stats.trueCauseAborts[std::size_t(cause)]++;
-
-    AbortCategory reported;
-    if (!config_.machine.hasAbortCodes) {
-        reported = AbortCategory::unclassified;
-    } else if (*lockWord_ != 0 || cause == AbortCause::lockConflict) {
-        // The retry driver classifies lock conflicts by inspecting the
-        // lock after the abort (Figure 1 line 13); a conflict whose
-        // lock was already released again is misattributed to data —
-        // exactly as the paper describes.
-        reported = AbortCategory::lockConflict;
-    } else {
-        reported = categorize(cause);
-    }
-    stats.reportedAborts[std::size_t(reported)]++;
-}
-
-AbortCause
-Runtime::attempt(Tx& tx, sim::ThreadContext& ctx,
-                 FunctionRef<void(Tx&)> body, bool lazy_subscribe,
-                 bool record_stats)
-{
-    // Begin and commit return the aborts they decide; an abort raised
-    // in the body restores this checkpoint with its cause in
-    // tx.raised_. Both reach the one rollback path below. The
-    // checkpoint precedes begin because eager subscription is a
-    // transactional load that can itself abort, and it is retired
-    // before commit, which returns its aborts. An exception leaving
-    // begin or the body discards the attempt on its way out.
-    const DiscardOnThrow discard(*this, tx);
-    if (setjmp(tx.checkpoint_) == 0) {
-        tx.checkpointLive_ = true;
-        tx.raised_ = txBegin(tx, ctx, lazy_subscribe);
-        if (tx.raised_ == AbortCause::none) {
-            body(tx);
-            tx.checkpointLive_ = false;
-            tx.raised_ = txCommit(tx, ctx, lazy_subscribe);
-            if (tx.raised_ == AbortCause::none)
-                return AbortCause::none;
-        }
-        tx.checkpointLive_ = false;
-    }
-    // Doom by a peer overrides the raised cause.
-    const AbortCause cause =
-        tx.status_ == TxStatus::doomed ? tx.doomCause_ : tx.raised_;
-    rollback(tx, ctx);
-    if (record_stats)
-        recordAbort(tx, cause);
-    return cause == AbortCause::none ? AbortCause::dataConflict : cause;
+    // The software path knows its own abort causes exactly — no
+    // laundering through hardware reason codes.
+    if (kind == TxStatus::software)
+        return categorize(cause);
+    if (!config_.machine.hasAbortCodes)
+        return AbortCategory::unclassified;
+    // The retry driver classifies lock conflicts by inspecting the
+    // lock after the abort (Figure 1 line 13); a conflict whose lock
+    // was already released again is misattributed to data — exactly as
+    // the paper describes.
+    if (*lockWord_ != 0 || cause == AbortCause::lockConflict)
+        return AbortCategory::lockConflict;
+    return categorize(cause);
 }
 
 // --------------------------------------------------------------------
-// Attempt drivers
+// Section drivers
 // --------------------------------------------------------------------
 
 void
@@ -651,8 +677,8 @@ Runtime::runSection(sim::ThreadContext& ctx, FunctionRef<void(Tx&)> body)
         waitToBegin(ctx);
         const AbortCause cause =
             tier == Tier::hardware
-                ? attempt(tx, ctx, body, lazySubscription_, true)
-                : stmAttempt(tx, ctx, body);
+                ? attempt<TxStatus::active>(tx, ctx, body)
+                : attempt<TxStatus::software>(tx, ctx, body);
         if (cause == AbortCause::none) {
             policy.onCommit();
             return;
@@ -684,8 +710,7 @@ Runtime::runPolicyAttempts(sim::ThreadContext& ctx, RetryPolicy& policy,
     Tx& tx = *txs_[ctx.id()];
     policy.beginSection();
     for (;;) {
-        const AbortCause cause =
-            attempt(tx, ctx, body, lazySubscription_, true);
+        const AbortCause cause = attempt<TxStatus::active>(tx, ctx, body);
         if (cause == AbortCause::none) {
             policy.onCommit();
             return AbortCause::none;
@@ -736,7 +761,7 @@ Runtime::runConstrained(sim::ThreadContext& ctx,
     unsigned attempts = 0;
 
     for (;;) {
-        const AbortCause cause = attempt(tx, ctx, body, true, true);
+        const AbortCause cause = attempt<TxStatus::active>(tx, ctx, body);
         if (cause == AbortCause::none)
             break;
 
@@ -760,46 +785,8 @@ Runtime::runRollbackOnly(sim::ThreadContext& ctx,
         throw std::logic_error("rollback-only tx unsupported on " +
                                config_.machine.name);
     }
-
-    Tx& tx = *txs_[ctx.id()];
-    tx.ctx_ = &ctx;
-    // The same checkpoint protocol as attempt(); a ROT commit cannot
-    // abort, so only the body's aborts land below.
-    const DiscardOnThrow discard(*this, tx);
-    if (setjmp(tx.checkpoint_) == 0) {
-        tx.checkpointLive_ = true;
-        tx.resetAttemptState();
-        tx.attemptStart_ = ctx.now();
-        ctx.advance(txBeginCost_);
-        ctx.sync();
-        tx.status_ = TxStatus::rollbackOnly;
-        emitEvent(TxEventKind::begin, tx.tid_, tx.site_, ctx.now(),
-                  tx.attemptStart_, AbortCause::none, true);
-        body(tx);
-        tx.checkpointLive_ = false;
-
-        ctx.advance(txEndCost_);
-        ctx.sync();
-        for (const std::uintptr_t addr : tx.writeLog_) {
-            const Tx::WriteEntry* entry = tx.writeBuffer_.find(addr);
-            std::memcpy(reinterpret_cast<void*>(addr), &entry->value,
-                        entry->size);
-        }
-        for (const auto& record : tx.deferredFrees_)
-            sim::regionFree(record.ptr, record.bytes);
-        ++stats_[tx.tid_].htmCommits;
-        stats_[tx.tid_].committedTxCycles += ctx.now() - tx.attemptStart_;
-        tx.status_ = TxStatus::inactive;
-        emitEvent(TxEventKind::commit, tx.tid_, tx.site_, ctx.now(),
-                  tx.attemptStart_, AbortCause::none, true);
-        return true;
-    }
-    discardAttempt(tx);
-    ctx.advance(txAbortCost_);
-    ctx.sync();
-    stats_[tx.tid_].wastedTxCycles += ctx.now() - tx.attemptStart_;
-    recordAbort(tx, tx.raised_);
-    return false;
+    return attempt<TxStatus::rollbackOnly>(*txs_[ctx.id()], ctx, body) ==
+           AbortCause::none;
 }
 
 // --------------------------------------------------------------------

@@ -6,15 +6,17 @@
  *                                    TierPolicy, which tier runs next;
  *   CapacityModel (capacity_model.hh) — per-machine footprint budgets;
  *   Runtime (this file)            — the machine substrate: conflict
- *                                    directory, begin/commit/rollback,
- *                                    global-lock fallback, statistics,
+ *                                    directory, global-lock fallback,
+ *                                    statistics, the one attempt driver
  *                                    and the one section driver.
  *
  * One Runtime instance models one machine for one multi-threaded run.
  * Application threads (simulated threads) call atomic() to execute a
- * critical section. The section driver (runSection) tries hardware
- * attempts, then the hybrid backend's software tier, then the global
- * lock, with each thread's TierPolicy deciding when to move on — over
+ * critical section. Every transactional attempt — hardware, software
+ * or rollback-only — runs through one checkpointed attempt driver
+ * (attempt). The section driver (runSection) tries hardware attempts,
+ * then the hybrid backend's software tier, then the global lock, with
+ * each thread's TierPolicy deciding when to move on — over
  * the paper's Figure 1 retry mechanism (three counters: lock /
  * persistent / transient) on zEC12, Intel Core and POWER8, and the
  * system-provided single-counter mechanism with adaptation on
@@ -78,10 +80,10 @@ enum class CheckFault : std::uint8_t
      *  whose attempts keep aborting retries forever (a liveness
      *  violation the liveness oracle must catch). */
     stuckRetry,
-    /** Hybrid-backend subscription bug: a software commit's write-back
-     *  skips both the per-address dooming of conflicting hardware
-     *  transactions and the clock-cell publication (orec bumps are
-     *  kept), so hardware readers commit stale snapshots under either
+    /** Hybrid-backend subscription bug: a software commit skips both
+     *  the per-address dooming of conflicting hardware transactions
+     *  and the clock-cell publication (orec bumps are kept), so
+     *  hardware readers commit stale snapshots under either
      *  subscription mode (lost updates the oracle must catch). */
     missStmSubscription,
 };
@@ -537,39 +539,59 @@ class Runtime
                         FunctionRef<void(Tx&)> body);
 
     /**
-     * One transactional attempt: begin, body, commit. Returns
-     * AbortCause::none on success. When @p record_stats is set the
-     * abort is tallied (reported bucket chosen per machine).
+     * The one attempt driver: begin, body, commit point, then the
+     * commit tail (write-back, deferred frees, trace record, commit
+     * counters, commit event) or the rollback tail, around one setjmp
+     * checkpoint. @p kind names the attempt: TxStatus::active for a
+     * hardware attempt (constrained and ideal ones included),
+     * TxStatus::software for the hybrid backend's software attempt,
+     * TxStatus::rollbackOnly for a POWER8 rollback-only transaction.
+     * It is a template argument, so each kind's driver compiles to its
+     * own steps only and the hardware path pays nothing for the
+     * others. Returns AbortCause::none once the attempt commits, else
+     * the cause of the abort, already rolled back and counted.
      */
+    template <TxStatus kind>
     AbortCause attempt(Tx& tx, sim::ThreadContext& ctx,
-                       FunctionRef<void(Tx&)> body, bool lazy_subscribe,
-                       bool record_stats);
+                       FunctionRef<void(Tx&)> body);
 
-    /** Begin an attempt. Returns the abort cause when the attempt
-     *  dies at begin (lock held under eager subscription), else
-     *  AbortCause::none; an abort of the subscription load itself
-     *  restores the attempt's checkpoint like a body abort. */
-    AbortCause txBegin(Tx& tx, sim::ThreadContext& ctx,
-                       bool lazy_subscribe);
-    /** Commit an attempt, or return the cause that kills it at tend
-     *  (doom, commit-point hazard, lazy lock or clock check). */
-    AbortCause txCommit(Tx& tx, sim::ThreadContext& ctx,
-                        bool lazy_subscribe);
-    void rollback(Tx& tx, sim::ThreadContext& ctx);
-    /** Undo an attempt of any driver without charging time: clear its
-     *  marks, free its allocations, release its core slot and
-     *  speculation id. Rollback's first half, and all an exception
-     *  leaving the attempt gets before it is rethrown. */
+    /** Begin an attempt of @p kind. Returns the abort cause when a
+     *  hardware attempt dies at begin (lock held under eager
+     *  subscription), else AbortCause::none; an abort of the
+     *  subscription load itself restores the attempt's checkpoint like
+     *  a body abort. */
+    AbortCause beginAttempt(Tx& tx, sim::ThreadContext& ctx,
+                            TxStatus kind);
+    /** Charge tend of a hardware or rollback-only attempt and return
+     *  the cause that kills it there (doom, commit-point hazard, lazy
+     *  lock or clock check), else publish a hybrid hardware commit to
+     *  the orecs and return AbortCause::none. */
+    AbortCause hardwareCommitPoint(Tx& tx, sim::ThreadContext& ctx);
+    /** Charge a software commit and validate it (stm.cc): the cause
+     *  that aborts it (lock held, epoch wrap, stale read orec), else
+     *  doom its hardware peers, bump its orecs, publish the clock and
+     *  return AbortCause::none, all before the commit tail writes the
+     *  first word back. */
+    AbortCause softwareCommitPoint(Tx& tx, sim::ThreadContext& ctx);
+    /** Undo an attempt of any kind without charging time: release its
+     *  tracking, free its allocations. The rollback tail's first half,
+     *  and all an exception leaving the attempt gets before it is
+     *  rethrown. */
     void discardAttempt(Tx& tx);
+    /** Release a hardware attempt's tracking resources: its directory
+     *  marks, core slot and speculation id (no-op for other kinds). */
+    void releaseTracking(Tx& tx);
     /** Clear @p tx's reader and writer marks from the directory. */
     void clearDirectoryMarks(const Tx& tx);
-    void recordAbort(Tx& tx, AbortCause cause);
+    /** The abort category an attempt of @p kind reports for @p cause. */
+    AbortCategory reportedCategory(AbortCause cause, TxStatus kind) const;
 
     /**
-     * Held by each attempt driver: if an exception (a body's
-     * logic_error, an observer's LivenessViolation) leaves the driver
-     * while the attempt's checkpoint is live, the attempt is discarded
-     * before the exception reaches the caller.
+     * Held by the attempt driver: if an exception (a body's
+     * logic_error, an observer's LivenessViolation, also one thrown
+     * from a conflict event during a software commit) leaves it while
+     * an attempt is in flight, the attempt is discarded before the
+     * exception reaches the caller.
      */
     class DiscardOnThrow
     {
@@ -581,10 +603,9 @@ class Runtime
 
         ~DiscardOnThrow()
         {
-            if (tx_.checkpointLive_) {
-                tx_.checkpointLive_ = false;
+            tx_.checkpointLive_ = false;
+            if (tx_.status_ != TxStatus::inactive)
                 runtime_.discardAttempt(tx_);
-            }
         }
 
         DiscardOnThrow(const DiscardOnThrow&) = delete;
@@ -594,19 +615,6 @@ class Runtime
         Runtime& runtime_;
         Tx& tx_;
     };
-
-    // --- Software slow path (hybrid backend; stm.cc) ------------------
-
-    /** One software attempt: begin, body, commit-time validation and
-     *  write-back. Returns AbortCause::none on success. */
-    AbortCause stmAttempt(Tx& tx, sim::ThreadContext& ctx,
-                          FunctionRef<void(Tx&)> body);
-
-    void stmBegin(Tx& tx, sim::ThreadContext& ctx);
-    /** Validate and publish, or return the cause that aborts the
-     *  commit (lock held, epoch wrap, stale read orec). */
-    AbortCause stmCommit(Tx& tx, sim::ThreadContext& ctx);
-    void stmRollback(Tx& tx, sim::ThreadContext& ctx, AbortCause cause);
 
     /** Spin until the global lock is free (lemming-effect avoidance,
      *  Figure 1 line 9) and no constrained transaction has priority. */
@@ -687,9 +695,8 @@ class Runtime
     bool lazySubscription_ = false;
     unsigned specIdPool_ = 0;
 
-    /** Resolved once: backend == hybrid and the software path is on.
-     *  Every hybrid hook on the shared hot paths gates on this, so
-     *  other backends (and hybrid with stmEnabled=false) execute the
+    /** Resolved once: backend == hybrid. Every hybrid hook on the
+     *  shared hot paths gates on this, so other backends execute the
      *  unmodified instruction stream. */
     bool stmEnabled_ = false;
     /** Resolved subscription mode (eager = clock-cell load at begin). */

@@ -1,14 +1,15 @@
 /**
  * @file
  * The hybrid backend's software slow path: TL2-style software
- * transactions (stm.hh) running through the same Tx context, trace
- * events and statistics as hardware attempts.
- *
- * Everything software-path-specific lives in this translation unit —
- * the begin/commit/rollback drivers on the Runtime and the
- * orec-checked access slow paths on the Tx — so the hardware hot
- * paths in tx.cc / runtime.cc carry nothing but a status dispatch and
- * the stmEnabled_-gated instrumentation hooks.
+ * transactions (stm.hh). A software attempt is the same transaction
+ * lifecycle as a hardware one with different instrumentation, so it
+ * runs through Runtime::attempt (runtime.cc) like every other kind,
+ * with its checkpoint, begin prolog, commit tail and rollback tail.
+ * This translation unit holds only what the software kind does
+ * differently: the orec-checked access slow paths on the Tx and the
+ * commit point's validation and publication on the Runtime. The
+ * hardware hot paths in tx.cc / runtime.cc carry nothing but a status
+ * dispatch and the stmEnabled_-gated instrumentation hooks.
  *
  * Protocol (TL2 with lazy versioning, adapted to virtual time):
  *
@@ -22,12 +23,13 @@
  *  - commit: one scheduling point charges the full commit cost, then
  *    an atomic region (no scheduling points) checks the fallback
  *    lock, revalidates every read orec against rv, takes a new write
- *    version wv from the clock, writes the buffer back — dooming
- *    conflicting hardware transactions through the conflict
- *    directory, per written address, exactly like a
- *    non-transactional store — bumps the written orecs to wv, and
- *    publishes wv to the clock cell hardware transactions subscribe
- *    to.
+ *    version wv from the clock, dooms the conflicting hardware
+ *    transactions of every buffered word through the conflict
+ *    directory, exactly like a non-transactional store, bumps the
+ *    written orecs to wv and publishes wv to the clock cell hardware
+ *    transactions subscribe to — and only then writes the buffer
+ *    back, so an exception thrown by an observer of those conflicts
+ *    leaves memory untouched.
  *
  * Because the commit region is atomic in virtual time, software
  * commits serialize at their commit events and the differential
@@ -39,7 +41,6 @@
 
 #include "stm.hh"
 
-#include <csetjmp>
 #include <cstring>
 
 #include "runtime.hh"
@@ -132,31 +133,11 @@ Tx::touchOrec(std::size_t index, std::uint8_t flag)
 }
 
 // --------------------------------------------------------------------
-// Runtime drivers
+// The software commit point
 // --------------------------------------------------------------------
 
-void
-Runtime::stmBegin(Tx& tx, sim::ThreadContext& ctx)
-{
-    tx.ctx_ = &ctx;
-    tx.resetAttemptState();
-    tx.attemptStart_ = ctx.now();
-
-    ctx.advance(config_.hybrid.stmBeginCost);
-    ctx.sync();
-
-    // No speculation id, no core-occupancy count, no directory
-    // presence: the software path uses none of the hardware tracking
-    // resources — that is its whole reason to exist.
-    tx.status_ = TxStatus::software;
-    tx.stmEpoch_ = stm_.epoch();
-    tx.stmRv_ = stm_.clock();
-    emitEvent(TxEventKind::begin, tx.tid_, tx.site_, ctx.now(),
-              tx.attemptStart_);
-}
-
 AbortCause
-Runtime::stmCommit(Tx& tx, sim::ThreadContext& ctx)
+Runtime::softwareCommitPoint(Tx& tx, sim::ThreadContext& ctx)
 {
     const HybridRuntimeConfig& hybrid = config_.hybrid;
 
@@ -169,11 +150,10 @@ Runtime::stmCommit(Tx& tx, sim::ThreadContext& ctx)
                     Cycles(tx.writeLog_.size()));
     ctx.sync();
 
-    // Commit point: no scheduling points below, so lock check,
-    // validation, write-back and publication are atomic in virtual
-    // time — the commit event *is* the serialization point the
-    // differential oracle replays by. The aborts decided here are
-    // returned: the body has finished.
+    // Commit point: no scheduling points from here to the commit
+    // event, so lock check, validation, publication and write-back are
+    // atomic in virtual time — the commit event *is* the serialization
+    // point the differential oracle replays by.
     if (*lockWord_ != 0) {
         // An irrevocable section owns memory outright; committing
         // around it would interleave with its direct stores. Aborting
@@ -190,10 +170,13 @@ Runtime::stmCommit(Tx& tx, sim::ThreadContext& ctx)
             return AbortCause::stmConflict;
     }
 
+    // Publication, all of it before the commit tail writes the first
+    // word back: an exception thrown from a conflict event here leaves
+    // memory untouched, and the driver discards the attempt.
     const Cycles now = ctx.now();
     const std::uint64_t wv = stm_.advanceClock();
     // simcheck self-test fault (CheckFault::missStmSubscription): the
-    // write-back "forgets" to doom hardware subscribers — neither the
+    // commit "forgets" to doom hardware subscribers — neither the
     // per-address evictions nor the clock-cell publication happen, so
     // a concurrent hardware reader commits a stale snapshot. The orec
     // bumps are kept: software-vs-software stays correct, the bug is
@@ -201,9 +184,8 @@ Runtime::stmCommit(Tx& tx, sim::ThreadContext& ctx)
     const bool publish =
         config_.checkFault != CheckFault::missStmSubscription;
     for (const std::uintptr_t addr : tx.writeLog_) {
-        const Tx::WriteEntry* entry = tx.writeBuffer_.find(addr);
         if (publish) {
-            // Strong isolation towards the hardware: every written
+            // Strong isolation towards the hardware: every buffered
             // word evicts conflicting hardware readers and writers
             // through the directory, exactly like a non-transactional
             // store (this call also stamps the orec via the hybrid
@@ -211,8 +193,6 @@ Runtime::stmCommit(Tx& tx, sim::ThreadContext& ctx)
             // this commit's wv).
             nonTxConflict(tx.tid_, addr, true, now);
         }
-        std::memcpy(reinterpret_cast<void*>(addr), &entry->value,
-                    entry->size);
         stm_.bumpOrec(stm_.indexOfAddr(addr), wv);
     }
     if (publish) {
@@ -223,64 +203,7 @@ Runtime::stmCommit(Tx& tx, sim::ThreadContext& ctx)
                       true, now);
         stm_.publishClock(wv);
     }
-    for (const auto& record : tx.deferredFrees_) {
-        stm_.onFree(record.ptr, record.bytes);
-        sim::regionFree(record.ptr, record.bytes);
-    }
-
-    if (config_.collectTrace)
-        trace_.record(tx.loadLines_, tx.storeLines_);
-
-    TxStats& stats = stats_[tx.tid_];
-    ++stats.stmCommits;
-    stats.committedStmCycles += now - tx.attemptStart_;
-    tx.status_ = TxStatus::inactive;
-    emitEvent(TxEventKind::commit, tx.tid_, tx.site_, now,
-              tx.attemptStart_);
     return AbortCause::none;
-}
-
-void
-Runtime::stmRollback(Tx& tx, sim::ThreadContext& ctx, AbortCause cause)
-{
-    // Nothing was written and nothing marked in the directory: discard
-    // the speculative allocations and the buffers die with the next
-    // resetAttemptState.
-    discardAttempt(tx);
-    ctx.advance(config_.hybrid.stmAbortCost);
-    ctx.sync();
-
-    TxStats& stats = stats_[tx.tid_];
-    stats.wastedStmCycles += ctx.now() - tx.attemptStart_;
-    // The software path knows its own abort causes exactly — no
-    // reported-category laundering through hardware reason codes.
-    ++stats.trueCauseAborts[std::size_t(cause)];
-    ++stats.reportedAborts[std::size_t(categorize(cause))];
-    emitEvent(TxEventKind::abort, tx.tid_, tx.site_, ctx.now(),
-              tx.attemptStart_, cause);
-}
-
-AbortCause
-Runtime::stmAttempt(Tx& tx, sim::ThreadContext& ctx,
-                    FunctionRef<void(Tx&)> body)
-{
-    // The checkpoint protocol of Runtime::attempt(): the body's aborts
-    // restore it, commit returns its own, an exception discards it.
-    const DiscardOnThrow discard(*this, tx);
-    if (setjmp(tx.checkpoint_) == 0) {
-        tx.checkpointLive_ = true;
-        stmBegin(tx, ctx);
-        body(tx);
-        tx.checkpointLive_ = false;
-        tx.raised_ = stmCommit(tx, ctx);
-        if (tx.raised_ == AbortCause::none)
-            return AbortCause::none;
-    }
-    const AbortCause cause = tx.raised_ == AbortCause::none
-                                 ? AbortCause::stmConflict
-                                 : tx.raised_;
-    stmRollback(tx, ctx, cause);
-    return cause;
 }
 
 } // namespace htmsim::htm

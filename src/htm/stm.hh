@@ -21,10 +21,8 @@
  *    directory) or lazily (snapshot at begin, compare at commit).
  *
  * The engine is embedded by value in the Runtime, which resets it (and
- * so allocates the orec table and the clock cell) only when the
- * software path is live. With RuntimeConfig::hybrid.stmEnabled=false
- * every hook is gated off and a hybrid run is byte-identical to
- * backend=htm (the A/B test in tests/test_hybrid.cc). Orec versions
+ * so allocates the orec table and the clock cell) only for the hybrid
+ * backend; every other backend gates every hook off. Orec versions
  * are bookkeeping, not timing: bumping one never advances a virtual
  * clock or draws randomness.
  */
@@ -54,17 +52,12 @@ struct HybridRuntimeConfig
         eager,
         /** Snapshot at begin, compare at the commit point: hardware
          *  transactions overlapping a software commit abort only at
-         *  their end. Per-address dooming during software write-back
+         *  their end. Per-address dooming by a software commit
          *  carries correctness either way; the mode moves cost. */
         lazy,
     };
 
     Subscription subscription = Subscription::eager;
-
-    /** Master switch for the software slow path. false = the hybrid
-     *  backend degenerates to exactly backend=htm, byte for byte (the
-     *  A/B bit-identity baseline). */
-    bool stmEnabled = true;
 
     /** Skip hardware attempts entirely: every section goes straight
      *  to the software path. Isolates the STM instrumentation cost
@@ -111,8 +104,8 @@ struct HybridRuntimeConfig
 
 /**
  * The orec table + version clock + clock cell. Owned by value by the
- * Runtime; reset() is called at construction only when the software
- * path is enabled, so pure-HTM runs never pay the table allocation.
+ * Runtime; reset() is called at construction only for the hybrid
+ * backend, so other runs never pay the table allocation.
  */
 class StmEngine
 {

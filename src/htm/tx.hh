@@ -34,11 +34,15 @@ namespace htmsim::htm
 class IrrevocableScope;
 class Runtime;
 
-/** Lifecycle state of a transaction context. */
+/**
+ * Lifecycle state of a transaction context. Three states also name the
+ * kind of attempt Runtime::attempt drives: active (a hardware attempt,
+ * constrained and ideal ones included), software and rollbackOnly.
+ */
 enum class TxStatus : std::uint8_t
 {
     inactive,
-    active,
+    active,       ///< hardware attempt
     doomed,       ///< aborted by a peer; aborts at the next tx event
     irrevocable,  ///< running under the global lock
     rollbackOnly, ///< POWER8 ROT: buffering without conflict detection
@@ -54,11 +58,11 @@ enum class TxStatus : std::uint8_t
  * honor. A buffered word re-accessed with another width throws
  * std::logic_error.
  *
- * Aborts restore a checkpoint, as the hardware does: the attempt
- * driver takes one before begin, and an abort raised inside the body
- * jumps back to it, abandoning the body's frames without running
- * their destructors (STAMP's TL2 TM_BEGIN is a sigsetjmp for the same
- * reason). A body must therefore be restartable: it may hold no owning
+ * Aborts restore a checkpoint, as the hardware does: the one attempt
+ * driver (Runtime::attempt) takes one before begin for every kind of
+ * attempt, and an abort raised inside the body jumps back to it,
+ * abandoning the body's frames without running their destructors
+ * (STAMP's TL2 TM_BEGIN is a sigsetjmp for the same reason). A body must therefore be restartable: it may hold no owning
  * object (a container, a string, an RAII guard) across a Tx access or
  * allocation. Keep such state in per-thread scratch owned outside the
  * body and clear it at body start.
@@ -244,7 +248,7 @@ class Tx
     TxStatus status_ = TxStatus::inactive;
     AbortCause doomCause_ = AbortCause::none;
     /// The running attempt's begin checkpoint, live from the driver's
-    /// setjmp until it commits or aborts. After selfAbort() jumps
+    /// setjmp until the body ends or aborts. After selfAbort() jumps
     /// back, the driver reads the cause from raised_: a local set
     /// between setjmp and longjmp would be indeterminate.
     std::jmp_buf checkpoint_;

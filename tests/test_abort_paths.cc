@@ -2,12 +2,13 @@
  * @file
  * Tests for how attempts end: aborts decided at begin or commit are
  * returned as values and keep their attribution; aborts raised inside
- * an attempt restore the begin checkpoint of each of the three attempt
- * drivers, free the attempt's allocations and leave the Tx reusable,
- * while programming errors still propagate as exceptions, after the
- * attempt is discarded; and directory cleanup walks the per-Tx
- * first-touch log, prefetched neighbours included, on both lookup
- * paths of the directory.
+ * an attempt restore its begin checkpoint for every kind of attempt
+ * (hardware, software, rollback-only), free the attempt's allocations
+ * and leave the Tx reusable, while programming errors and observers'
+ * exceptions still propagate, after the attempt is discarded and
+ * before a software commit writes a word; and directory cleanup walks
+ * the per-Tx first-touch log, prefetched neighbours included, on both
+ * lookup paths of the directory.
  */
 
 #include <gtest/gtest.h>
@@ -208,8 +209,8 @@ TEST(ReturnedAborts, BgqLongRunningCommitUnderLockIsALockConflict)
 // Aborts restore the attempt's begin checkpoint
 // ------------------------------------------------------------------
 
-/** The three attempt drivers: Runtime::attempt, Runtime::stmAttempt
- *  and Runtime::runRollbackOnly. */
+/** The three kinds of attempt Runtime::attempt drives: hardware,
+ *  software and rollback-only. */
 enum class Driver
 {
     hardware,
@@ -599,6 +600,87 @@ TEST(AbortCheckpoint, EscapingExceptionsReleaseTheSpeculationId)
     scheduler.run();
     EXPECT_EQ(word, 3u);
     EXPECT_EQ(runtime.stats().specIdReclaims, 1u);
+}
+
+/** Throws a liveness verdict from its first conflict event. */
+class ThrowAtFirstConflict final : public TxObserver
+{
+  public:
+    void onEvent(const TxEvent&) override {}
+
+    void
+    onConflict(const TxConflictEvent&) override
+    {
+        if (!fired_) {
+            fired_ = true;
+            throw check::LivenessViolation("watchdog verdict");
+        }
+    }
+
+  private:
+    bool fired_ = false;
+};
+
+TEST(AbortCheckpoint, ObserverThrowDuringSoftwareCommitLeavesMemoryUntouched)
+{
+    // t0's software section stores a, then b, while t1's hardware
+    // attempt has read b: t0's commit dooms t1, and that conflict
+    // event throws. A software commit dooms the hardware peers of
+    // every buffered word before it writes the first one, so neither
+    // store lands, and the driver discards the attempt on the
+    // exception's way out.
+    RuntimeConfig config = quietConfig(MachineConfig::intelCore());
+    config.backend = BackendKind::hybrid;
+    config.hybrid.stmOnly = true;
+    ThrowAtFirstConflict observer;
+    config.observer = &observer;
+    sim::Scheduler scheduler;
+    Runtime runtime(config, 2);
+    alignas(256) std::uint64_t a = 1;
+    alignas(256) std::uint64_t b = 2;
+    bool b_read = false;
+    bool threw = false;
+    std::uint64_t a_after = 0;
+    std::uint64_t b_after = 0;
+    TxStatus status = TxStatus::active;
+    AbortCause reader = AbortCause::none;
+    scheduler.spawn([&](sim::ThreadContext& ctx) {
+        ctx.spinUntil([&] { return b_read; }, 10);
+        try {
+            runtime.atomic(ctx, [&](Tx& tx) {
+                tx.store(&a, std::uint64_t(10));
+                tx.store(&b, std::uint64_t(20));
+            });
+        } catch (const check::LivenessViolation&) {
+            threw = true;
+        }
+        a_after = a;
+        b_after = b;
+        status = runtime.txOf(0).status();
+        runtime.atomic(ctx, [&](Tx& tx) {
+            tx.store(&a, tx.load(&a) + 4);
+        });
+    });
+    scheduler.spawn([&](sim::ThreadContext& ctx) {
+        reader = runtime.tryOnce(ctx, [&](Tx& tx) {
+            (void)tx.load(&b);
+            b_read = true;
+            tx.work(5000);
+        });
+    });
+    scheduler.run();
+
+    EXPECT_TRUE(threw);
+    EXPECT_EQ(a_after, 1u);
+    EXPECT_EQ(b_after, 2u);
+    EXPECT_EQ(status, TxStatus::inactive);
+    EXPECT_EQ(a, 5u) << "the next section commits";
+    EXPECT_EQ(b, 2u);
+    EXPECT_EQ(reader, AbortCause::dataConflict);
+    const TxStats stats = runtime.stats();
+    EXPECT_EQ(stats.stmCommits, 1u);
+    EXPECT_EQ(stats.htmCommits, 0u);
+    EXPECT_EQ(runtime.trackedConflictLines(), 0u);
 }
 
 TEST(AbortCheckpoint, ConstrainedModeEndsWithAThrowingSection)

@@ -3,23 +3,16 @@
  * Hybrid backend tests (src/htm/stm.hh, the software tier of
  * Runtime::runSection).
  *
- * Three properties carry the layer:
+ * Two properties carry the layer:
  *
- *  1. Zero perturbation when off. The StmEngine is value-embedded in
- *     every Runtime and the hybrid instrumentation is compiled into
- *     the shared HTM hot path, so "backend=hybrid with the software
- *     path disabled" vs "backend=htm" must be bit-identical over the
- *     full benchmark x machine grid — same A/B discipline as
- *     test_hazard.cc.
- *
- *  2. The software path is real and exact. Whatever mix of hardware,
+ *  1. The software path is real and exact. Whatever mix of hardware,
  *     software and irrevocable commits a configuration produces, a
  *     contended counter must end at exactly threads * iters — under
  *     eager and lazy subscription, stm-only mode, version-clock
  *     wraparound, hash-collision false conflicts, and global-lock
  *     interplay when the software attempt budget runs dry.
  *
- *  3. Orec-table edge cases behave as modeled: wraparound advances
+ *  2. Orec-table edge cases behave as modeled: wraparound advances
  *     the epoch instead of corrupting validation, a degenerate
  *     one-entry table turns disjoint accesses into (correct) false
  *     conflicts, and software commits doom overlapping hardware
@@ -28,80 +21,20 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
-#include "bench/suite.hh"
 #include "htm/machine.hh"
 #include "htm/runtime.hh"
 #include "htm/stm.hh"
 #include "htm/tx.hh"
-#include "run_metrics.hh"
 #include "sim/scheduler.hh"
 
 namespace
 {
 
 using namespace htmsim;
-using test::RunMetrics;
 using Subscription = htm::HybridRuntimeConfig::Subscription;
-
-// ---- zero perturbation when off ---------------------------------------
-
-/// Run every (benchmark, machine) cell once with the given
-/// configuration mutation.
-std::vector<RunMetrics>
-runGrid(const std::function<void(htm::RuntimeConfig&)>& mutate)
-{
-    const bench::SuiteRunner runner(false);
-    std::vector<RunMetrics> grid;
-    for (const htm::MachineConfig& machine : htm::MachineConfig::all()) {
-        for (const std::string& bench : bench::suiteNames()) {
-            htm::RuntimeConfig config{machine};
-            mutate(config);
-            grid.push_back(RunMetrics::of(
-                runner.run(bench, config, machine, 4, true, 1)));
-        }
-    }
-    return grid;
-}
-
-TEST(HybridPerturbation, StmDisabledIsBitIdenticalToHtmFullGrid)
-{
-    const std::size_t cells = htm::MachineConfig::all().size() *
-                              bench::suiteNames().size();
-    ASSERT_GT(cells, 0u);
-
-    const std::vector<RunMetrics> htm_grid =
-        runGrid([](htm::RuntimeConfig& config) {
-            config.backend = htm::BackendKind::htm;
-        });
-    const std::vector<RunMetrics> hybrid_grid =
-        runGrid([](htm::RuntimeConfig& config) {
-            config.backend = htm::BackendKind::hybrid;
-            config.hybrid.stmEnabled = false;
-        });
-    ASSERT_EQ(htm_grid.size(), cells);
-    ASSERT_EQ(hybrid_grid.size(), cells);
-
-    std::size_t cell = 0;
-    std::uint64_t total_aborts = 0;
-    for (const htm::MachineConfig& machine :
-         htm::MachineConfig::all()) {
-        for (const std::string& bench : bench::suiteNames()) {
-            SCOPED_TRACE(bench + " on " + machine.name);
-            EXPECT_EQ(htm_grid[cell], hybrid_grid[cell]);
-            total_aborts += htm_grid[cell].aborts;
-            ++cell;
-        }
-    }
-    // The grid must actually exercise contention, or bit-identity
-    // would be vacuous.
-    EXPECT_GT(total_aborts, 0u);
-}
 
 // ---- the software path is real and exact ------------------------------
 

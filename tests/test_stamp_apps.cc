@@ -2,11 +2,15 @@
  * @file
  * Integration tests for the STAMP ports: every app must verify under
  * the sequential baseline and under transactional execution on all
- * four machines, and the harness speed-up plumbing must behave.
+ * four machines and under every backend, and the harness speed-up
+ * plumbing must behave.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "bench/suite.hh"
 #include "stamp/genome/genome.hh"
 #include "stamp/bayes/bayes.hh"
 #include "stamp/harness.hh"
@@ -226,6 +230,57 @@ INSTANTIATE_TEST_SUITE_P(
           case 2: return "IntelCore";
           default: return "POWER8";
         }
+    });
+
+/** One backend configuration of the grid below. */
+struct BackendCase
+{
+    const char* name;
+    htm::BackendKind backend;
+    bool stmOnly;
+};
+
+class GridProperty : public ::testing::TestWithParam<BackendCase>
+{
+};
+
+TEST_P(GridProperty, EveryBackendPassesVerify)
+{
+    // Every app on every machine at 4 threads, under the machine's
+    // first tuning candidate: the sequential baseline and the
+    // transactional run both verify, whichever backend runs the
+    // sections, and an STM-only hybrid commits no section in hardware.
+    const BackendCase& backend = GetParam();
+    const bench::SuiteRunner runner(false);
+    for (const htm::MachineConfig& machine : htm::MachineConfig::all()) {
+        htm::RuntimeConfig config =
+            bench::SuiteRunner::tuningCandidates(machine).front();
+        config.backend = backend.backend;
+        config.hybrid.stmOnly = backend.stmOnly;
+        for (const std::string& bench : bench::suiteNames()) {
+            SCOPED_TRACE(bench + " on " + machine.name);
+            const Speedup run =
+                runner.run(bench, config, machine, 4, true, 1);
+            EXPECT_TRUE(run.seq.valid);
+            EXPECT_TRUE(run.tm.valid);
+            if (backend.stmOnly) {
+                EXPECT_EQ(run.tm.stats.htmCommits, 0u);
+                EXPECT_GT(run.tm.stats.stmCommits, 0u);
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, GridProperty,
+    ::testing::Values(
+        BackendCase{"htm", htm::BackendKind::htm, false},
+        BackendCase{"lock", htm::BackendKind::globalLock, false},
+        BackendCase{"ideal", htm::BackendKind::idealHtm, false},
+        BackendCase{"hybrid", htm::BackendKind::hybrid, false},
+        BackendCase{"hybridStmOnly", htm::BackendKind::hybrid, true}),
+    [](const ::testing::TestParamInfo<BackendCase>& info) {
+        return std::string(info.param.name);
     });
 
 TEST(Harness, SpeedupPositiveAndDeterministic)
