@@ -126,7 +126,8 @@ class RetryPolicy
  * The paper's Figure 1 mechanism: three independent retry budgets,
  * selected by inspecting the lock and the persistence hint of each
  * abort. Section 3 argues lock conflicts deserve their own counter;
- * bench_ablation_retry quantifies that against a single shared one.
+ * bench_figures' retry-counter ablation quantifies that against a
+ * single shared one.
  * HardenedRetryPolicy bounds it further.
  */
 class Fig1ThreeCounterPolicy : public RetryPolicy

@@ -562,9 +562,8 @@ void
 Runtime::backoff(sim::ThreadContext& ctx, unsigned consecutive_aborts,
                  bool deterministic_jitter)
 {
-    const unsigned shift =
-        std::min(consecutive_aborts, config_.maxBackoffShift);
-    const Cycles base = config_.backoffBase << shift;
+    const unsigned shift = std::min(consecutive_aborts, maxBackoffShift);
+    const Cycles base = backoffBase << shift;
     Cycles jitter;
     if (deterministic_jitter) {
         // Hardened policy: jitter is a pure hash of (tid, consecutive

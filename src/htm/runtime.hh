@@ -155,14 +155,6 @@ struct RuntimeConfig
      */
     TxObserver* observer = nullptr;
 
-    /** Base cycles of randomized backoff after an abort. The paper's
-     *  Figure 1 retries immediately; a small randomized delay only
-     *  de-synchronizes the deterministic lock-step of the simulation
-     *  and must stay well below a transaction's length. */
-    Cycles backoffBase = 15;
-    /** Cap for the exponential backoff shift. */
-    unsigned maxBackoffShift = 4;
-
     /**
      * Epoch-batched scheduling fast path (DESIGN.md Section 5). On by
      * default; simulated results are bit-identical either way. The
@@ -513,6 +505,14 @@ class Runtime
 
     /** Cycles charged per probe when spinning on the global lock. */
     static constexpr Cycles lockPollCost = 30;
+
+    /** Base cycles of randomized backoff after an abort. The paper's
+     *  Figure 1 retries immediately; a small randomized delay only
+     *  de-synchronizes the deterministic lock-step of the simulation
+     *  and must stay well below a transaction's length. */
+    static constexpr Cycles backoffBase = 15;
+    /** Cap for the exponential backoff shift. */
+    static constexpr unsigned maxBackoffShift = 4;
 
     /** Constrained-tx aborts before the hardware escalates. */
     static constexpr unsigned escalationThreshold = 4;

@@ -240,18 +240,6 @@ Scheduler::totalThreadTime() const
     return result;
 }
 
-bool
-Scheduler::othersPending(unsigned tid) const
-{
-    for (const auto& thread : threads_) {
-        if (thread->context.id() != tid &&
-            thread->state != State::finished) {
-            return true;
-        }
-    }
-    return false;
-}
-
 unsigned
 Scheduler::pickNext(Cycles* min_other) const
 {

@@ -254,8 +254,6 @@ class Scheduler
         epochCycles_ = max_epoch_cycles;
     }
 
-    bool batchingEnabled() const { return batching_; }
-
     /** Default per-dispatch lease bound (virtual cycles). */
     static constexpr Cycles defaultEpochCycles = Cycles(1) << 20;
 
@@ -266,12 +264,6 @@ class Scheduler
     {
         stackBytes_ = std::min(bytes, StackPool::maxStackBytes);
     }
-
-    /**
-     * True if any thread other than @p tid could still run or wake up.
-     * Used by spin loops to detect true deadlock early.
-     */
-    bool othersPending(unsigned tid) const;
 
   private:
     friend class ThreadContext;

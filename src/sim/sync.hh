@@ -56,50 +56,6 @@ class Barrier
     std::vector<unsigned> waiters_;
 };
 
-/**
- * Test-and-set spin lock in virtual time. Used for lock-based baselines
- * and as the HTM global-lock fallback substrate.
- */
-class SpinLock
-{
-  public:
-    /** Cycles charged per lock probe while spinning. */
-    static constexpr Cycles pollCost = 30;
-    /** Cycles charged by a successful acquire or a release. */
-    static constexpr Cycles accessCost = 20;
-
-    /** Spin until the lock is free, then take it. */
-    void
-    acquire(ThreadContext& ctx)
-    {
-        ctx.sync();
-        if (locked_)
-            ctx.spinUntil([this] { return !locked_; }, pollCost);
-        locked_ = true;
-        holder_ = int(ctx.id());
-        ctx.advance(accessCost);
-    }
-
-    /** Release; must be held by the calling thread. */
-    void
-    release(ThreadContext& ctx)
-    {
-        assert(locked_ && holder_ == int(ctx.id()));
-        ctx.advance(accessCost);
-        holder_ = -1;
-        locked_ = false;
-    }
-
-    bool held() const { return locked_; }
-
-    /** Id of the holding thread, or -1. */
-    int holder() const { return holder_; }
-
-  private:
-    bool locked_ = false;
-    int holder_ = -1;
-};
-
 } // namespace htmsim::sim
 
 #endif // HTMSIM_SIM_SYNC_HH

@@ -31,8 +31,6 @@ class TmExec
     {
     }
 
-    static constexpr bool isSequential = false;
-
     /** Execute @p body atomically (HTM with retries + fallback). */
     template <typename F>
     void
@@ -106,8 +104,6 @@ class HleExec
     {
     }
 
-    static constexpr bool isSequential = false;
-
     template <typename F>
     void
     atomic(F&& body)
@@ -168,8 +164,6 @@ class SeqExec
         : ctx_(&ctx), seq_(ctx, machine)
     {
     }
-
-    static constexpr bool isSequential = true;
 
     template <typename F>
     void

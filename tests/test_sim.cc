@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the simulation substrate: fibers, scheduler ordering,
- * virtual time, barriers, spin locks, determinism, and the stack
- * pool's warm slots.
+ * virtual time, barriers, determinism, and the stack pool's warm
+ * slots.
  */
 
 #include <gtest/gtest.h>
@@ -320,46 +320,6 @@ TEST(Barrier, Reusable)
     }
     scheduler.run();
     EXPECT_EQ(phase_sum, 10);
-}
-
-TEST(SpinLock, MutualExclusionAndTime)
-{
-    Scheduler scheduler;
-    SpinLock lock;
-    int counter = 0;
-    for (unsigned t = 0; t < 4; ++t) {
-        scheduler.spawn([&](ThreadContext& ctx) {
-            for (int i = 0; i < 100; ++i) {
-                lock.acquire(ctx);
-                EXPECT_EQ(lock.holder(), int(ctx.id()));
-                const int read = counter;
-                ctx.step(25); // critical-section work
-                counter = read + 1;
-                lock.release(ctx);
-            }
-        });
-    }
-    scheduler.run();
-    EXPECT_EQ(counter, 400);
-    // 400 serialized critical sections of >= 25 cycles each.
-    EXPECT_GE(scheduler.makespan(), 400u * 25u);
-}
-
-TEST(SpinLock, SerializesInVirtualTime)
-{
-    // Two threads each hold the lock for 1000 cycles; the makespan
-    // must be at least 2000 even though each thread only does 1000.
-    Scheduler scheduler;
-    SpinLock lock;
-    for (unsigned t = 0; t < 2; ++t) {
-        scheduler.spawn([&](ThreadContext& ctx) {
-            lock.acquire(ctx);
-            ctx.step(1000);
-            lock.release(ctx);
-        });
-    }
-    scheduler.run();
-    EXPECT_GE(scheduler.makespan(), 2000u);
 }
 
 TEST(RunThreads, HelperReturnsMakespan)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "bench/suite.hh"
@@ -239,6 +240,15 @@ struct BackendCase
     htm::BackendKind backend;
     bool stmOnly;
 };
+
+/** Print a case as its name. Without this, gtest prints the struct's
+ *  raw bytes, whose `name` pointer moves with every load of the
+ *  binary, so the listed test names differ from build to build. */
+void
+PrintTo(const BackendCase& backend, std::ostream* os)
+{
+    *os << backend.name;
+}
 
 class GridProperty : public ::testing::TestWithParam<BackendCase>
 {
