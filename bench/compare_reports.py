@@ -4,9 +4,9 @@
 Usage: python3 bench/compare_reports.py OLD.json NEW.json
 
 Both files must be htmsim reports written by the same tool (their
-envelopes' "tool" must match): any two BENCH_perf, BENCH_backends,
-BENCH_hybrid, BENCH_server or BENCH_sync files, for instance. Every
-number is compared as its JSON text, so equal means byte-identical.
+envelopes' "tool" must match): any two BENCH_perf, BENCH_figures,
+BENCH_server or BENCH_sync files, for instance. Every number is
+compared as its JSON text, so equal means byte-identical.
 Host-time fields (wall-clock nanoseconds, rates per host second,
 bench_perf's layers block) and the provenance envelope may differ;
 every other value must be present in both reports with the same text.

@@ -180,8 +180,7 @@ class BgqAdaptivePolicy final : public RetryPolicy
     /** Score above which adaptation suppresses all retries. */
     static constexpr double adaptationThreshold = 2.5;
 
-    BgqAdaptivePolicy(int max_retries, bool adaptation)
-        : maxRetries_(max_retries), adaptation_(adaptation)
+    explicit BgqAdaptivePolicy(int max_retries) : maxRetries_(max_retries)
     {
         beginSection();
     }
@@ -189,9 +188,7 @@ class BgqAdaptivePolicy final : public RetryPolicy
     void
     beginSection() override
     {
-        retries_ = maxRetries_;
-        if (adaptation_ && score_ > adaptationThreshold)
-            retries_ = 0;
+        retries_ = score_ > adaptationThreshold ? 0 : maxRetries_;
     }
 
     bool
@@ -214,7 +211,6 @@ class BgqAdaptivePolicy final : public RetryPolicy
 
   private:
     int maxRetries_;
-    bool adaptation_;
     int retries_ = 0;
     double score_ = 0.0;
 };

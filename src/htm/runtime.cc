@@ -344,7 +344,8 @@ Runtime::attempt(Tx& tx, sim::ThreadContext& ctx,
         tx.status_ == TxStatus::doomed ? tx.doomCause_ : tx.raised_;
     assert(cause != AbortCause::none);
     discardAttempt(tx);
-    ctx.advance(software ? config_.hybrid.stmAbortCost : txAbortCost_);
+    ctx.advance(software ? HybridRuntimeConfig::stmAbortCost
+                         : txAbortCost_);
     ctx.sync();
     (software ? stats.wastedStmCycles : stats.wastedTxCycles) +=
         ctx.now() - tx.attemptStart_;
@@ -372,8 +373,9 @@ Runtime::beginAttempt(Tx& tx, sim::ThreadContext& ctx, TxStatus kind)
         acquireSpecId(tx, ctx);
     }
 
-    ctx.advance(kind == TxStatus::software ? config_.hybrid.stmBeginCost
-                                           : txBeginCost_);
+    ctx.advance(kind == TxStatus::software
+                    ? HybridRuntimeConfig::stmBeginCost
+                    : txBeginCost_);
     ctx.sync();
 
     tx.status_ = kind;
@@ -429,8 +431,8 @@ Runtime::hardwareCommitPoint(Tx& tx, sim::ThreadContext& ctx)
         // of every written line so concurrent software validation
         // observes it — the overhead the hybrid-TM bounds literature
         // proves some part of the fast path must pay.
-        end_cost += config_.hybrid.htmInstrumentationCost +
-                    config_.hybrid.htmOrecPublishCost *
+        end_cost += HybridRuntimeConfig::htmInstrumentationCost +
+                    HybridRuntimeConfig::htmOrecPublishCost *
                         Cycles(tx.storeLines_);
     }
     ctx.advance(end_cost);

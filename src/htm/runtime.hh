@@ -95,8 +95,6 @@ struct BgqRuntimeConfig
     BgqMode mode = BgqMode::shortRunning;
     /** The system software's single retry counter (env variable). */
     int maxRetries = 10;
-    /** Adaptation: stop retrying after frequent fallback. */
-    bool adaptation = true;
 };
 
 /** Intel Core-specific runtime knobs. */
@@ -481,7 +479,6 @@ class Runtime
      * global virtual-time order (see observer.hh).
      */
     void setObserver(TxObserver* observer) { observer_ = observer; }
-    TxObserver* observer() const { return observer_; }
 
     /** The transaction context of a thread (tests / TLS runtime). */
     Tx& txOf(unsigned tid) { return *txs_[tid]; }

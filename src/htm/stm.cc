@@ -76,7 +76,7 @@ Tx::stmLoadWord(const void* addr, std::size_t size)
     // Software loads bypass the transactional tracking hardware: they
     // pay the plain access cost plus the orec hash/check/log overhead.
     ctx_->advance(machine.nonTxLoadCost +
-                  runtime_->config_.hybrid.stmAccessOverhead);
+                  HybridRuntimeConfig::stmAccessOverhead);
     ctx_->sync();
 
     // No scheduling points from here to the return: the version check
@@ -111,7 +111,7 @@ Tx::stmStoreWord(void* addr, std::size_t size, std::uint64_t value)
     runtime_->stats_[tid_].txStores++;
 
     ctx_->advance(machine.nonTxStoreCost +
-                  runtime_->config_.hybrid.stmAccessOverhead);
+                  HybridRuntimeConfig::stmAccessOverhead);
     ctx_->sync();
 
     StmEngine& stm = runtime_->stm_;
@@ -139,13 +139,12 @@ Tx::touchOrec(std::size_t index, std::uint8_t flag)
 AbortCause
 Runtime::softwareCommitPoint(Tx& tx, sim::ThreadContext& ctx)
 {
-    const HybridRuntimeConfig& hybrid = config_.hybrid;
-
     // Charge the whole commit once, before the atomic region: base fee
     // plus revalidation per tracked orec plus write-back per buffered
     // word.
-    ctx.advance(hybrid.stmCommitBase +
-                hybrid.stmValidateCost * Cycles(tx.stmOrecs_.size()) +
+    ctx.advance(HybridRuntimeConfig::stmCommitBase +
+                HybridRuntimeConfig::stmValidateCost *
+                    Cycles(tx.stmOrecs_.size()) +
                 config_.machine.nonTxStoreCost *
                     Cycles(tx.writeLog_.size()));
     ctx.sync();

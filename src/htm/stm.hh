@@ -86,20 +86,20 @@ struct HybridRuntimeConfig
     //    any hybrid must pay somewhere.
 
     /** Begin: read the clock, snapshot the read version. */
-    Cycles stmBeginCost = 12;
+    static constexpr Cycles stmBeginCost = 12;
     /** Per access: orec hash + version check + logging, on top of the
      *  machine's non-transactional access cost. */
-    Cycles stmAccessOverhead = 14;
+    static constexpr Cycles stmAccessOverhead = 14;
     /** Commit: base fee (clock CAS + fencing). */
-    Cycles stmCommitBase = 40;
+    static constexpr Cycles stmCommitBase = 40;
     /** Commit: per tracked orec revalidation. */
-    Cycles stmValidateCost = 4;
+    static constexpr Cycles stmValidateCost = 4;
     /** Abort: discard buffers, reset logs. */
-    Cycles stmAbortCost = 30;
+    static constexpr Cycles stmAbortCost = 30;
     /** Hardware commit in hybrid mode: advance the global clock. */
-    Cycles htmInstrumentationCost = 8;
+    static constexpr Cycles htmInstrumentationCost = 8;
     /** Hardware commit in hybrid mode: per written line orec bump. */
-    Cycles htmOrecPublishCost = 2;
+    static constexpr Cycles htmOrecPublishCost = 2;
 };
 
 /**

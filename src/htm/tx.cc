@@ -410,7 +410,7 @@ Tx::allocBytes(std::size_t bytes)
         for (std::uintptr_t offset = 0; offset < bytes;
              offset += machine.capacityLineBytes) {
             ctx_->advance(machine.nonTxStoreCost +
-                          runtime_->config_.hybrid.stmAccessOverhead);
+                          HybridRuntimeConfig::stmAccessOverhead);
             runtime_->nonTxConflict(tid_, base + offset, true,
                                     ctx_->now());
         }

@@ -17,6 +17,9 @@ namespace htmsim::server
 namespace
 {
 
+/** Per-client fiber stack bytes (server ops are shallow). */
+constexpr std::size_t clientStackBytes = 64 * 1024;
+
 /** One static txprof site per operation kind, so cycle attribution
  *  can explain which op class owns the tail. */
 htm::TxSiteId
@@ -77,7 +80,7 @@ runServer(const ServerConfig& config)
 
     sim::Scheduler scheduler(config.seed);
     scheduler.setBatching(config.runtime.batchEpoch);
-    scheduler.setStackBytes(config.stackBytes);
+    scheduler.setStackBytes(clientStackBytes);
     htm::Runtime runtime(config.runtime, config.clients);
     if (config.observer != nullptr)
         runtime.setObserver(config.observer);

@@ -72,8 +72,6 @@ struct ServerConfig
     TrafficConfig traffic;
     /** Master seed for the scheduler and all traffic streams. */
     std::uint64_t seed = 1;
-    /** Per-client fiber stack bytes (server ops are shallow). */
-    std::size_t stackBytes = 64 * 1024;
     /** Ordered-index guard mode (IndexLockMode above). */
     IndexLockMode indexLock = IndexLockMode::none;
     /** Optional observer (txprof attribution); may be nullptr. */

@@ -231,15 +231,6 @@ Scheduler::finishTime(unsigned tid) const
     return threads_[tid]->finishTime;
 }
 
-Cycles
-Scheduler::totalThreadTime() const
-{
-    Cycles result = 0;
-    for (const auto& thread : threads_)
-        result += thread->finishTime;
-    return result;
-}
-
 unsigned
 Scheduler::pickNext(Cycles* min_other) const
 {

@@ -221,9 +221,6 @@ class Scheduler
     /** Finish time of one thread (valid after run()). */
     Cycles finishTime(unsigned tid) const;
 
-    /** Sum of all threads' finish times (total busy virtual time). */
-    Cycles totalThreadTime() const;
-
     unsigned numThreads() const { return unsigned(threads_.size()); }
 
     /** Context access (e.g. for post-run inspection). */

@@ -118,7 +118,7 @@ TEST(Fig1ThreeCounterPolicy, BeginSectionRestoresAllBudgets)
 
 TEST(BgqAdaptivePolicy, RetriesExactlyMaxRetriesTimes)
 {
-    BgqAdaptivePolicy policy(10, true);
+    BgqAdaptivePolicy policy(10);
     policy.beginSection();
     for (int i = 0; i < 10; ++i) {
         EXPECT_TRUE(policy.onAbort(AbortCause::dataConflict, false))
@@ -129,7 +129,7 @@ TEST(BgqAdaptivePolicy, RetriesExactlyMaxRetriesTimes)
 
 TEST(BgqAdaptivePolicy, AdaptationSuppressesRetriesAfterFallbacks)
 {
-    BgqAdaptivePolicy policy(10, true);
+    BgqAdaptivePolicy policy(10);
 
     // Three consecutive fallbacks: score 1.0 -> 1.9 -> 2.71, crossing
     // the 2.5 threshold on the third.
@@ -152,16 +152,6 @@ TEST(BgqAdaptivePolicy, AdaptationSuppressesRetriesAfterFallbacks)
         policy.onCommit();
     policy.beginSection();
     EXPECT_TRUE(policy.onAbort(AbortCause::dataConflict, false));
-}
-
-TEST(BgqAdaptivePolicy, AdaptationCanBeDisabled)
-{
-    BgqAdaptivePolicy policy(2, false);
-    for (int section = 0; section < 5; ++section) {
-        policy.beginSection();
-        EXPECT_TRUE(policy.onAbort(AbortCause::dataConflict, false));
-        policy.onFallback();
-    }
 }
 
 TEST(BoundedRetryPolicy, BudgetCountsTotalAttempts)
@@ -300,7 +290,7 @@ TEST(HardenedRetryPolicy, RequestsDeterministicBackoff)
     EXPECT_TRUE(hardened.deterministicBackoff());
 
     Fig1ThreeCounterPolicy fig1({4, 1, 8});
-    BgqAdaptivePolicy bgq(10, true);
+    BgqAdaptivePolicy bgq(10);
     EXPECT_FALSE(fig1.deterministicBackoff());
     EXPECT_FALSE(bgq.deterministicBackoff());
 }

@@ -91,7 +91,6 @@ TEST(Scheduler, MakespanIsMaxOfFinishTimes)
     EXPECT_EQ(scheduler.makespan(), 500u);
     EXPECT_EQ(scheduler.finishTime(0), 500u);
     EXPECT_EQ(scheduler.finishTime(1), 200u);
-    EXPECT_EQ(scheduler.totalThreadTime(), 700u);
 }
 
 TEST(Scheduler, BlockAndWake)
