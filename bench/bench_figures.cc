@@ -751,6 +751,8 @@ main(int argc, char** argv)
     const MachineConfig& bgq = MachineConfig::all()[kBgq];
     const MachineConfig& intel = MachineConfig::all()[kIntel];
     Verification verify;
+    // Tuning candidates as SuiteRunner::tuningCandidates lists them.
+    const auto as_listed = [](RuntimeConfig&) {};
 
     std::vector<AppCells> apps(suiteNames().size());
     for (std::size_t b = 0; b < apps.size(); ++b) {
@@ -761,14 +763,18 @@ main(int argc, char** argv)
             for (std::size_t t = 0; t < kThreadCounts.size(); ++t) {
                 if (kThreadCounts[t] <= machine.maxThreads()) {
                     cells.scaling[m][t] = verify.check(
-                        runner.measure(bench, machine, kThreadCounts[t]),
+                        runner
+                            .tune(bench, machine, kThreadCounts[t],
+                                  as_listed)
+                            .result,
                         bench, machine, "modified");
                 }
             }
             if (wasChanged(bench)) {
                 cells.original[m] = verify.check(
-                    runner.measure(bench, machine, 4, false), bench,
-                    machine, "original");
+                    runner.tune(bench, machine, 4, as_listed, false)
+                        .result,
+                    bench, machine, "original");
             }
             if (bench != "bayes") {
                 RuntimeConfig traced{machine};
@@ -802,7 +808,10 @@ main(int argc, char** argv)
                                  tuned(htm::BackendKind::idealHtm),
                                  tuned(htm::BackendKind::hybrid)};
         }
-        cells.hle = verify.check(runner.measureHle(bench, intel, 4),
+        // No tuning under HLE: that is the point of Figure 7.
+        cells.hle = verify.check(runner.run(bench, RuntimeConfig{intel},
+                                            intel, 4, true, 1,
+                                            SuiteRunner::Mode::hle),
                                  bench, intel, "HLE");
     }
 
@@ -985,8 +994,9 @@ main(int argc, char** argv)
                 "(Section 7).\n");
 
     // ---- Backend comparison -----------------------------------------
-    // The lock-only column bounds what serialization alone achieves
-    // (it cannot meaningfully exceed 1x at four threads); the ideal
+    // The lock-only column serializes the atomic sections but not the
+    // parallel work around them (DESIGN.md Section 3.0), so apps with
+    // much work outside their sections exceed 1x under it; the ideal
     // column bounds what any best-effort HTM could achieve on the same
     // conflict structure; the hybrid column replaces most global-lock
     // fallbacks with a concurrent software slow path (stm.hh).
@@ -994,20 +1004,16 @@ main(int argc, char** argv)
                 "sequential per backend\n");
     std::printf("%-14s %-22s %8s %8s %8s %8s\n", "benchmark",
                 "machine", "htm", "lock", "ideal", "hybrid");
-    unsigned lock_violations = 0;
     unsigned ideal_violations = 0;
     for (unsigned m = 0; m < 4; ++m) {
         for (std::size_t b = 0; b < apps.size(); ++b) {
             const BackendRow& row = apps[b].backends[m];
-            const bool lock_bad = row.lock > 1.05;
             const bool ideal_bad = row.ideal < row.htm;
-            lock_violations += lock_bad ? 1 : 0;
             ideal_violations += ideal_bad ? 1 : 0;
-            std::printf("%-14s %-22s %8.2f %8.2f %8.2f %8.2f%s%s\n",
+            std::printf("%-14s %-22s %8.2f %8.2f %8.2f %8.2f%s\n",
                         suiteNames()[b].c_str(),
                         MachineConfig::all()[m].name.c_str(), row.htm,
                         row.lock, row.ideal, row.hybrid,
-                        lock_bad ? "  [lock > 1.05]" : "",
                         ideal_bad ? "  [ideal < htm]" : "");
         }
     }
@@ -1031,9 +1037,8 @@ main(int argc, char** argv)
                     g.ideal, g.hybrid);
     }
 
-    std::printf("\nchecks: lock>1.05 violations %u, ideal<htm "
-                "violations %u -> %s\n",
-                lock_violations, ideal_violations, output_path.c_str());
+    std::printf("\nchecks: ideal<htm violations %u -> %s\n",
+                ideal_violations, output_path.c_str());
 
     // ---- Section 5.1 prefetcher ablation ----------------------------
     std::printf("\nSection 5.1 ablation: Intel adjacent-line prefetcher "
@@ -1168,7 +1173,6 @@ main(int argc, char** argv)
             json.end()
                 .key("checks")
                 .beginObject()
-                .field("lock_speedup_above_1_05", lock_violations)
                 .field("ideal_below_htm", ideal_violations)
                 .end()
                 .end()

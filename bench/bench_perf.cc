@@ -5,12 +5,14 @@
  *
  * Runs the paper's STAMP x machine grid (the Figure 2 cells, full
  * retry-count tuning) and measures what the other benches do not:
- * host wall-clock per cell and simulated-commit throughput (committed
- * transactions per host second), the per-access rows, and the host
- * cost of nine layers: an empty commit, an abort round trip, a load
- * that hits the last-line memo, a load of a line new to the
- * transaction, a software-path load and commit, a rollback-only
- * commit, a run's set-up per fiber and a fiber switch. Emits
+ * host wall-clock per cell, split into the cell's one sequential
+ * baseline and its transactional runs, simulated-commit throughput
+ * (committed transactions per host second of transactional runs), and
+ * the host cost of thirteen layers: an empty commit, an abort round
+ * trip, a load that hits the last-line memo, a load of a line new to
+ * the transaction, a software-path load and commit, a rollback-only
+ * commit, an observer event, a run's set-up per fiber, a fiber switch
+ * and a scheduler slow path at 4, 64 and 256 runnable fibers. Emits
  * machine-readable BENCH_perf.json so successive runs can compare.
  *
  * Every run allocates its simulated state in the run's region
@@ -22,6 +24,7 @@
  * Usage: bench_perf [--no-batch] [-o OUT.json]
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -29,7 +32,6 @@
 #include <string_view>
 #include <vector>
 
-#include "access_micro.hh"
 #include "check/cli.hh"
 #include "prof/report.hh"
 #include "report.hh"
@@ -52,39 +54,9 @@ elapsedNs(Clock::time_point start, Clock::time_point finish)
 /** One tuning candidate's outcome: host cost + simulated metrics. */
 struct CandidateResult
 {
-    std::uint64_t hostNs = 0;   ///< seq + tm run, host wall-clock
-    std::uint64_t hostTmNs = 0; ///< tm share (by simulated cycles)
+    std::uint64_t hostNs = 0; ///< the tm run, host wall-clock
     stamp::Speedup speedup;
 };
-
-/** Run one tuning candidate (sequential baseline + tm run). */
-CandidateResult
-runCandidate(const std::string& bench,
-             const htm::MachineConfig& machine,
-             const htm::RuntimeConfig& config, unsigned threads,
-             std::uint64_t seed)
-{
-    bench::SuiteRunner runner(false);
-    CandidateResult candidate;
-    const auto start = Clock::now();
-    candidate.speedup =
-        runner.run(bench, config, machine, threads, true, seed);
-    const auto finish = Clock::now();
-    candidate.hostNs = elapsedNs(start, finish);
-    // The sequential baseline is identical across candidates and
-    // cheap; attribute host time to the tm run proportionally to
-    // simulated cycles instead of timing the phases separately.
-    const stamp::Speedup& speedup = candidate.speedup;
-    const double total_cycles =
-        double(speedup.seq.cycles) + double(speedup.tm.cycles);
-    const double tm_share = total_cycles == 0.0
-                                ? 0.0
-                                : double(speedup.tm.cycles) /
-                                      total_cycles;
-    candidate.hostTmNs =
-        std::uint64_t(double(candidate.hostNs) * tm_share);
-    return candidate;
-}
 
 /** A line padded past every machine's conflict and capacity line. */
 struct alignas(256) PaddedLine
@@ -220,27 +192,117 @@ fiberSwitchNs()
     return double(elapsedNs(start, Clock::now())) / (2.0 * yields);
 }
 
+/** Steps per scheduler slow-path batch. */
+constexpr unsigned syncSteps = 50000;
+
+/**
+ * Host ns per scheduler slow path with @p fibers runnable fibers: one
+ * batch. One fiber steps with batching off, so no step holds a lease
+ * and every step takes the slow path, while the others are parked far
+ * ahead in virtual time, so every slow path scans the run queue and
+ * switches to no one.
+ */
+double
+syncSlowNs(unsigned fibers)
+{
+    sim::Scheduler scheduler(1);
+    scheduler.setBatching(false);
+    double ns = 0.0;
+    scheduler.spawn([&ns](sim::ThreadContext& ctx) {
+        // Untimed steps; the first lets every other fiber park.
+        for (unsigned i = 0; i < layerWarmCalls; ++i)
+            ctx.step(1);
+        const auto start = Clock::now();
+        for (unsigned i = 0; i < syncSteps; ++i)
+            ctx.step(1);
+        ns = double(elapsedNs(start, Clock::now())) / syncSteps;
+    });
+    for (unsigned f = 1; f < fibers; ++f) {
+        scheduler.spawn([](sim::ThreadContext& ctx) {
+            ctx.advance(sim::Cycles(1) << 40);
+            ctx.yieldNow();
+        });
+    }
+    scheduler.run();
+    return ns;
+}
+
+/** Counts the events a Runtime delivers. */
+class CountingObserver final : public htm::TxObserver
+{
+  public:
+    void onEvent(const htm::TxEvent&) override { ++events; }
+    std::uint64_t events = 0;
+};
+
+/** One empty transaction: the unit of the empty commit layer. */
+void
+emptyCommit(htm::Runtime& runtime, sim::ThreadContext& ctx)
+{
+    runtime.atomic(ctx, [](htm::Tx&) {});
+}
+
+/** Empty commits per observer chunk, and chunk quads per batch. */
+constexpr unsigned observerChunkCommits = 500;
+constexpr unsigned observerQuads = 50;
+
+/**
+ * Host ns per event a counting observer receives: one batch. One
+ * runtime of @p config runs empty commits in quads of chunks observed
+ * off, on, on, off, so a drift of the host's speed slows both sides
+ * alike. Each quad gives the observed chunks' excess; the batch reads
+ * the median quad, which an interrupt in one chunk does not move, per
+ * event. @p ok is cleared unless every commit is a hardware commit
+ * and events arrive.
+ */
+double
+observerEventNs(const htm::RuntimeConfig& config, bool& ok)
+{
+    CountingObserver counter;
+    sim::Scheduler scheduler(1);
+    htm::Runtime runtime(config, 1);
+    std::vector<double> excess; // ns per observed commit, one per quad
+    scheduler.spawn([&](sim::ThreadContext& ctx) {
+        for (unsigned i = 0; i < layerWarmCalls; ++i)
+            emptyCommit(runtime, ctx);
+        for (unsigned quad = 0; quad < observerQuads; ++quad) {
+            double ns[2] = {0.0, 0.0};
+            for (const unsigned observed : {0u, 1u, 1u, 0u}) {
+                runtime.setObserver(observed != 0 ? &counter : nullptr);
+                const auto start = Clock::now();
+                for (unsigned i = 0; i < observerChunkCommits; ++i)
+                    emptyCommit(runtime, ctx);
+                ns[observed] += double(elapsedNs(start, Clock::now()));
+            }
+            excess.push_back((ns[1] - ns[0]) /
+                             (2.0 * observerChunkCommits));
+        }
+    });
+    scheduler.run();
+    const unsigned commits = 4 * observerQuads * observerChunkCommits;
+    ok = ok && counter.events > 0 &&
+         allHtmCommits(runtime.stats(), layerWarmCalls + commits);
+    const auto median = excess.begin() + excess.size() / 2;
+    std::nth_element(excess.begin(), median, excess.end());
+    return *median / (double(counter.events) / (commits / 2));
+}
+
 struct CellResult
 {
     std::string bench;
     std::string machine;
+    std::uint64_t baselineNs = 0; ///< the sequential run, host wall-clock
     std::vector<CandidateResult> candidates;
 
-    std::uint64_t
-    hostNs() const
-    {
-        std::uint64_t sum = 0;
-        for (const auto& candidate : candidates)
-            sum += candidate.hostNs;
-        return sum;
-    }
+    /** The baseline plus every transactional run. */
+    std::uint64_t hostNs() const { return baselineNs + hostTmNs(); }
 
     std::uint64_t
     hostTmNs() const
     {
         std::uint64_t sum = 0;
         for (const auto& candidate : candidates)
-            sum += candidate.hostTmNs;
+            sum += candidate.hostNs;
         return sum;
     }
 
@@ -301,6 +363,9 @@ main(int argc, char** argv)
     const unsigned threads = 4;
     const std::uint64_t seed = 1;
 
+    // One runner: each cell's baseline runs once, timed on its own,
+    // and every candidate's run() then takes it from the runner.
+    const bench::SuiteRunner runner;
     std::vector<CellResult> cells;
     const auto suite_start = Clock::now();
     for (const htm::MachineConfig& machine :
@@ -309,11 +374,18 @@ main(int argc, char** argv)
             CellResult cell;
             cell.bench = bench;
             cell.machine = machine.name;
+            const auto baseline_start = Clock::now();
+            (void)runner.baseline(bench, machine, true, seed, batch);
+            cell.baselineNs = elapsedNs(baseline_start, Clock::now());
             for (htm::RuntimeConfig config :
                  bench::SuiteRunner::tuningCandidates(machine)) {
                 config.batchEpoch = batch;
-                cell.candidates.push_back(
-                    runCandidate(bench, machine, config, threads, seed));
+                CandidateResult candidate;
+                const auto start = Clock::now();
+                candidate.speedup =
+                    runner.run(bench, config, machine, threads, true, seed);
+                candidate.hostNs = elapsedNs(start, Clock::now());
+                cell.candidates.push_back(std::move(candidate));
             }
             std::printf("%-14s %-22s %8.1f ms  %10.0f tx/s  "
                         "speedup %.2f\n",
@@ -325,22 +397,6 @@ main(int argc, char** argv)
         }
     }
     const auto suite_finish = Clock::now();
-
-    // Per-access cost microbenchmark, recorded alongside the grid
-    // (see access_micro.hh).
-    htm::RuntimeConfig access_config{htm::MachineConfig::intelCore()};
-    access_config.batchEpoch = batch;
-    const std::vector<bench::AccessResult> access_rows =
-        bench::runAccessSweep(access_config);
-    std::printf("\n%-12s %8s %12s %10s %10s %10s\n", "access",
-                "threads", "accesses", "ns/access", "commits", "aborts");
-    for (const bench::AccessResult& row : access_rows) {
-        std::printf("%-12s %8u %12llu %10.1f %10llu %10llu\n",
-                    row.pattern, row.threads,
-                    (unsigned long long)row.accesses,
-                    row.nsPerAccess(), (unsigned long long)row.commits,
-                    (unsigned long long)row.aborts);
-    }
 
     // Layer costs. CI bounds each layer as a ratio to the empty
     // commit: unlike either number, their ratio does not depend on the
@@ -361,12 +417,8 @@ main(int argc, char** argv)
     std::vector<Layer> layers = {
         {"empty_commit_ns",
          [&] {
-             return layerBatch(
-                 intel, 20000,
-                 [](htm::Runtime& runtime, sim::ThreadContext& ctx) {
-                     runtime.atomic(ctx, [](htm::Tx&) {});
-                 },
-                 allHtmCommits, layers_ok);
+             return layerBatch(intel, 20000, emptyCommit, allHtmCommits,
+                               layers_ok);
          }},
         {"abort_round_trip_ns",
          [&] {
@@ -462,8 +514,13 @@ main(int argc, char** argv)
                  },
                  allHtmCommits, layers_ok);
          }},
+        {"observer_event_ns",
+         [&] { return observerEventNs(intel, layers_ok); }},
         {"run_setup_us", runSetupUs},
         {"fiber_switch_ns", fiberSwitchNs},
+        {"sync_slow_4_ns", [] { return syncSlowNs(4); }},
+        {"sync_slow_64_ns", [] { return syncSlowNs(64); }},
+        {"sync_slow_256_ns", [] { return syncSlowNs(256); }},
     };
     timeLayers(layers);
     if (!layers_ok || sink == 0) {
@@ -512,19 +569,6 @@ main(int argc, char** argv)
                 for (const CandidateResult& candidate : cell.candidates)
                     prof::writeJson(json, candidate.speedup);
                 json.end().end();
-            }
-            json.end().key("access").beginArray();
-            for (const bench::AccessResult& row : access_rows) {
-                json.beginObject()
-                    .field("pattern", row.pattern)
-                    .field("threads", row.threads)
-                    .field("accesses", row.accesses)
-                    .field("host_ns", row.hostNs)
-                    .field("ns_per_access", row.nsPerAccess())
-                    .field("tm_cycles", row.tmCycles)
-                    .field("commits", row.commits)
-                    .field("aborts", row.aborts)
-                    .end();
             }
             json.end()
                 .key("layers")

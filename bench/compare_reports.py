@@ -27,7 +27,6 @@ HOST_KEYS = {
     "host_ns",
     "host_tm_ns",
     "tx_per_sec",
-    "ns_per_access",
     "layers",
 }
 

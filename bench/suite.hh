@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "htm/function_ref.hh"
@@ -93,10 +94,13 @@ scaled(unsigned base, unsigned floor = 1)
 }
 
 /**
- * Run one (benchmark, machine, threads) cell: sequential baseline
- * once, then the transactional run for each tuning candidate, keeping
- * the best — the paper's methodology of reporting each machine at its
- * optimal retry counts.
+ * Run one (benchmark, machine, threads) cell: the transactional run
+ * for each tuning candidate, keeping the best — the paper's
+ * methodology of reporting each machine at its optimal retry counts —
+ * each measured against the cell's one sequential baseline. A runner
+ * runs each distinct baseline once and hands it to every later run of
+ * the cell, whatever its candidate, backend, thread count or mode;
+ * that memo makes a runner unsafe to share between host threads.
  */
 class SuiteRunner
 {
@@ -177,29 +181,8 @@ class SuiteRunner
         return best;
     }
 
-    /** The best speed-up over the tuning grid, configs as listed. */
-    Speedup
-    measure(const std::string& bench, const MachineConfig& machine,
-            unsigned threads, bool modified = true,
-            std::uint64_t seed = 1) const
-    {
-        return tune(bench, machine, threads, [](RuntimeConfig&) {},
-                    modified, seed)
-            .result;
-    }
-
     /** Execution mode for run(). */
     using Mode = stamp::Mode;
-
-    /** HLE run (no tuning possible — that is the point of Fig. 7). */
-    Speedup
-    measureHle(const std::string& bench, const MachineConfig& machine,
-               unsigned threads, std::uint64_t seed = 1) const
-    {
-        RuntimeConfig config{machine};
-        return run(bench, config, machine, threads, true, seed,
-                   Mode::hle);
-    }
 
     /** Single run with an explicit runtime config (ablations). */
     Speedup
@@ -208,52 +191,39 @@ class SuiteRunner
         std::uint64_t seed, Mode mode = Mode::tm) const
     {
         config.machine = machine;
-        if (bench == "bayes")
-            return measureApp<stamp::BayesApp>(
-                bayesParams(), config, threads, seed, mode);
-        if (bench == "genome") {
-            return measureApp<stamp::GenomeApp>(
-                genomeParams(machine, modified), config, threads,
-                seed, mode);
+        const RunResult seq =
+            baseline(bench, machine, modified, seed, config.batchEpoch);
+        return withApp<Speedup>(
+            bench, machine, modified, [&](auto make_app) {
+                return stamp::measureSpeedup(make_app, config, threads,
+                                             seq, seed, mode);
+            });
+    }
+
+    /**
+     * The sequential baseline of one cell. The first call for an (app,
+     * variant, machine, seed, workload scale, batching) runs it; later
+     * calls hand out that run.
+     */
+    RunResult
+    baseline(const std::string& bench, const MachineConfig& machine,
+             bool modified = true, std::uint64_t seed = 1,
+             bool batch_epoch = true) const
+    {
+        BaselineKey key{bench, machine, modified, seed, workloadScale(),
+                        batch_epoch};
+        for (const auto& [known, result] : baselines_) {
+            if (known == key)
+                return result;
         }
-        if (bench == "intruder") {
-            if (modified) {
-                return measureApp<stamp::IntruderApp>(
-                    intruderParams(), config, threads, seed, mode);
-            }
-            return measureApp<stamp::IntruderAppOriginal>(
-                intruderParams(), config, threads, seed, mode);
-        }
-        if (bench == "kmeans-high" || bench == "kmeans-low") {
-            return measureApp<stamp::KmeansApp>(
-                kmeansParams(bench == "kmeans-high", modified,
-                             machine),
-                config, threads, seed, mode);
-        }
-        if (bench == "labyrinth") {
-            return measureApp<stamp::LabyrinthApp>(
-                labyrinthParams(), config, threads, seed, mode);
-        }
-        if (bench == "ssca2") {
-            return measureApp<stamp::Ssca2App>(ssca2Params(), config,
-                                               threads, seed, mode);
-        }
-        if (bench == "vacation-high" || bench == "vacation-low") {
-            const auto params =
-                vacationParams(bench == "vacation-high");
-            if (modified) {
-                return measureApp<stamp::VacationApp>(
-                    params, config, threads, seed, mode);
-            }
-            return measureApp<stamp::VacationAppOriginal>(
-                params, config, threads, seed, mode);
-        }
-        if (bench == "yada") {
-            return measureApp<stamp::YadaApp>(yadaParams(), config,
-                                              threads, seed, mode);
-        }
-        std::fprintf(stderr, "unknown benchmark %s\n", bench.c_str());
-        std::abort();
+        RunResult result =
+            withApp<RunResult>(bench, machine, modified, [&](auto make_app) {
+                auto app = make_app();
+                return stamp::runSequential(app, machine, seed,
+                                            batch_epoch);
+            });
+        baselines_.emplace_back(std::move(key), result);
+        return result;
     }
 
     // ---- Scaled workload parameters ---------------------------------
@@ -385,16 +355,75 @@ class SuiteRunner
     }
 
   private:
-    template <typename App, typename Params>
-    static Speedup
-    measureApp(const Params& params, const RuntimeConfig& config,
-               unsigned threads, std::uint64_t seed, Mode mode)
+    /** Everything a sequential baseline reads. */
+    struct BaselineKey
     {
-        return stamp::measureSpeedup([&params] { return App(params); },
-                                     config, threads, seed, mode);
+        std::string bench;
+        MachineConfig machine;
+        bool modified;
+        std::uint64_t seed;
+        double scale;
+        bool batchEpoch;
+
+        bool operator==(const BaselineKey&) const = default;
+    };
+
+    /**
+     * Call @p fn with a factory of the app @p bench names (its
+     * @p modified variant, with its scaled parameters for @p machine)
+     * and return what @p fn returns.
+     */
+    template <typename Result, typename Fn>
+    static Result
+    withApp(const std::string& bench, const MachineConfig& machine,
+            bool modified, Fn&& fn)
+    {
+        if (bench == "bayes")
+            return withFactory<stamp::BayesApp>(bayesParams(), fn);
+        if (bench == "genome") {
+            return withFactory<stamp::GenomeApp>(
+                genomeParams(machine, modified), fn);
+        }
+        if (bench == "intruder") {
+            if (modified) {
+                return withFactory<stamp::IntruderApp>(intruderParams(),
+                                                       fn);
+            }
+            return withFactory<stamp::IntruderAppOriginal>(
+                intruderParams(), fn);
+        }
+        if (bench == "kmeans-high" || bench == "kmeans-low") {
+            return withFactory<stamp::KmeansApp>(
+                kmeansParams(bench == "kmeans-high", modified, machine),
+                fn);
+        }
+        if (bench == "labyrinth")
+            return withFactory<stamp::LabyrinthApp>(labyrinthParams(), fn);
+        if (bench == "ssca2")
+            return withFactory<stamp::Ssca2App>(ssca2Params(), fn);
+        if (bench == "vacation-high" || bench == "vacation-low") {
+            const auto params = vacationParams(bench == "vacation-high");
+            if (modified)
+                return withFactory<stamp::VacationApp>(params, fn);
+            return withFactory<stamp::VacationAppOriginal>(params, fn);
+        }
+        if (bench == "yada")
+            return withFactory<stamp::YadaApp>(yadaParams(), fn);
+        std::fprintf(stderr, "unknown benchmark %s\n", bench.c_str());
+        std::abort();
+    }
+
+    /** @p fn applied to a factory of @p App built from @p params. */
+    template <typename App, typename Params, typename Fn>
+    static auto
+    withFactory(const Params& params, Fn& fn)
+    {
+        return fn([&params] { return App(params); });
     }
 
     bool tune_;
+    /** The baselines this runner has run, in the order it ran them. */
+    mutable std::vector<std::pair<BaselineKey, RunResult>> baselines_;
 };
 
 /** Short machine labels in paper order. */

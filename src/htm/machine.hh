@@ -209,6 +209,8 @@ struct MachineConfig
 
     /** All four, in the paper's presentation order. */
     static const std::array<MachineConfig, 4>& all();
+
+    bool operator==(const MachineConfig&) const = default;
 };
 
 /** Short label used in the paper's figures (BG, z12, IC, P8). */

@@ -143,21 +143,18 @@ struct Speedup
 };
 
 /**
- * Measure the speed-up for one (machine, app, threads) cell. The
- * factory must return a freshly constructed app each call.
+ * Measure the speed-up for one (machine, app, threads) cell over
+ * @p seq, the app's sequential run on the same machine and seed. The
+ * factory must return a freshly constructed app.
  */
 template <typename AppFactory>
 Speedup
 measureSpeedup(AppFactory&& make_app, const htm::RuntimeConfig& config,
-               unsigned threads, std::uint64_t seed = 1,
-               Mode mode = Mode::tm)
+               unsigned threads, const RunResult& seq,
+               std::uint64_t seed = 1, Mode mode = Mode::tm)
 {
     Speedup result;
-    {
-        auto app = make_app();
-        result.seq =
-            runSequential(app, config.machine, seed, config.batchEpoch);
-    }
+    result.seq = seq;
     {
         auto app = make_app();
         result.tm = runTransactional(app, config, threads, seed, mode);

@@ -161,8 +161,9 @@ runCell(const Cell& cell)
         htm::MachineConfig::all()[cell.machine];
     const bench::SuiteRunner runner(false);
     if (cell.hle) {
-        return RunMetrics::of(
-            runner.measureHle(cell.bench, machine, kThreads, kSeed));
+        return RunMetrics::of(runner.run(
+            cell.bench, htm::RuntimeConfig{machine}, machine, kThreads,
+            true, kSeed, bench::SuiteRunner::Mode::hle));
     }
     htm::RuntimeConfig config =
         bench::SuiteRunner::tuningCandidates(machine).front();
@@ -287,6 +288,68 @@ TEST(Determinism, ProfiledReplayOfTheTunedWinnerIsTheRun)
         EXPECT_EQ(RunMetrics::of(replay), RunMetrics::of(best.result));
         EXPECT_DOUBLE_EQ(replay.ratio, best.result.ratio);
     }
+}
+
+// A runner runs each cell's sequential baseline once and hands it to
+// every later run of the cell: whatever ran on the runner before, each
+// call must equal the same call on a fresh runner.
+TEST(SuiteRunnerBaseline, EveryCallEqualsAFreshRunners)
+{
+    const htm::MachineConfig& machine = htm::MachineConfig::all()[2];
+    ASSERT_EQ(machine.name, "Intel Core i7-4770");
+    const std::string bench = "intruder";
+    const htm::RuntimeConfig config =
+        bench::SuiteRunner::tuningCandidates(machine).front();
+    const auto as_listed = [](htm::RuntimeConfig&) {};
+    const auto run = [&](const bench::SuiteRunner& runner) {
+        return RunMetrics::of(
+            runner.run(bench, config, machine, kThreads, true, kSeed));
+    };
+    const auto tuned = [&](const bench::SuiteRunner& runner) {
+        return RunMetrics::of(
+            runner.tune(bench, machine, kThreads, as_listed).result);
+    };
+    const auto original = [&](const bench::SuiteRunner& runner) {
+        return RunMetrics::of(
+            runner.run(bench, config, machine, kThreads, false, kSeed));
+    };
+    const auto hle = [&](const bench::SuiteRunner& runner) {
+        return RunMetrics::of(runner.run(
+            bench, htm::RuntimeConfig{machine}, machine, kThreads, true,
+            kSeed, bench::SuiteRunner::Mode::hle));
+    };
+
+    const bench::SuiteRunner shared;
+    EXPECT_EQ(run(shared), run(bench::SuiteRunner()));
+    EXPECT_EQ(run(shared), run(bench::SuiteRunner()));
+    EXPECT_EQ(tuned(shared), tuned(bench::SuiteRunner()));
+    const RunMetrics unmodified = original(shared);
+    EXPECT_EQ(unmodified, original(bench::SuiteRunner()));
+    EXPECT_NE(unmodified.seqCycles, run(shared).seqCycles)
+        << "the original variant has a baseline of its own";
+    EXPECT_EQ(hle(shared), hle(bench::SuiteRunner()));
+}
+
+// The memo keys a baseline by the whole machine, not its name: a
+// variant of a preset under the same name gets a baseline of its own.
+TEST(SuiteRunnerBaseline, AMachineVariantGetsItsOwnBaseline)
+{
+    const htm::MachineConfig& preset = htm::MachineConfig::all()[1];
+    htm::MachineConfig slower_loads = preset;
+    slower_loads.nonTxLoadCost += 4;
+    ASSERT_EQ(slower_loads.name, preset.name);
+    const auto seq_cycles = [](const bench::SuiteRunner& runner,
+                               const htm::MachineConfig& machine) {
+        return runner.baseline("ssca2", machine, true, kSeed).cycles;
+    };
+
+    const bench::SuiteRunner shared;
+    const sim::Cycles preset_cycles = seq_cycles(shared, preset);
+    const sim::Cycles variant_cycles = seq_cycles(shared, slower_loads);
+    EXPECT_NE(variant_cycles, preset_cycles);
+    EXPECT_EQ(variant_cycles,
+              seq_cycles(bench::SuiteRunner(), slower_loads));
+    EXPECT_EQ(seq_cycles(shared, preset), preset_cycles);
 }
 
 /// Fold one STAMP run's simulated outcome into @p h.

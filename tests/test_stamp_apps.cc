@@ -12,6 +12,7 @@
 #include <string>
 
 #include "bench/suite.hh"
+#include "run_metrics.hh"
 #include "stamp/genome/genome.hh"
 #include "stamp/bayes/bayes.hh"
 #include "stamp/harness.hh"
@@ -27,6 +28,7 @@ namespace
 
 using namespace htmsim;
 using namespace htmsim::stamp;
+using test::RunMetrics;
 
 htm::RuntimeConfig
 configFor(unsigned machine_index)
@@ -302,17 +304,22 @@ TEST(Harness, SpeedupPositiveAndDeterministic)
         return Ssca2App(params);
     };
     const htm::RuntimeConfig config(htm::MachineConfig::zEC12());
-    const Speedup first = measureSpeedup(factory, config, 4, 1);
-    const Speedup second = measureSpeedup(factory, config, 4, 1);
+    // Each measurement runs its own baseline, so the sequential run's
+    // repeat is checked too.
+    const auto measure = [&] {
+        auto app = factory();
+        const RunResult seq = runSequential(app, config.machine, 1);
+        return measureSpeedup(factory, config, 4, seq, 1);
+    };
+    const Speedup first = measure();
+    const Speedup second = measure();
     EXPECT_TRUE(first.tm.valid);
     EXPECT_TRUE(first.seq.valid);
     EXPECT_GT(first.ratio, 0.5);
     EXPECT_LT(first.ratio, 8.0);
-    // The simulation is exactly deterministic for a fixed memory
-    // layout; repeated in-process runs may see different heap-chunk
-    // alignments (malloc reuse) that shift cache-line straddling, so
-    // repeats agree only to within a small tolerance.
-    EXPECT_NEAR(first.ratio, second.ratio, 0.05 * first.ratio);
+    // Every run allocates in its own region at a fixed base
+    // (sim/region.hh), so a repeat is exact.
+    EXPECT_EQ(RunMetrics::of(first), RunMetrics::of(second));
 }
 
 TEST(Harness, MoreThreadsHelpOnLowContentionWork)
@@ -324,8 +331,10 @@ TEST(Harness, MoreThreadsHelpOnLowContentionWork)
         return Ssca2App(params);
     };
     const htm::RuntimeConfig config(htm::MachineConfig::zEC12());
-    const Speedup one = measureSpeedup(factory, config, 1, 1);
-    const Speedup four = measureSpeedup(factory, config, 4, 1);
+    auto app = factory();
+    const RunResult seq = runSequential(app, config.machine, 1);
+    const Speedup one = measureSpeedup(factory, config, 1, seq, 1);
+    const Speedup four = measureSpeedup(factory, config, 4, seq, 1);
     EXPECT_GT(four.ratio, one.ratio * 1.5)
         << "4 threads should clearly beat 1 on ssca2/zEC12";
 }

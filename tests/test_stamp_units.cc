@@ -12,8 +12,10 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "bench/suite.hh"
+#include "run_metrics.hh"
 #include "stamp/bayes/bayes.hh"
 #include "stamp/genome/genome.hh"
 #include "stamp/harness.hh"
@@ -29,6 +31,7 @@ namespace
 
 using namespace htmsim;
 using namespace htmsim::stamp;
+using test::RunMetrics;
 
 htm::RuntimeConfig
 intel()
@@ -401,7 +404,9 @@ TEST(WorkloadScale, EveryAppVerifiesOnEveryMachineAtSmallScales)
         for (const htm::MachineConfig& machine :
              htm::MachineConfig::all()) {
             for (const std::string& app : bench::suiteNames()) {
-                const Speedup result = runner.measure(app, machine, 4);
+                const Speedup result =
+                    runner.tune(app, machine, 4, [](htm::RuntimeConfig&) {})
+                        .result;
                 EXPECT_TRUE(result.seq.valid)
                     << app << " on " << machine.name << " at " << value;
                 EXPECT_TRUE(result.tm.valid)
@@ -409,6 +414,27 @@ TEST(WorkloadScale, EveryAppVerifiesOnEveryMachineAtSmallScales)
             }
         }
     }
+}
+
+// The workload scale is part of a baseline's key: one runner used at
+// two scales runs a baseline for each.
+TEST(WorkloadScale, EachScaleGetsItsOwnBaseline)
+{
+    const htm::MachineConfig& machine = htm::MachineConfig::all()[2];
+    const htm::RuntimeConfig config =
+        bench::SuiteRunner::tuningCandidates(machine).front();
+    const bench::SuiteRunner shared;
+    std::vector<RunMetrics> runs;
+    for (const char* value : {"0.25", "0.5"}) {
+        const ScopedScale scale(value);
+        runs.push_back(RunMetrics::of(
+            shared.run("genome", config, machine, 4, true, 1)));
+        EXPECT_EQ(runs.back(),
+                  RunMetrics::of(bench::SuiteRunner().run(
+                      "genome", config, machine, 4, true, 1)))
+            << value;
+    }
+    EXPECT_NE(runs[0].seqCycles, runs[1].seqCycles);
 }
 
 TEST(WorkloadScale, RejectsAnythingButAFinitePositiveNumber)
