@@ -809,9 +809,9 @@ main(int argc, char** argv)
                                  tuned(htm::BackendKind::hybrid)};
         }
         // No tuning under HLE: that is the point of Figure 7.
-        cells.hle = verify.check(runner.run(bench, RuntimeConfig{intel},
-                                            intel, 4, true, 1,
-                                            SuiteRunner::Mode::hle),
+        RuntimeConfig hle{intel};
+        hle.backend = htm::BackendKind::hle;
+        cells.hle = verify.check(runner.run(bench, hle, intel, 4, true, 1),
                                  bench, intel, "HLE");
     }
 

@@ -29,6 +29,7 @@
  */
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,7 @@
 #include "prof/report.hh"
 #include "report.hh"
 #include "server/server.hh"
+#include "tmsync/sync_mode.hh"
 
 namespace
 {
@@ -104,7 +106,7 @@ main(int argc, char** argv)
 {
     std::string output_path = "BENCH_server.json";
     bool smoke = false;
-    server::IndexLockMode index_lock = server::IndexLockMode::none;
+    std::optional<tmsync::SyncMode> index_lock;
     // The report records HTMSIM_SCALE: reject a malformed value before
     // the sweep, not after it.
     bench::workloadScale();
@@ -113,7 +115,14 @@ main(int argc, char** argv)
         if (args.is("--smoke")) {
             smoke = true;
         } else if (args.is("--index-lock")) {
-            if (!server::parseIndexLockMode(args.value(), index_lock))
+            const std::string name = args.value();
+            tmsync::SyncMode mode{};
+            if (name == "none")
+                index_lock.reset();
+            else if (tmsync::parseSyncMode(name, mode) &&
+                     mode != tmsync::SyncMode::globalLock)
+                index_lock = mode;
+            else
                 args.invalid("none elided tatas");
         } else if (args.is("-o")) {
             output_path = args.value();
@@ -206,7 +215,9 @@ main(int argc, char** argv)
             json.field("seed", seed)
                 .field("ops_per_client", ops_per_client)
                 .field("smoke", smoke)
-                .field("index_lock", server::indexLockModeName(index_lock))
+                .field("index_lock",
+                       index_lock ? tmsync::syncModeName(*index_lock)
+                                  : "none")
                 .key("runs")
                 .beginArray();
             for (const RunRow& row : rows) {

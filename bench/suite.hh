@@ -99,8 +99,8 @@ scaled(unsigned base, unsigned floor = 1)
  * methodology of reporting each machine at its optimal retry counts —
  * each measured against the cell's one sequential baseline. A runner
  * runs each distinct baseline once and hands it to every later run of
- * the cell, whatever its candidate, backend, thread count or mode;
- * that memo makes a runner unsafe to share between host threads.
+ * the cell, whatever its candidate, backend or thread count; that
+ * memo makes a runner unsafe to share between host threads.
  */
 class SuiteRunner
 {
@@ -117,9 +117,9 @@ class SuiteRunner
     /**
      * Run the tuning grid for one cell, passing each candidate through
      * @p adjust first, and return the best speed-up with its config.
-     * Ties keep the earlier candidate. The lock backend ignores retry
-     * counts, so it runs only the first candidate, as does a runner
-     * built with tune = false.
+     * Ties keep the earlier candidate. The lock and hle backends read
+     * no retry count (and Blue Gene/Q never elides), so they run only
+     * the first candidate, as does a runner built with tune = false.
      */
     Tuned
     tune(const std::string& bench, const MachineConfig& machine,
@@ -175,20 +175,18 @@ class SuiteRunner
                 best = {config, current};
                 first = false;
             }
-            if (!tune_ || config.backend == htm::BackendKind::globalLock)
+            if (!tune_ || config.backend == htm::BackendKind::globalLock ||
+                config.backend == htm::BackendKind::hle)
                 break;
         }
         return best;
     }
 
-    /** Execution mode for run(). */
-    using Mode = stamp::Mode;
-
     /** Single run with an explicit runtime config (ablations). */
     Speedup
     run(const std::string& bench, RuntimeConfig config,
         const MachineConfig& machine, unsigned threads, bool modified,
-        std::uint64_t seed, Mode mode = Mode::tm) const
+        std::uint64_t seed) const
     {
         config.machine = machine;
         const RunResult seq =
@@ -196,7 +194,7 @@ class SuiteRunner
         return withApp<Speedup>(
             bench, machine, modified, [&](auto make_app) {
                 return stamp::measureSpeedup(make_app, config, threads,
-                                             seq, seed, mode);
+                                             seq, seed);
             });
     }
 

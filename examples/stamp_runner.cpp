@@ -8,12 +8,15 @@
  *                [options]
  *   stamp_runner vacation-high z12 8
  *   stamp_runner genome ic 4 lock
+ *   stamp_runner genome ic 4 hle
  *   stamp_runner intruder p8 8 htm hardened
  *   stamp_runner yada z12 8 htm --prof yada.json --perfetto trace.json
  *
  * Machines: bg | z12 | ic | p8. Backends: htm (best-effort HTM with
  * lock fallback, the default) | lock (every section under the global
- * lock) | ideal (no capacity limits, free begin/end). Policies:
+ * lock) | ideal (no capacity limits, free begin/end) | hybrid (a
+ * software-TM tier between the retries and the lock) | hle (one
+ * elided attempt, then the lock, untuned: Figure 7). Policies:
  * default (the machine's paper policy) | hardened (watchdog-bounded
  * retries with deterministic backoff, retry_policy.hh).
  * Defaults: genome ic 4 htm default.
@@ -65,7 +68,7 @@ usage()
                  "[backend] [policy] [options]\n"
                  "  benchmark: %s\n"
                  "  machine:   bg|z12|ic|p8\n"
-                 "  backend:   htm|lock|ideal|hybrid\n"
+                 "  backend:   htm|lock|ideal|hybrid|hle\n"
                  "  policy:    default|hardened\n"
                  "  options:   --prof FILE --perfetto FILE --no-batch "
                  "--quiet\n"

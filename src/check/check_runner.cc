@@ -6,10 +6,10 @@
  * oracle — or, with --liveness, through the liveness oracle, usually
  * combined with the deterministic hazard flags to chaos-test a retry
  * policy. On a violation it shrinks the fuzzed schedule to a locally
- * minimal set of preemption points and prints a replay command line;
- * re-running with --seed/--schedule (plus the same workload, machine,
- * sizing, hazard and policy flags — the printed artifact includes them
- * all) reproduces the exact failing interleaving.
+ * minimal set of preemption points and prints a replay command line:
+ * the run's own flags, minus those that choose or drive the sweep,
+ * then --workload/--machine/--seed/--schedule. Running it reproduces
+ * the exact failing interleaving.
  *
  * Exit codes: 0 sweep clean (or, under --expect-failure, a failure
  * was found and shrunk within bounds), 1 violation found (or
@@ -22,6 +22,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/cli.hh"
@@ -100,7 +101,7 @@ usage(std::FILE* out)
         "  --hazard-pin T     pin thread T as a spurious-abort victim\n"
         "  --policy P         default | hardened retry policy\n"
         "backend:\n"
-        "  --backend B        htm | hybrid concurrent phase "
+        "  --backend B        htm | hybrid | hle concurrent phase "
         "(default htm)\n"
         "  --subscription S   eager | lazy hybrid clock subscription\n"
         "  --stm-only         hybrid: skip hardware attempts\n"
@@ -145,69 +146,24 @@ struct Args
     bool replayMode = false;
     std::uint64_t replaySeed = 0;
     std::string replaySchedule;
+    /** argv[0] and the run's own flags, in order: the replay
+     *  artifact's prefix. */
+    std::string replayCommand;
 };
 
-/** Non-default oracle configuration, rendered as the flags that
- *  recreate it — appended to the replay artifact so a failure found
- *  under hazards/policy/liveness settings replays under the same. */
-std::string
-extraReplayFlags(const Args& args)
+/** Whether @p flag chooses or drives the sweep; the replay artifact
+ *  leaves such flags out and names its one run instead. */
+bool
+drivesSweep(std::string_view flag)
 {
-    std::string flags;
-    char buffer[64];
-    const auto add = [&](const char* flag, double value) {
-        std::snprintf(buffer, sizeof(buffer), " %s %g", flag, value);
-        flags += buffer;
-    };
-    const htm::HazardConfig& hazard = args.options.hazard;
-    if (hazard.enabled) {
-        if (hazard.spuriousAbortProb != 0.0)
-            add("--hazard-rate", hazard.spuriousAbortProb);
-        if (hazard.interruptRate != 0.0)
-            add("--hazard-interrupt", hazard.interruptRate);
-        if (hazard.capacityNoiseProb != 0.0)
-            add("--hazard-capacity", hazard.capacityNoiseProb);
-        if (hazard.lockPreemptProb != 0.0)
-            add("--hazard-lock-preempt", hazard.lockPreemptProb);
-        std::snprintf(buffer, sizeof(buffer), " --hazard-seed %llu",
-                      (unsigned long long) hazard.seed);
-        flags += buffer;
-        if (hazard.pinnedVictim >= 0) {
-            std::snprintf(buffer, sizeof(buffer), " --hazard-pin %d",
-                          hazard.pinnedVictim);
-            flags += buffer;
-        }
+    for (const std::string_view name :
+         {"--seeds", "--first-seed", "--machines", "--machine",
+          "--workloads", "--workload", "--seed", "--schedule", "--quiet",
+          "--no-shrink", "--expect-failure", "--max-shrunk"}) {
+        if (flag == name)
+            return true;
     }
-    if (args.options.policyKind == htm::RetryPolicyKind::hardened)
-        flags += " --policy hardened";
-    if (args.options.backend == htm::BackendKind::hybrid) {
-        flags += " --backend hybrid";
-        flags += args.options.hybrid.subscription ==
-                         htm::HybridRuntimeConfig::Subscription::lazy
-                     ? " --subscription lazy"
-                     : " --subscription eager";
-        if (args.options.hybrid.stmOnly)
-            flags += " --stm-only";
-        if (args.options.hybrid.stmAttempts != 3) {
-            std::snprintf(buffer, sizeof(buffer), " --stm-attempts %d",
-                          args.options.hybrid.stmAttempts);
-            flags += buffer;
-        }
-        if (args.options.hybrid.orecTableLog2 != 10) {
-            std::snprintf(buffer, sizeof(buffer), " --orec-log2 %u",
-                          args.options.hybrid.orecTableLog2);
-            flags += buffer;
-        }
-    }
-    if (args.options.fault == htm::CheckFault::missReaderConflict)
-        flags += " --inject-fault miss-reader-conflict";
-    if (args.options.fault == htm::CheckFault::stuckRetry)
-        flags += " --inject-fault stuck-retry";
-    if (args.options.fault == htm::CheckFault::missStmSubscription)
-        flags += " --inject-fault stm-subscription";
-    if (args.liveness)
-        flags += " --liveness";
-    return flags;
+    return false;
 }
 
 void
@@ -218,12 +174,10 @@ reportFailure(const Args& args, const char* workload,
     std::printf("FAILURE: workload=%s machine=%s seed=%llu\n",
                 workload, machine_token, (unsigned long long) seed);
     std::printf("  reason: %s\n", outcome.reason.c_str());
-    std::printf("  replay: check_runner --workload %s --machine %s "
-                "--seed %llu --threads %u --ops %u%s "
+    std::printf("  replay: %s --workload %s --machine %s --seed %llu "
                 "--schedule \"%s\"\n",
-                workload, machine_token, (unsigned long long) seed,
-                args.options.threads, args.options.opsPerThread,
-                extraReplayFlags(args).c_str(),
+                args.replayCommand.c_str(), workload, machine_token,
+                (unsigned long long) seed,
                 formatSchedule(schedule).c_str());
     if (!outcome.traceTail.empty())
         std::printf("  trace tail:\n%s", outcome.traceTail.c_str());
@@ -238,8 +192,10 @@ main(int argc, char** argv)
     std::string workload_name;
     std::string machine_name;
 
+    args.replayCommand = argv[0];
     cli::Args cli(argc, argv);
     while (cli.next()) {
+        const int first = cli.index();
         const std::string_view flag = cli.flag();
         const auto integer = [&cli](long long lo, long long hi) {
             return cli.number(lo, hi);
@@ -291,11 +247,12 @@ main(int argc, char** argv)
                 cli.invalid("default hardened");
             args.options.policyKind = *kind;
         } else if (flag == "--backend") {
-            // The concurrent phase runs htm or hybrid (oracle.hh).
+            // The concurrent phase runs htm, hybrid or hle (oracle.hh).
             const auto kind = htm::parseBackendKind(cli.value());
             if (kind != htm::BackendKind::htm &&
-                kind != htm::BackendKind::hybrid)
-                cli.invalid("htm hybrid");
+                kind != htm::BackendKind::hybrid &&
+                kind != htm::BackendKind::hle)
+                cli.invalid("htm hybrid hle");
             args.options.backend = *kind;
         } else if (flag == "--subscription") {
             const std::string_view mode = cli.value();
@@ -368,6 +325,10 @@ main(int argc, char** argv)
                          std::string(flag).c_str());
             usage(stderr);
             return 2;
+        }
+        if (!drivesSweep(flag)) {
+            for (int i = first; i <= cli.index(); ++i)
+                (args.replayCommand += ' ') += argv[i];
         }
     }
 

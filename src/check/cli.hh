@@ -63,6 +63,9 @@ class Args
     bool next() { return ++index_ < argc_; }
     /** The current argument. */
     std::string_view flag() const { return argv_[index_]; }
+    /** The current argument's index in argv: a flag's, or after
+     *  value() or number(), its value's. */
+    int index() const { return index_; }
     bool is(std::string_view name) const { return flag() == name; }
 
     /** The value that follows the current flag. */

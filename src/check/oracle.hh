@@ -4,8 +4,8 @@
  *
  * One oracle run executes a workload twice:
  *
- *  1. concurrently — N simulated threads under the best-effort HTM
- *     backend on a given MachineConfig, with a FuzzScheduler
+ *  1. concurrently — N simulated threads under the htm, hybrid or
+ *     hle backend on a given MachineConfig, with a FuzzScheduler
  *     perturbing the interleaving and a TxObserver recording the
  *     event trace and the global commit order;
  *  2. serially — a fresh copy of the workload on one thread under the
@@ -59,8 +59,8 @@ struct CheckOptions
     htm::HazardConfig hazard;
     /** Retry policy the concurrent phase runs under. */
     htm::RetryPolicyKind policyKind = htm::RetryPolicyKind::machineDefault;
-    /** Backend the concurrent phase runs under (htm or hybrid; the
-     *  serial replay always uses the global-lock backend). */
+    /** Backend the concurrent phase runs under (htm, hybrid or hle;
+     *  the serial replay always uses the global-lock backend). */
     htm::BackendKind backend = htm::BackendKind::htm;
     /** Hybrid-backend knobs (subscription mode, software-path
      *  switches); only read when backend == hybrid. */

@@ -8,7 +8,7 @@ namespace
 
 constexpr BackendKind allBackends[] = {
     BackendKind::htm, BackendKind::globalLock, BackendKind::idealHtm,
-    BackendKind::hybrid};
+    BackendKind::hybrid, BackendKind::hle};
 
 } // namespace
 
@@ -24,6 +24,8 @@ backendKindName(BackendKind kind)
         return "ideal";
       case BackendKind::hybrid:
         return "hybrid";
+      case BackendKind::hle:
+        return "hle";
     }
     return "unknown";
 }

@@ -2,11 +2,11 @@
  * @file
  * Backend selection: what an atomic section *is*.
  *
- * Every backend runs through the one tiered section driver in Runtime
- * (Runtime::runSection): hardware attempts under the thread's retry
- * policy, then — on the hybrid backend — a software-TM tier (stm.hh),
- * then the global fallback lock. A BackendKind only picks the tier a
- * section starts on and which tiers are live:
+ * Every backend but hle runs through the one tiered section driver in
+ * Runtime (Runtime::runSection): hardware attempts under the thread's
+ * retry policy, then — on the hybrid backend — a software-TM tier
+ * (stm.hh), then the global fallback lock. A BackendKind only picks
+ * the tier a section starts on and which tiers are live:
  *
  *  - htm: hardware, then the lock — the machine behaviour the paper
  *    measures;
@@ -23,7 +23,9 @@
  *    hardware fast path, then the lock — the design point the hybrid-TM
  *    bounds literature analyzes ("Inherent Limitations of Hybrid
  *    Transactional Memory"; "On the Cost of Concurrency in Hybrid
- *    Transactional Memory", PAPERS.md).
+ *    Transactional Memory", PAPERS.md);
+ *  - hle: no tiers — Runtime::runSection hands each section to the
+ *    Runtime's one HleLock (hle.hh), Intel's lock elision of Figure 7.
  *
  * This header also holds the tools' one name table for backends and
  * retry-policy kinds.
@@ -53,9 +55,14 @@ enum class BackendKind : std::uint8_t
     /** Best-effort HTM with a concurrent software-TM slow path
      *  (stm.hh) between the retries and the global lock. */
     hybrid,
+    /** Intel HLE (Figure 7): one hardware attempt eliding a lock word
+     *  the Runtime owns, then that lock taken for real, with no
+     *  retries. */
+    hle,
 };
 
-/** Human-readable backend name ("htm", "lock", "ideal", "hybrid"). */
+/** Human-readable backend name ("htm", "lock", "ideal", "hybrid",
+ *  "hle"). */
 const char* backendKindName(BackendKind kind);
 
 /** The backend named @p name (a backendKindName), if any. */

@@ -18,7 +18,8 @@ namespace htmsim::htm
 {
 
 /** An elidable lock. One instance guards one set of critical
- *  sections; the STAMP HLE experiments elide a single global lock. */
+ *  sections; on the hle backend (backend.hh) the Runtime owns one and
+ *  runs every atomic() section under it. */
 class HleLock
 {
   public:
@@ -57,13 +58,15 @@ class HleLock
 
         // Abort: re-execute with the lock held (no retries). The CAS
         // is atomic in virtual time, unlike a plain store after a
-        // spin, which could race with another acquirer.
+        // spin, which could race with another acquirer. The section's
+        // nonSpecCommit event is its serialization point for the
+        // observers.
         while (!runtime.nonTxCas(ctx, word_.get(), std::uint64_t(0),
                                  std::uint64_t(1))) {
             ctx.spinUntil([this] { return *word_ == 0; },
                           Runtime::lockPollCost);
         }
-        runtime.runNonSpeculative(ctx, body);
+        runtime.runNonSpeculative(ctx, site, body);
         runtime.nonTxStore(ctx, word_.get(), std::uint64_t(0));
     }
 

@@ -5,6 +5,8 @@
 #include <csetjmp>
 #include <stdexcept>
 
+#include "hle.hh"
+
 namespace htmsim::htm
 {
 
@@ -123,6 +125,8 @@ Runtime::Runtime(RuntimeConfig config, unsigned num_threads)
         tx->tid_ = tid;
         txs_.push_back(std::move(tx));
     }
+    if (config_.backend == BackendKind::hle)
+        hle_ = std::make_unique<HleLock>();
 }
 
 Runtime::~Runtime()
@@ -383,7 +387,6 @@ Runtime::beginAttempt(Tx& tx, sim::ThreadContext& ctx, TxStatus kind)
         tx.startOrder_ = ++startCounter_;
         ++activePerCore_[config_.machine.coreOf(tx.tid_)];
     } else if (kind == TxStatus::software) {
-        tx.stmEpoch_ = stm_.epoch();
         tx.stmRv_ = stm_.clock();
     }
     emitEvent(TxEventKind::begin, tx.tid_, tx.site_, ctx.now(),
@@ -662,6 +665,10 @@ Runtime::runSection(sim::ThreadContext& ctx, FunctionRef<void(Tx&)> body)
     // the thread's RetryPolicy; whether the lock is subscribed lazily
     // is the machine mode's (lazySubscription_).
     Tx& tx = *txs_[ctx.id()];
+    if (hle_) [[unlikely]] {
+        hle_->execute(*this, ctx, tx.site_, body);
+        return;
+    }
     TierPolicy& policy = tiers_[ctx.id()];
     policy.beginSection();
     unsigned consecutive = 0;

@@ -50,6 +50,8 @@
 namespace htmsim::htm
 {
 
+class HleLock;
+
 /** Who survives when two transactions collide on a line. */
 enum class ConflictPolicy : std::uint8_t
 {
@@ -117,7 +119,8 @@ struct RuntimeConfig
     RetryPolicyKind policyKind = RetryPolicyKind::machineDefault;
 
     /** How atomic() executes: best-effort HTM (the machines), the
-     *  global-lock-only baseline, or the ideal-HTM oracle. */
+     *  global-lock-only baseline, the ideal-HTM oracle, the hybrid
+     *  or lock elision (backend.hh). */
     BackendKind backend = BackendKind::htm;
 
     /** Vendor-specific knobs (ignored on other machines). */
@@ -398,12 +401,11 @@ class Runtime
     }
 
     /**
-     * Site-aware runNonSpeculative for per-object lock fallbacks
-     * (tmsync): binds @p site and emits a nonSpecCommit lifecycle
-     * event at body completion so observers (simcheck, liveness,
-     * txprof) see the section's serialization point. The 2-arg
-     * overload above stays event-free — its callers (HLE global lock,
-     * TLS) account their sections through other events.
+     * Site-aware runNonSpeculative for lock fallbacks (HLE, tmsync):
+     * binds @p site and emits a nonSpecCommit lifecycle event at body
+     * completion so observers (simcheck, liveness, txprof) see the
+     * section's serialization point. The 2-arg overload above stays
+     * event-free — TLS accounts its sections through other events.
      */
     template <typename F>
     void
@@ -459,7 +461,7 @@ class Runtime
     const TraceCollector& trace() const { return trace_; }
 
     /** The software-TM engine (hybrid backend; tests inspect the
-     *  clock/epoch, everything else goes through atomic()). */
+     *  clock, everything else goes through atomic()). */
     const StmEngine& stm() const { return stm_; }
 
     /** Free-is-a-write instrumentation (StmEngine::onFree), gated so
@@ -522,7 +524,8 @@ class Runtime
      * lock tier for the lock-only backend and on the TierPolicy's
      * first tier otherwise, moving hardware -> software -> lock as the
      * thread's TierPolicy decides, with the lemming-effect wait before
-     * every attempt and backoff between same-tier retries.
+     * every attempt and backoff between same-tier retries. On the hle
+     * backend the section goes to the elided lock instead.
      */
     void runSection(sim::ThreadContext& ctx, FunctionRef<void(Tx&)> body);
     AbortCause runPolicyAttempts(sim::ThreadContext& ctx,
@@ -565,7 +568,7 @@ class Runtime
      *  the orecs and return AbortCause::none. */
     AbortCause hardwareCommitPoint(Tx& tx, sim::ThreadContext& ctx);
     /** Charge a software commit and validate it (stm.cc): the cause
-     *  that aborts it (lock held, epoch wrap, stale read orec), else
+     *  that aborts it (lock held, stale read orec), else
      *  doom its hardware peers, bump its orecs, publish the clock and
      *  return AbortCause::none, all before the commit tail writes the
      *  first word back. */
@@ -736,6 +739,11 @@ class Runtime
     // Speculation-ID pool state.
     unsigned freeSpecIds_ = 0;
     unsigned retiredSpecIds_ = 0;
+
+    /** The elided lock every section runs under on the hle backend
+     *  (null otherwise). Built last, so its word follows the
+     *  runtime's own in the run's region. */
+    std::unique_ptr<HleLock> hle_;
 };
 
 } // namespace htmsim::htm

@@ -13,8 +13,7 @@
  *
  * Protocol (TL2 with lazy versioning, adapted to virtual time):
  *
- *  - begin: snapshot the global version clock (the read version, rv)
- *    and the wraparound epoch;
+ *  - begin: snapshot the global version clock (the read version, rv);
  *  - load: abort unless the address's orec version is <= rv (opacity —
  *    the check and the memory read share one scheduling quantum, so a
  *    stale value can never be *observed*); log the orec as read;
@@ -87,11 +86,6 @@ Tx::stmLoadWord(const void* addr, std::size_t size)
     }
 
     StmEngine& stm = runtime_->stm_;
-    if (stm.epoch() != stmEpoch_) {
-        // The clock wrapped since begin: rv belongs to the previous
-        // epoch and validates nothing.
-        selfAbort(AbortCause::stmConflict);
-    }
     const std::size_t index = stm.indexOfAddr(uaddr);
     if (stm.orecVersion(index) > stmRv_) {
         // Someone committed a write to this orec after our snapshot
@@ -115,8 +109,6 @@ Tx::stmStoreWord(void* addr, std::size_t size, std::uint64_t value)
     ctx_->sync();
 
     StmEngine& stm = runtime_->stm_;
-    if (stm.epoch() != stmEpoch_)
-        selfAbort(AbortCause::stmConflict);
     // Lazy versioning: the write sits in the buffer until commit; the
     // orec is logged now so commit knows which orecs to bump.
     touchOrec(stm.indexOfAddr(uaddr), lineWritten);
@@ -160,8 +152,6 @@ Runtime::softwareCommitPoint(Tx& tx, sim::ThreadContext& ctx)
         // commit happens while the fallback lock is held.
         return AbortCause::lockConflict;
     }
-    if (stm_.epoch() != tx.stmEpoch_)
-        return AbortCause::stmConflict;
 
     for (const std::uintptr_t index : tx.touchLog_) {
         if ((*tx.stmOrecs_.find(index) & Tx::lineRead) != 0 &&

@@ -73,12 +73,6 @@ struct HybridRuntimeConfig
      *  false conflicts likely (tested); 2^10 is the default. */
     unsigned orecTableLog2 = 10;
 
-    /** Version-clock value at which the clock wraps: the engine then
-     *  zeroes every orec, restarts the clock and bumps the epoch,
-     *  invalidating all in-flight software transactions. 0 = never
-     *  (full 64-bit clock). Tests shrink this to exercise wraparound. */
-    std::uint64_t clockWrapLimit = 0;
-
     // -- Cost model (virtual cycles). The software path pays
     //    non-transactional access costs plus explicit instrumentation;
     //    the hardware fast path pays a commit-time publication fee in
@@ -118,9 +112,7 @@ class StmEngine
         mask_ = (std::size_t(1) << config.orecTableLog2) - 1;
         orecs_.assign(mask_ + 1, 0);
         conflictShift_ = conflict_shift;
-        wrapLimit_ = config.clockWrapLimit;
         clock_ = 0;
-        epoch_ = 0;
         clockCell_ = sim::make<std::uint64_t>();
     }
 
@@ -128,26 +120,10 @@ class StmEngine
 
     std::uint64_t clock() const { return clock_; }
 
-    /** Epoch counter: bumped on clock wraparound; any software
-     *  transaction whose begin-epoch differs must abort. */
-    std::uint64_t epoch() const { return epoch_; }
-
-    /** Advance the clock, handling wraparound, and return the new
-     *  write version. */
-    std::uint64_t
-    advanceClock()
-    {
-        if (wrapLimit_ != 0 && clock_ >= wrapLimit_) {
-            // Epoch reset: orec versions restart from zero, so every
-            // read version snapshotted under the old epoch is
-            // meaningless — the epoch counter is what keeps stale
-            // software transactions from validating against them.
-            std::fill(orecs_.begin(), orecs_.end(), 0);
-            clock_ = 0;
-            ++epoch_;
-        }
-        return ++clock_;
-    }
+    /** Advance the clock and return the new write version. The clock
+     *  is 64-bit and moves once per commit, direct store or free, so
+     *  it never wraps. */
+    std::uint64_t advanceClock() { return ++clock_; }
 
     // --- Clock cell (the hardware subscription channel) --------------
 
@@ -228,8 +204,6 @@ class StmEngine
     std::vector<std::uint64_t> orecs_;
     std::size_t mask_ = 0;
     std::uint64_t clock_ = 0;
-    std::uint64_t epoch_ = 0;
-    std::uint64_t wrapLimit_ = 0;
     /** A simulated word on its own line in the run's region. */
     sim::Ptr<std::uint64_t> clockCell_;
     unsigned conflictShift_ = 0;

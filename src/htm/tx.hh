@@ -302,10 +302,9 @@ class Tx
 
     /// Software path (hybrid backend): orecs touched this attempt
     /// (bit0 = read, bit1 = written), the read-version snapshot, and
-    /// the clock epoch / clock-cell snapshot taken at begin.
+    /// the clock-cell snapshot taken at begin.
     FlatTable<std::uint8_t> stmOrecs_;
     std::uint64_t stmRv_ = 0;
-    std::uint64_t stmEpoch_ = 0;
     std::uint64_t stmClockSnap_ = 0;
 
     std::vector<AllocRecord> speculativeAllocs_;

@@ -35,32 +35,6 @@ siteOf(OpKind kind)
 
 } // namespace
 
-const char*
-indexLockModeName(IndexLockMode mode)
-{
-    switch (mode) {
-      case IndexLockMode::none: return "none";
-      case IndexLockMode::elided: return "elided";
-      case IndexLockMode::tatas: return "tatas";
-    }
-    return "?";
-}
-
-bool
-parseIndexLockMode(const std::string& name, IndexLockMode& out)
-{
-    if (name == "none") {
-        out = IndexLockMode::none;
-    } else if (name == "elided") {
-        out = IndexLockMode::elided;
-    } else if (name == "tatas") {
-        out = IndexLockMode::tatas;
-    } else {
-        return false;
-    }
-    return true;
-}
-
 ServerResult
 runServer(const ServerConfig& config)
 {
@@ -88,15 +62,10 @@ runServer(const ServerConfig& config)
     ServerResult result;
     std::vector<std::uint64_t> finish_times(config.clients, 0);
 
-    // Ordered-index guard (IndexLockMode in server.hh). With
-    // indexLock == none, ops stay on the runtime.atomic path below and
-    // the word is never read.
+    // Ordered-index guard (ServerConfig::indexLock). Without one, ops
+    // stay on the runtime.atomic path below and the word is never
+    // read.
     const auto index_lock = sim::make<tmsync::atomic_shared_mutex>();
-    const bool guard_index = config.indexLock != IndexLockMode::none;
-    const tmsync::SyncMode index_mode =
-        config.indexLock == IndexLockMode::elided ?
-            tmsync::SyncMode::elided :
-            tmsync::SyncMode::tatas;
 
     for (unsigned client = 0; client < config.clients; ++client) {
         scheduler.spawn([&, client](sim::ThreadContext& ctx) {
@@ -145,19 +114,19 @@ runServer(const ServerConfig& config)
                 // instead of nesting a guard inside runtime.atomic
                 // (tmsync rejects nesting): scans take the lock
                 // shared, index-mutating put/rmw take it exclusive.
-                if (guard_index && request.kind == OpKind::scan) {
+                if (config.indexLock && request.kind == OpKind::scan) {
                     tmsync::transactional_shared_lock_guard guard(
                         runtime, ctx, *index_lock,
-                        siteOf(request.kind), index_mode, body);
+                        siteOf(request.kind), *config.indexLock, body);
                     ++result.indexGuardSections;
                     result.indexGuardElided +=
                         guard.elided() ? 1 : 0;
-                } else if (guard_index &&
+                } else if (config.indexLock &&
                            (request.kind == OpKind::put ||
                             request.kind == OpKind::rmw)) {
                     tmsync::transactional_lock_guard guard(
                         runtime, ctx, *index_lock,
-                        siteOf(request.kind), index_mode, body);
+                        siteOf(request.kind), *config.indexLock, body);
                     ++result.indexGuardSections;
                     result.indexGuardElided +=
                         guard.elided() ? 1 : 0;

@@ -29,37 +29,15 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
+#include <optional>
 
 #include "htm/runtime.hh"
 #include "latency.hh"
+#include "tmsync/sync_mode.hh"
 #include "traffic.hh"
 
 namespace htmsim::server
 {
-
-/**
- * Optional ordered-index guard around the range-scan path.
- *
- * `none` leaves every operation on the plain runtime.atomic path —
- * bit-identical to the pre-tmsync server. `elided` / `tatas` route
- * scans through a tmsync::transactional_shared_lock_guard (shared
- * mode) and the index-mutating put/rmw ops through an exclusive
- * transactional_lock_guard over one process-wide
- * tmsync::atomic_shared_mutex, in the requested SyncMode. get and
- * transfer never touch the ordered index and stay on runtime.atomic.
- */
-enum class IndexLockMode : std::uint8_t
-{
-    none,
-    elided,
-    tatas,
-};
-
-const char* indexLockModeName(IndexLockMode mode);
-
-/** Parse "none", "elided", "tatas"; @return recognized. */
-bool parseIndexLockMode(const std::string& name, IndexLockMode& out);
 
 /** Everything configurable about one server run. */
 struct ServerConfig
@@ -72,8 +50,17 @@ struct ServerConfig
     TrafficConfig traffic;
     /** Master seed for the scheduler and all traffic streams. */
     std::uint64_t seed = 1;
-    /** Ordered-index guard mode (IndexLockMode above). */
-    IndexLockMode indexLock = IndexLockMode::none;
+    /**
+     * Optional ordered-index guard around the range-scan path. Empty
+     * leaves every operation on the plain runtime.atomic path —
+     * bit-identical to the pre-tmsync server. A SyncMode routes scans
+     * through a tmsync::transactional_shared_lock_guard (shared mode)
+     * and the index-mutating put/rmw ops through an exclusive
+     * transactional_lock_guard over one process-wide
+     * tmsync::atomic_shared_mutex, in that mode. get and transfer
+     * never touch the ordered index and stay on runtime.atomic.
+     */
+    std::optional<tmsync::SyncMode> indexLock;
     /** Optional observer (txprof attribution); may be nullptr. */
     htm::TxObserver* observer = nullptr;
 };

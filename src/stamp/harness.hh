@@ -13,7 +13,6 @@
 #define HTMSIM_STAMP_HARNESS_HH
 
 #include <cstdint>
-#include <optional>
 
 #include "exec.hh"
 #include "htm/runtime.hh"
@@ -36,16 +35,6 @@ struct RunResult
     htm::TraceCollector trace;
 };
 
-/** How a transactional run executes its atomic sections. */
-enum class Mode
-{
-    /** Through the runtime's section driver (retries + fallback). */
-    tm,
-    /** Under hardware lock elision of one global lock (Intel,
-     *  Figure 7). */
-    hle,
-};
-
 /**
  * Run an app transactionally on @p threads simulated threads, in one
  * run of the simulated heap (sim/region.hh). @p app must be freshly
@@ -60,40 +49,28 @@ enum class Mode
 template <typename App>
 RunResult
 runTransactional(App& app, const htm::RuntimeConfig& config,
-                 unsigned threads, std::uint64_t seed,
-                 Mode mode = Mode::tm)
+                 unsigned threads, std::uint64_t seed)
 {
     sim::RunScope run;
     app.setup();
     sim::Scheduler scheduler(seed);
     scheduler.setBatching(config.batchEpoch);
     htm::Runtime runtime(config, threads);
-    std::optional<htm::HleLock> lock;
-    if (mode == Mode::hle)
-        lock.emplace();
     sim::Barrier barrier(threads);
     sim::Cycles start = 0;
     sim::Cycles finish = 0;
-    const auto work = [&](sim::ThreadContext& ctx, auto& exec) {
-        barrier.arrive(ctx);
-        if (ctx.id() == 0)
-            start = ctx.now();
-        app.worker(exec);
-        barrier.arrive(ctx);
-        if (ctx.id() == 0)
-            finish = ctx.now();
-    };
     for (unsigned t = 0; t < threads; ++t) {
         scheduler.spawn([&](sim::ThreadContext& ctx) {
             ctx.setTimeScale(config.machine.threadTimeScale(
                 ctx.id(), threads));
-            if (lock) {
-                HleExec exec(runtime, *lock, ctx, barrier, threads);
-                work(ctx, exec);
-            } else {
-                TmExec exec(runtime, ctx, barrier, threads);
-                work(ctx, exec);
-            }
+            TmExec exec(runtime, ctx, barrier, threads);
+            barrier.arrive(ctx);
+            if (ctx.id() == 0)
+                start = ctx.now();
+            app.worker(exec);
+            barrier.arrive(ctx);
+            if (ctx.id() == 0)
+                finish = ctx.now();
         });
     }
     scheduler.run();
@@ -151,13 +128,13 @@ template <typename AppFactory>
 Speedup
 measureSpeedup(AppFactory&& make_app, const htm::RuntimeConfig& config,
                unsigned threads, const RunResult& seq,
-               std::uint64_t seed = 1, Mode mode = Mode::tm)
+               std::uint64_t seed = 1)
 {
     Speedup result;
     result.seq = seq;
     {
         auto app = make_app();
-        result.tm = runTransactional(app, config, threads, seed, mode);
+        result.tm = runTransactional(app, config, threads, seed);
     }
     result.ratio = result.tm.cycles == 0
                        ? 0.0

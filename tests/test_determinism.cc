@@ -144,14 +144,13 @@ TEST(Determinism, WarmDirtyStacksAreBitIdentical)
     expectSameGrid(first, second);
 }
 
-/// One STAMP cell at its machine's first tuning candidate: under
-/// @p backend, or under lock elision when @p hle is set.
+/// One STAMP cell at its machine's first tuning candidate, under
+/// @p backend.
 struct Cell
 {
     const char* bench;
     unsigned machine; ///< index into MachineConfig::all()
     htm::BackendKind backend = htm::BackendKind::htm;
-    bool hle = false;
 };
 
 RunMetrics
@@ -160,11 +159,6 @@ runCell(const Cell& cell)
     const htm::MachineConfig& machine =
         htm::MachineConfig::all()[cell.machine];
     const bench::SuiteRunner runner(false);
-    if (cell.hle) {
-        return RunMetrics::of(runner.run(
-            cell.bench, htm::RuntimeConfig{machine}, machine, kThreads,
-            true, kSeed, bench::SuiteRunner::Mode::hle));
-    }
     htm::RuntimeConfig config =
         bench::SuiteRunner::tuningCandidates(machine).front();
     config.backend = cell.backend;
@@ -225,7 +219,7 @@ TEST(Determinism, RunIsAPureFunctionOfItsInputs)
         {"yada", 3},
         {"yada", 3, htm::BackendKind::hybrid},
         {"genome", 0, htm::BackendKind::hybrid},
-        {"vacation-low", 2, htm::BackendKind::htm, true},
+        {"vacation-low", 2, htm::BackendKind::hle},
     };
     std::vector<RunMetrics> first;
     for (const Cell& cell : cells)
@@ -314,9 +308,10 @@ TEST(SuiteRunnerBaseline, EveryCallEqualsAFreshRunners)
             runner.run(bench, config, machine, kThreads, false, kSeed));
     };
     const auto hle = [&](const bench::SuiteRunner& runner) {
-        return RunMetrics::of(runner.run(
-            bench, htm::RuntimeConfig{machine}, machine, kThreads, true,
-            kSeed, bench::SuiteRunner::Mode::hle));
+        htm::RuntimeConfig elided{machine};
+        elided.backend = htm::BackendKind::hle;
+        return RunMetrics::of(runner.run(bench, elided, machine, kThreads,
+                                         true, kSeed));
     };
 
     const bench::SuiteRunner shared;
@@ -328,6 +323,24 @@ TEST(SuiteRunnerBaseline, EveryCallEqualsAFreshRunners)
     EXPECT_NE(unmodified.seqCycles, run(shared).seqCycles)
         << "the original variant has a baseline of its own";
     EXPECT_EQ(hle(shared), hle(bench::SuiteRunner()));
+}
+
+// The hle backend reads no retry count, so tune() runs only its first
+// candidate: the tuned cell is that candidate's run.
+TEST(SuiteRunnerBaseline, TunedHleIsTheFirstCandidatesRun)
+{
+    const htm::MachineConfig& machine = htm::MachineConfig::all()[2];
+    const auto elide = [](htm::RuntimeConfig& config) {
+        config.backend = htm::BackendKind::hle;
+    };
+    htm::RuntimeConfig first =
+        bench::SuiteRunner::tuningCandidates(machine).front();
+    elide(first);
+    const bench::SuiteRunner runner;
+    EXPECT_EQ(RunMetrics::of(
+                  runner.tune("intruder", machine, kThreads, elide).result),
+              RunMetrics::of(runner.run("intruder", first, machine,
+                                        kThreads, true, kSeed)));
 }
 
 // The memo keys a baseline by the whole machine, not its name: a
@@ -384,8 +397,7 @@ simulatedDigest()
     }
     h = foldRun(h, runCell({"yada", 3, htm::BackendKind::hybrid}));
     h = foldRun(h, runCell({"genome", 0, htm::BackendKind::hybrid}));
-    h = foldRun(h, runCell({"vacation-low", 2, htm::BackendKind::htm,
-                            true}));
+    h = foldRun(h, runCell({"vacation-low", 2, htm::BackendKind::hle}));
     for (const check::WorkloadFactory& workload : check::allWorkloads()) {
         const check::RunOutcome outcome = check::runDifferential(
             workload, htm::MachineConfig::zEC12(), kSeed);

@@ -8,15 +8,14 @@
  *  1. The software path is real and exact. Whatever mix of hardware,
  *     software and irrevocable commits a configuration produces, a
  *     contended counter must end at exactly threads * iters — under
- *     eager and lazy subscription, stm-only mode, version-clock
- *     wraparound, hash-collision false conflicts, and global-lock
- *     interplay when the software attempt budget runs dry.
+ *     eager and lazy subscription, stm-only mode, hash-collision false
+ *     conflicts, and global-lock interplay when the software attempt
+ *     budget runs dry.
  *
- *  2. Orec-table edge cases behave as modeled: wraparound advances
- *     the epoch instead of corrupting validation, a degenerate
- *     one-entry table turns disjoint accesses into (correct) false
- *     conflicts, and software commits doom overlapping hardware
- *     readers under both subscription modes.
+ *  2. Orec-table edge cases behave as modeled: a degenerate one-entry
+ *     table turns disjoint accesses into (correct) false conflicts,
+ *     and software commits doom overlapping hardware readers under
+ *     both subscription modes.
  */
 
 #include <gtest/gtest.h>
@@ -49,7 +48,6 @@ struct HybridRun
     std::uint64_t finalCount = 0;
     std::uint64_t expectedCount = 0;
     std::uint64_t stmClock = 0;
-    std::uint64_t stmEpoch = 0;
 };
 
 /// N threads x iters increments of a shared counter under the hybrid
@@ -92,7 +90,6 @@ runHybridCounter(const htm::HybridRuntimeConfig& hybrid,
     result.finalCount = counter.value;
     result.expectedCount = std::uint64_t(threads) * iters;
     result.stmClock = runtime.stm().clock();
-    result.stmEpoch = runtime.stm().epoch();
     return result;
 }
 
@@ -154,23 +151,6 @@ TEST(HybridCounter, StmOnlyIsExactAndAllSoftware)
 }
 
 // ---- orec-table edge cases --------------------------------------------
-
-TEST(HybridOrecs, ClockWraparoundAdvancesEpochAndStaysExact)
-{
-    htm::HybridRuntimeConfig hybrid;
-    hybrid.stmOnly = true;
-    // 800 increments against a wrap limit of 64 forces many epoch
-    // resets; in-flight software transactions at each reset must
-    // abort (epoch check) rather than validate against zeroed orecs.
-    hybrid.clockWrapLimit = 64;
-    const HybridRun run = runHybridCounter(hybrid);
-
-    EXPECT_EQ(run.finalCount, run.expectedCount);
-    EXPECT_GT(run.stmEpoch, 0u);
-    // After a wrap the clock restarts below the limit (plus the
-    // commits since); it must never run away past limit + one batch.
-    EXPECT_LE(run.stmClock, 64u + 1u);
-}
 
 TEST(HybridOrecs, OneEntryTableTurnsDisjointAccessesIntoFalseConflicts)
 {

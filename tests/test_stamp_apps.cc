@@ -290,7 +290,8 @@ INSTANTIATE_TEST_SUITE_P(
         BackendCase{"lock", htm::BackendKind::globalLock, false},
         BackendCase{"ideal", htm::BackendKind::idealHtm, false},
         BackendCase{"hybrid", htm::BackendKind::hybrid, false},
-        BackendCase{"hybridStmOnly", htm::BackendKind::hybrid, true}),
+        BackendCase{"hybridStmOnly", htm::BackendKind::hybrid, true},
+        BackendCase{"hle", htm::BackendKind::hle, false}),
     [](const ::testing::TestParamInfo<BackendCase>& info) {
         return std::string(info.param.name);
     });

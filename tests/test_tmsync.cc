@@ -570,7 +570,7 @@ runServerCell(bool construct_tmsync)
 TEST(TmsyncPerturbation, ConstructingPrimitivesLeavesServerBitIdentical)
 {
     // The only difference is that run B constructs the tmsync
-    // primitives first. With indexLock == none the server must not
+    // primitives first. Without an index lock the server must not
     // read a single tmsync word, so the runs must match to the cycle.
     const ServerMetrics plain = runServerCell(false);
     const ServerMetrics with_tmsync = runServerCell(true);
@@ -583,21 +583,19 @@ TEST(TmsyncPerturbation, ConstructingPrimitivesLeavesServerBitIdentical)
 
 TEST(TmsyncServer, IndexLockGuardsScansWithoutBreakingInvariants)
 {
-    for (const server::IndexLockMode mode :
-         {server::IndexLockMode::elided,
-          server::IndexLockMode::tatas}) {
+    for (const tmsync::SyncMode mode :
+         {tmsync::SyncMode::elided, tmsync::SyncMode::tatas}) {
         server::ServerConfig config = abServerConfig();
         config.indexLock = mode;
         const server::ServerResult result =
             server::runServer(config);
-        EXPECT_TRUE(result.invariantsOk)
-            << server::indexLockModeName(mode);
+        EXPECT_TRUE(result.invariantsOk) << tmsync::syncModeName(mode);
         EXPECT_GT(result.indexGuardSections, 0u)
-            << server::indexLockModeName(mode);
+            << tmsync::syncModeName(mode);
         EXPECT_EQ(result.committedOps,
                   std::uint64_t(config.clients *
                                 config.traffic.opsPerClient));
-        if (mode == server::IndexLockMode::tatas) {
+        if (mode == tmsync::SyncMode::tatas) {
             EXPECT_EQ(result.indexGuardElided, 0u);
         }
     }
